@@ -8,7 +8,8 @@ the fallback tier) to populate the block x step cache map.
 
 Dispatch holds both the original and the sliced weights. Online mode decides
 live per the cache-window scheduler; replay mode executes a precomputed grid
-cell by cell. Cells where the retained dimension equals the full width
+cell by cell. Both run every cell through the same executor, so a replay of
+an online run's map reproduces it by construction. Cells where the retained dimension equals the full width
 execute the unsliced math (bitwise identical to full attention) while the
 accounting uses the sliced formula, which is equal there.
 """
@@ -32,16 +33,22 @@ from .edcw import (
     edcw_decide,
 )
 from .linalg import rel_l2
-from .metrics import RunTrace, TraceRow, macs_sliced
+from .metrics import (
+    RunTrace,
+    TraceRow,
+    macs_full_attention,
+    macs_map_reuse,
+    macs_output_reuse,
+    macs_sliced,
+)
 from .model import (
     ATTENTION_KINDS,
     AttentionResult,
     ModelConfig,
+    attention,
     attention_weights_for,
-    unit_attention_from_map,
-    unit_attention_full,
 )
-from .pcas import compute_basis, slice_weights, unit_attention_sliced
+from .pcas import compute_basis, slice_weights
 from .runner import BaselineExecutor, denoise_run
 
 CACHE_MAP_MAGIC = "unicp-cache-map v1"
@@ -169,7 +176,54 @@ def cache_map_parse(text: str) -> CacheMap:
 # Dispatchers (executors for runner.denoise_run / runner.forward_blocks).
 # ---------------------------------------------------------------------------
 
-class OnlineDispatcher:
+class _CellExecutor:
+    """Runs one cache-map cell of a unit; both dispatchers execute through it.
+
+    F runs full attention and stashes (output, map) per unit; O serves the
+    stashed output; M reruns the value path under the stashed map; P runs
+    sliced attention, or the full math when the retained dimension equals
+    the width (accounted with the sliced formula, which is equal there). A
+    unit's stash always holds its most recent F result, which is the result
+    that armed any cache an O or M cell serves from.
+    """
+
+    def __init__(self, model, model_dim: int, sliced_weights: dict | None):
+        self.model = model
+        self.model_dim = model_dim
+        self.sliced = dict(sliced_weights) if sliced_weights else {}
+        self._stash = {}
+
+    def execute_cell(self, letter: str, block_idx: int, kind: str,
+                     x_stack: np.ndarray, step: int):
+        """Execute one cell and return (o_stack, macs)."""
+        unit = (block_idx, kind)
+        w = attention_weights_for(self.model[block_idx], kind)
+        inst, seq, m = x_stack.shape
+        if letter == LETTER_FULL:
+            o_stack, a_stack = attention(x_stack, w)
+            self._stash[unit] = (o_stack, a_stack)
+            return o_stack, inst * macs_full_attention(seq, m)
+        if letter in (LETTER_OUTPUT, LETTER_MAP):
+            if unit not in self._stash:
+                raise MissingArtifactError(
+                    f"reuse cell before any full compute: block {block_idx} {kind} step {step}")
+            o_cached, a_cached = self._stash[unit]
+            if letter == LETTER_OUTPUT:
+                return o_cached, macs_output_reuse()
+            o_stack, _ = attention(x_stack, w, amap=a_cached)
+            return o_stack, inst * macs_map_reuse(seq, m)
+        if letter == LETTER_PRUNED:
+            sw = self.sliced.get(unit)
+            if sw is None:
+                raise MissingArtifactError(
+                    f"pruned cell without sliced weights: block {block_idx} {kind} step {step}")
+            qk = (sw.wq_sliced, sw.wk_sliced) if sw.n < m else None
+            o_stack, _ = attention(x_stack, w, qk=qk)
+            return o_stack, inst * macs_sliced(seq, m, sw.n)
+        raise ValueError(f"unknown cache map letter {letter!r}")
+
+
+class OnlineDispatcher(_CellExecutor):
     """Live scheduling: consume an armed cache, else full-compute and decide.
 
     A decide step executes the fresh full result (recorded as F, with the
@@ -181,10 +235,8 @@ class OnlineDispatcher:
 
     def __init__(self, model, cfg: ModelConfig, sched: SchedulerConfig,
                  sliced_weights: dict | None = None):
-        self.model = model
-        self.model_dim = cfg.model_dim
+        super().__init__(model, cfg.model_dim, sliced_weights)
         self.sched = sched
-        self.sliced = dict(sliced_weights) if sliced_weights else {}
         self.states = {(b, kind): BlockCacheState(capacity=sched.search_window)
                        for b in range(len(model)) for kind in ATTENTION_KINDS}
         self.grid = {unit: [] for unit in self.states}
@@ -193,56 +245,34 @@ class OnlineDispatcher:
                  step: int, trace: RunTrace):
         unit = (block_idx, kind)
         st = self.states[unit]
-        w = attention_weights_for(self.model[block_idx], kind)
 
         cached = consume_cache(st, step)
         if cached is not None:
-            if cached.kind == CACHE_OUTPUT:
-                o_stack = cached.payload
-                macs = 0
-                decision = "reuse_output"
-                letter = LETTER_OUTPUT
-            else:
-                o_stack, macs = unit_attention_from_map(x_stack, cached.payload, w)
-                decision = "reuse_map"
-                letter = LETTER_MAP
-            self.grid[unit].append(letter)
-            row = TraceRow(step=step, block=block_idx, kind=kind, decision=decision,
-                           window=cached.window, drift_output=None, drift_map=None,
-                           macs=macs)
-            return o_stack, row
+            letter = LETTER_OUTPUT if cached.kind == CACHE_OUTPUT else LETTER_MAP
+            o_stack, macs = self.execute_cell(letter, block_idx, kind, x_stack, step)
+            window, drift_o, drift_m = cached.window, None, None
+        else:
+            st.clear_processed()
+            o_stack, macs = self.execute_cell(LETTER_FULL, block_idx, kind, x_stack, step)
+            current = AttentionResult(map=self._stash[unit][1], output=o_stack, macs=macs)
+            drift_o, drift_m = drift_vs_previous(st, current, step)
+            history_snapshot = tuple(st.history)
+            decision = edcw_decide(st, current, step, self.sched)
+            trace.decide_events.append(DecideEvent(
+                step=step, block=block_idx, kind=kind, history=history_snapshot,
+                current=current, decision=decision))
+            letter, window = LETTER_FULL, decision.window
+            sw = self.sliced.get(unit)
+            if (decision.kind is DecisionKind.PRUNED and sw is not None
+                    and sw.n < self.model_dim):
+                letter = LETTER_PRUNED
+                o_stack, macs = self.execute_cell(letter, block_idx, kind, x_stack, step)
 
-        st.clear_processed()
-        o_full, a_full, full_macs = unit_attention_full(x_stack, w)
-        current = AttentionResult(map=a_full, output=o_full, macs=full_macs)
-        drift_o, drift_m = drift_vs_previous(st, current, step)
-        history_snapshot = tuple(st.history)
-        decision = edcw_decide(st, current, step, self.sched)
-        trace.decide_events.append(DecideEvent(
-            step=step, block=block_idx, kind=kind, history=history_snapshot,
-            current=current, decision=decision))
-
-        if decision.kind in (DecisionKind.REUSE_OUTPUT, DecisionKind.REUSE_MAP):
-            self.grid[unit].append(LETTER_FULL)
-            row = TraceRow(step=step, block=block_idx, kind=kind, decision="full",
-                           window=decision.window, drift_output=drift_o,
-                           drift_map=drift_m, macs=full_macs)
-            return o_full, row
-
-        sw = self.sliced.get(unit)
-        if sw is not None and sw.n < self.model_dim:
-            o_sliced, _, macs = unit_attention_sliced(x_stack, w, sw)
-            self.grid[unit].append(LETTER_PRUNED)
-            row = TraceRow(step=step, block=block_idx, kind=kind, decision="pruned",
-                           window=None, drift_output=drift_o, drift_map=drift_m,
-                           macs=macs)
-            return o_sliced, row
-
-        self.grid[unit].append(LETTER_FULL)
-        row = TraceRow(step=step, block=block_idx, kind=kind, decision="full",
-                       window=None, drift_output=drift_o, drift_map=drift_m,
-                       macs=full_macs)
-        return o_full, row
+        self.grid[unit].append(letter)
+        row = TraceRow(step=step, block=block_idx, kind=kind,
+                       decision=DECISION_BY_LETTER[letter], window=window,
+                       drift_output=drift_o, drift_map=drift_m, macs=macs)
+        return o_stack, row
 
     def build_cache_map(self, cfg: ModelConfig, ratio_lo: float, ratio_hi: float,
                         aggregation: str) -> CacheMap:
@@ -259,59 +289,21 @@ class OnlineDispatcher:
         )
 
 
-class ReplayDispatcher:
-    """Execute a precomputed cache map cell by cell.
-
-    F cells run full attention and stash their result; O/M cells serve from
-    the most recent stash; P cells run sliced attention (full math when the
-    retained dimension equals the width, with sliced-formula accounting).
-    """
+class ReplayDispatcher(_CellExecutor):
+    """Execute a precomputed cache map cell by cell."""
 
     def __init__(self, model, cache_map: CacheMap, sliced_weights: dict | None = None):
-        self.model = model
+        super().__init__(model, int(cache_map.model_header["dim"]), sliced_weights)
         self.map = cache_map
-        self.model_dim = int(cache_map.model_header["dim"])
-        self.sliced = dict(sliced_weights) if sliced_weights else {}
-        self._stash = {}
 
     def run_unit(self, block_idx: int, kind: str, x_stack: np.ndarray,
                  step: int, trace: RunTrace):
-        unit = (block_idx, kind)
-        letters = self.map.grid.get(unit)
+        letters = self.map.grid.get((block_idx, kind))
         if letters is None or step >= len(letters):
             raise MissingArtifactError(
                 f"cache map has no cell for block {block_idx} {kind} step {step}")
         letter = letters[step]
-        w = attention_weights_for(self.model[block_idx], kind)
-        inst, seq, _ = x_stack.shape
-
-        if letter == LETTER_FULL:
-            o_stack, a_stack, macs = unit_attention_full(x_stack, w)
-            self._stash[unit] = (o_stack, a_stack)
-        elif letter == LETTER_OUTPUT:
-            if unit not in self._stash:
-                raise MissingArtifactError(
-                    f"reuse cell before any full compute: block {block_idx} {kind} step {step}")
-            o_stack = self._stash[unit][0]
-            macs = 0
-        elif letter == LETTER_MAP:
-            if unit not in self._stash:
-                raise MissingArtifactError(
-                    f"reuse cell before any full compute: block {block_idx} {kind} step {step}")
-            o_stack, macs = unit_attention_from_map(x_stack, self._stash[unit][1], w)
-        elif letter == LETTER_PRUNED:
-            sw = self.sliced.get(unit)
-            if sw is None:
-                raise MissingArtifactError(
-                    f"pruned cell without sliced weights: block {block_idx} {kind} step {step}")
-            if sw.n >= self.model_dim:
-                o_stack, _, _ = unit_attention_full(x_stack, w)
-                macs = inst * macs_sliced(seq, self.model_dim, sw.n)
-            else:
-                o_stack, _, macs = unit_attention_sliced(x_stack, w, sw)
-        else:
-            raise ValueError(f"unknown cache map letter {letter!r}")
-
+        o_stack, macs = self.execute_cell(letter, block_idx, kind, x_stack, step)
         row = TraceRow(step=step, block=block_idx, kind=kind,
                        decision=DECISION_BY_LETTER[letter], window=None,
                        drift_output=None, drift_map=None, macs=macs)
@@ -382,7 +374,7 @@ def _calibrate_unit(model, cfg, sched, captured, unit, fracs, calib_steps, aggre
         for frac in fracs:
             n = math.ceil(m * (1.0 - frac))
             sw = slice_weights(w, basis, n)
-            o_sliced, _, _ = unit_attention_sliced(x_stack, w, sw)
+            o_sliced, _ = attention(x_stack, w, qk=(sw.wq_sliced, sw.wk_sliced))
             err = rel_l2(o_sliced, o_full)
             accepted = err <= threshold
             records.append(CalibrationRecord(block=block_idx, kind=kind, step=step,
@@ -407,7 +399,7 @@ def _calibrate_unit(model, cfg, sched, captured, unit, fracs, calib_steps, aggre
             sound = True
             for step in calib_steps:
                 x_stack, o_full = per_step[step]
-                o_sliced, _, _ = unit_attention_sliced(x_stack, w, sw)
+                o_sliced, _ = attention(x_stack, w, qk=(sw.wq_sliced, sw.wk_sliced))
                 if rel_l2(o_sliced, o_full) > sched.threshold_at(step):
                     sound = False
                     break

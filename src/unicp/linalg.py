@@ -52,13 +52,13 @@ def matmul(a, b) -> np.ndarray:
 
 
 def softmax_rows(m) -> np.ndarray:
-    """Row-wise softmax, stabilized by subtracting each row's max."""
-    a = as_matrix(m)
+    """Softmax over the last axis, stabilized by subtracting each row's max."""
+    a = np.asarray(m, dtype=np.float64)
     if a.size == 0:
-        raise ShapeError("softmax_rows requires a nonempty matrix")
-    shifted = a - a.max(axis=1, keepdims=True)
+        raise ShapeError("softmax_rows requires a nonempty array")
+    shifted = a - a.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def frob(a) -> float:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, frob, matmul, softmax_rows
+from .linalg import frob, softmax_rows
+from .metrics import macs_mlp
 
 STATE_MAGIC = b"UNICPST1\n"
 WEIGHTS_MAGIC = b"UNICPWT1\n"
@@ -180,73 +181,28 @@ def rms_normalize(x: np.ndarray) -> np.ndarray:
     return x / max(rms, RMS_EPS)
 
 
-def attention_forward(x, w: AttentionWeights) -> AttentionResult:
-    """Single-head attention with 1/sqrt(m) score scaling.
+def attention(x_stack: np.ndarray, w: AttentionWeights, qk=None, amap=None):
+    """Single-head attention over a stack of instances (inst, L, m) in one pass.
 
-    MACs count the five dense matmuls only (4*s*m^2 + 2*s^2*m); softmax is
-    excluded from the accounting.
+    Returns (o_stack, a_stack). `qk=(wq_sliced, wk_sliced)` computes the
+    scores from the PCAS-sliced query/key projections; `amap` reuses a cached
+    map and skips Q/K entirely. Scores keep the full-width 1/sqrt(m) scale,
+    so slicing at n = m reproduces full attention. A single (L, m) instance
+    works as well. MACs are not computed here: the closed forms in
+    `metrics` are the only accounting.
     """
-    x = as_matrix(x)
-    s = x.shape[0]
-    m = w.w_q.shape[0]
-    q = matmul(x, w.w_q)
-    k = matmul(x, w.w_k)
-    scores = matmul(q, k.T) / np.sqrt(m)
-    a = softmax_rows(scores)
-    o = matmul(matmul(a, matmul(x, w.w_v)), w.w_o)
-    return AttentionResult(map=a, output=o, macs=4 * s * m * m + 2 * s * s * m)
+    if amap is None:
+        wq, wk = qk if qk is not None else (w.w_q, w.w_k)
+        scores = (x_stack @ wq) @ (x_stack @ wk).swapaxes(-1, -2) / np.sqrt(w.w_q.shape[0])
+        amap = softmax_rows(scores)
+    return (amap @ (x_stack @ w.w_v)) @ w.w_o, amap
 
 
-def attention_from_map(x, a, w: AttentionWeights) -> AttentionResult:
-    """Recompute the value path under a cached attention map.
-
-    Skips Q/K entirely: 2*s*m^2 + s^2*m MACs.
-    """
-    x = as_matrix(x)
-    a = as_matrix(a)
-    s = x.shape[0]
-    m = w.w_v.shape[0]
-    o = matmul(matmul(a, matmul(x, w.w_v)), w.w_o)
-    return AttentionResult(map=a, output=o, macs=2 * s * m * m + s * s * m)
-
-
-def unit_attention_full(x_stack: np.ndarray, w: AttentionWeights):
-    """Full attention over a stack of instances (inst, L, m).
-
-    Returns (o_stack, a_stack, macs) with macs summed over instances.
-    """
-    outputs = []
-    maps = []
-    macs = 0
-    for x in x_stack:
-        r = attention_forward(x, w)
-        outputs.append(r.output)
-        maps.append(r.map)
-        macs += r.macs
-    return np.stack(outputs), np.stack(maps), macs
-
-
-def unit_attention_from_map(x_stack: np.ndarray, a_stack: np.ndarray, w: AttentionWeights):
-    """Value-path recomputation for every instance under cached maps."""
-    outputs = []
-    macs = 0
-    for x, a in zip(x_stack, a_stack):
-        r = attention_from_map(x, a, w)
-        outputs.append(r.output)
-        macs += r.macs
-    return np.stack(outputs), macs
-
-
-def mlp_forward(x: np.ndarray, w: MlpWeights):
-    """Two-layer MLP with a smooth GELU-style nonlinearity.
-
-    Counted at 4*tokens*m^2 MACs (the two linear layers).
-    """
+def mlp_forward(x: np.ndarray, w: MlpWeights) -> np.ndarray:
+    """Two-layer MLP with a smooth GELU-style nonlinearity."""
     h = x @ w.w1 + w.b1
     g = 0.5 * h * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (h + 0.044715 * h ** 3)))
-    out = g @ w.w2 + w.b2
-    tokens, m = x.shape
-    return out, 4 * tokens * m * m
+    return g @ w.w2 + w.b2
 
 
 def unit_input_stack(state: np.ndarray, kind: str) -> np.ndarray:
@@ -277,15 +233,15 @@ def apply_unit_output(state: np.ndarray, kind: str, o_stack: np.ndarray) -> np.n
 def apply_mlp(state: np.ndarray, block: BlockWeights):
     f, s, m = state.shape
     tokens = state.reshape(f * s, m)
-    out, macs = mlp_forward(rms_normalize(tokens), block.mlp)
-    return state + out.reshape(f, s, m), macs
+    out = mlp_forward(rms_normalize(tokens), block.mlp)
+    return state + out.reshape(f, s, m), macs_mlp(f * s, m)
 
 
 def block_forward(state: np.ndarray, block: BlockWeights) -> np.ndarray:
     """Reference (scheduler-free) block: full attention everywhere."""
     for kind in ATTENTION_KINDS:
         x_stack = unit_input_stack(state, kind)
-        o_stack, _, _ = unit_attention_full(x_stack, attention_weights_for(block, kind))
+        o_stack, _ = attention(x_stack, attention_weights_for(block, kind))
         state = apply_unit_output(state, kind, o_stack)
     state, _ = apply_mlp(state, block)
     return state

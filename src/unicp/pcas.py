@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ShapeError, as_matrix, frob, matmul, softmax_rows, sym_eig
-from .model import AttentionResult, AttentionWeights
+from .linalg import ShapeError, as_matrix, frob, matmul, sym_eig
+from .model import AttentionWeights
 
 SLICED_MAGIC = b"UNICPSW1\n"
 
@@ -69,39 +69,6 @@ def slice_weights(w: AttentionWeights, basis: PcaBasis, n: int) -> SlicedWeights
     return SlicedWeights(n=n, wq_sliced=matmul(w.w_q, r_thin),
                          wk_sliced=matmul(w.w_k, r_thin),
                          calib_steps=basis.calib_steps, basis=basis)
-
-
-def sliced_attention_forward(x, w: AttentionWeights, sw: SlicedWeights) -> AttentionResult:
-    """Attention with reduced-width scores; V path untouched.
-
-    MACs: 2*s*m*n (Q/K projections) + s^2*n (scores) + 2*s*m^2 + s^2*m
-    (value path). Score scaling keeps the original sqrt(m) so the n=m case
-    matches full attention.
-    """
-    x = as_matrix(x)
-    s = x.shape[0]
-    m = w.w_v.shape[0]
-    n = sw.n
-    zq = matmul(x, sw.wq_sliced)
-    zk = matmul(x, sw.wk_sliced)
-    scores = matmul(zq, zk.T) / np.sqrt(m)
-    a = softmax_rows(scores)
-    o = matmul(matmul(a, matmul(x, w.w_v)), w.w_o)
-    macs = 2 * s * m * n + 2 * s * m * m + s * s * n + s * s * m
-    return AttentionResult(map=a, output=o, macs=macs)
-
-
-def unit_attention_sliced(x_stack: np.ndarray, w: AttentionWeights, sw: SlicedWeights):
-    """Sliced attention over a stack of instances (inst, L, m)."""
-    outputs = []
-    maps = []
-    macs = 0
-    for x in x_stack:
-        r = sliced_attention_forward(x, w, sw)
-        outputs.append(r.output)
-        maps.append(r.map)
-        macs += r.macs
-    return np.stack(outputs), np.stack(maps), macs
 
 
 def reconstruction_error(x, basis: PcaBasis, n: int) -> float:

@@ -13,19 +13,19 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import frob, rel_l2
-from .metrics import RunTrace, TraceRow
+from .metrics import RunTrace, TraceRow, macs_full_attention
 from .model import (
     ATTENTION_KINDS,
     TEMB_AMP,
     ModelConfig,
     apply_mlp,
     apply_unit_output,
+    attention,
     attention_weights_for,
     check_finite,
     eta_schedule,
     init_latent,
     time_embedding,
-    unit_attention_full,
     unit_input_stack,
 )
 
@@ -40,7 +40,9 @@ class BaselineExecutor:
     def run_unit(self, block_idx: int, kind: str, x_stack: np.ndarray,
                  step: int, trace: RunTrace):
         w = attention_weights_for(self.model[block_idx], kind)
-        o_stack, a_stack, macs = unit_attention_full(x_stack, w)
+        o_stack, a_stack = attention(x_stack, w)
+        inst, seq, m = x_stack.shape
+        macs = inst * macs_full_attention(seq, m)
         drift_o = drift_m = None
         prev = self._prev.get((block_idx, kind))
         if prev is not None:

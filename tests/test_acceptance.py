@@ -27,8 +27,8 @@ from unicp.metrics import (
     trace_export,
     trace_parse,
 )
-from unicp.model import attention_forward
-from unicp.pcas import compute_basis, reconstruction_error, slice_weights, sliced_attention_forward
+from unicp.model import attention
+from unicp.pcas import compute_basis, reconstruction_error, slice_weights
 from unicp.runner import denoise_run
 
 DESK_FLAGS = ["--blocks", "6", "--dim", "64", "--tokens", "64", "--frames", "8",
@@ -92,9 +92,9 @@ def test_03_slicing_exact_at_full_rank():
                                    for _ in range(4)))
             basis = compute_basis([x])
             sw = slice_weights(w, basis, m)
-            full = attention_forward(x, w)
-            sliced = sliced_attention_forward(x, w, sw)
-            assert rel_l2(sliced.output, full.output) < 1e-10
+            full_o, _ = attention(x, w)
+            sliced_o, _ = attention(x, w, qk=(sw.wq_sliced, sw.wk_sliced))
+            assert rel_l2(sliced_o, full_o) < 1e-10
 
 
 def test_04_algorithm_conformance(desk_calibrations):
@@ -152,7 +152,6 @@ def test_07_calibration_soundness(desk_cfg, desk_model, desk_calibrations):
     with criterion(7, "calibration soundness at every preset"):
         from unicp.dws import _CaptureExecutor, default_calib_steps
         from unicp.model import attention_weights_for
-        from unicp.pcas import unit_attention_sliced
         cap = _CaptureExecutor(desk_model, default_calib_steps(desk_cfg.num_steps))
         denoise_run(desk_cfg, cap)
         for preset in PRESET_ORDER:
@@ -164,7 +163,7 @@ def test_07_calibration_soundness(desk_cfg, desk_model, desk_calibrations):
                     continue
                 w = attention_weights_for(desk_model[block], kind)
                 for step, (x_stack, o_full) in cap.captured[(block, kind)].items():
-                    o_sliced, _, _ = unit_attention_sliced(x_stack, w, sw)
+                    o_sliced, _ = attention(x_stack, w, qk=(sw.wq_sliced, sw.wk_sliced))
                     err = rel_l2(o_sliced, o_full)
                     assert err <= sched.delta, (preset, block, kind, step, err)
 

@@ -91,7 +91,7 @@ class TestCalibrate:
         # Post-hoc recomputation: the final sliced weights stay within delta
         # of full compute at every calibration step.
         from unicp.dws import _CaptureExecutor
-        from unicp.pcas import unit_attention_sliced
+        from unicp.model import attention
         sched, calib = tiny_calibration
         cap = _CaptureExecutor(tiny_model, default_calib_steps(tiny_cfg.num_steps))
         denoise_run(tiny_cfg, cap)
@@ -100,7 +100,7 @@ class TestCalibrate:
                 continue
             w = attention_weights_for(tiny_model[block], kind)
             for step, (x_stack, o_full) in cap.captured[(block, kind)].items():
-                o_sliced, _, _ = unit_attention_sliced(x_stack, w, sw)
+                o_sliced, _ = attention(x_stack, w, qk=(sw.wq_sliced, sw.wk_sliced))
                 assert rel_l2(o_sliced, o_full) <= sched.delta
 
     def test_pruned_fraction_bounds(self, tiny_calibration, tiny_cfg):

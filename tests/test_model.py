@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from oracles import ref_attention
+from oracles import ref_attention, ref_sliced_attention_via_reconstruction
 from unicp.linalg import rel_l2
-from unicp.metrics import macs_full_attention, macs_mlp
+from unicp.metrics import RunTrace, macs_full_attention, macs_mlp
 from unicp.model import (
     AttentionWeights,
     ModelConfig,
     MlpWeights,
-    attention_forward,
+    attention,
+    attention_weights_for,
     block_forward,
     BlockWeights,
     init_latent,
@@ -20,6 +21,7 @@ from unicp.model import (
     time_embedding,
     unit_input_stack,
 )
+from unicp.pcas import compute_basis, slice_weights
 from unicp.runner import BaselineExecutor, denoise_run
 
 
@@ -73,41 +75,83 @@ class TestAttentionForward:
     def test_zero_input_gives_uniform_map_and_zero_output(self):
         cfg = small_cfg()
         w = init_model(cfg)[0].spatial
-        r = attention_forward(np.zeros((5, cfg.model_dim)), w)
-        assert np.allclose(r.map, np.full((5, 5), 0.2), atol=1e-15)
-        assert np.array_equal(r.output, np.zeros((5, cfg.model_dim)))
+        o, a = attention(np.zeros((5, cfg.model_dim)), w)
+        assert np.allclose(a, np.full((5, 5), 0.2), atol=1e-15)
+        assert np.array_equal(o, np.zeros((5, cfg.model_dim)))
 
     def test_single_token(self):
         cfg = small_cfg()
         w = init_model(cfg)[0].temporal
         x = np.random.default_rng(0).standard_normal((1, cfg.model_dim))
-        r = attention_forward(x, w)
-        assert np.array_equal(r.map, np.ones((1, 1)))
-        assert np.allclose(r.output, (x @ w.w_v) @ w.w_o, atol=1e-15)
+        o, a = attention(x, w)
+        assert np.array_equal(a, np.ones((1, 1)))
+        assert np.allclose(o, (x @ w.w_v) @ w.w_o, atol=1e-15)
 
     def test_matches_independent_reference(self):
         rng = np.random.default_rng(42)
         m = 4
         x = rng.standard_normal((3, m))
         w = AttentionWeights(*(rng.standard_normal((m, m)) for _ in range(4)))
-        r = attention_forward(x, w)
+        o, a = attention(x, w)
         ref_map, ref_out = ref_attention(x, w.w_q, w.w_k, w.w_v, w.w_o)
-        assert rel_l2(r.map, ref_map) < 1e-13
-        assert rel_l2(r.output, ref_out) < 1e-13
+        assert rel_l2(a, ref_map) < 1e-13
+        assert rel_l2(o, ref_out) < 1e-13
 
     def test_macs_formula(self):
+        # The kernel returns no MACs; the full-attention trace row carries them.
         cfg = small_cfg()
-        w = init_model(cfg)[0].spatial
+        model = init_model(cfg)
         s, m = 5, cfg.model_dim
-        r = attention_forward(np.ones((s, m)), w)
+        _, r = BaselineExecutor(model).run_unit(0, "spatial", np.ones((1, s, m)), 0, RunTrace())
         assert r.macs == 4 * s * m * m + 2 * s * s * m == macs_full_attention(s, m)
 
     def test_maps_are_row_stochastic(self):
         rng = np.random.default_rng(1)
         cfg = small_cfg()
         w = init_model(cfg)[0].spatial
-        r = attention_forward(rng.standard_normal((6, cfg.model_dim)) * 5, w)
-        assert np.abs(r.map.sum(axis=1) - 1.0).max() < 1e-10
+        _, a = attention(rng.standard_normal((6, cfg.model_dim)) * 5, w)
+        assert np.abs(a.sum(axis=1) - 1.0).max() < 1e-10
+
+
+class TestStackedAttention:
+    @pytest.mark.parametrize("kind", ["spatial", "temporal"])
+    def test_each_path_matches_oracles_and_single_instance_calls(self, kind):
+        # Spatial stacks are (f, s, m), temporal stacks (s, f, m); s != f so
+        # the two geometries differ.
+        cfg = small_cfg(tokens_per_frame=6, num_frames=3)
+        rng = np.random.default_rng(21)
+        shape = (cfg.num_frames, cfg.tokens_per_frame, cfg.model_dim)
+        x_stack = unit_input_stack(rng.standard_normal(shape), kind)
+        y_stack = unit_input_stack(rng.standard_normal(shape), kind)
+        w = attention_weights_for(init_model(cfg)[0], kind)
+        n = 3
+        basis = compute_basis(list(x_stack))
+        sw = slice_weights(w, basis, n)
+        qk = (sw.wq_sliced, sw.wk_sliced)
+
+        o_full, a_full = attention(x_stack, w)
+        _, a_other = attention(y_stack, w)
+        o_map, a_map = attention(x_stack, w, amap=a_other)
+        o_sliced, a_sliced = attention(x_stack, w, qk=qk)
+        assert a_map is a_other
+
+        for i, x in enumerate(x_stack):
+            ref_map, ref_out = ref_attention(x, w.w_q, w.w_k, w.w_v, w.w_o)
+            assert rel_l2(a_full[i], ref_map) < 1e-13
+            assert rel_l2(o_full[i], ref_out) < 1e-13
+            other_map, _ = ref_attention(y_stack[i], w.w_q, w.w_k, w.w_v, w.w_o)
+            assert rel_l2(o_map[i], (other_map @ (x @ w.w_v)) @ w.w_o) < 1e-13
+            ref_map, ref_out = ref_sliced_attention_via_reconstruction(
+                x, w.w_q, w.w_k, w.w_v, w.w_o, basis.rotation, n)
+            assert rel_l2(a_sliced[i], ref_map) < 1e-10
+            assert rel_l2(o_sliced[i], ref_out) < 1e-10
+
+            one = x_stack[i:i + 1]
+            for (o, a), got in (((o_full, a_full), attention(one, w)),
+                                ((o_map, a_map), attention(one, w, amap=a_other[i:i + 1])),
+                                ((o_sliced, a_sliced), attention(one, w, qk=qk))):
+                assert np.array_equal(got[0], o[i:i + 1])
+                assert np.array_equal(got[1], a[i:i + 1])
 
 
 class TestBlockForward:
@@ -129,8 +173,8 @@ class TestBlockForward:
         assert stack.shape == (cfg.tokens_per_frame, 1, cfg.model_dim)
         w = init_model(cfg)[0].temporal
         for x in stack:
-            r = attention_forward(x, w)
-            assert np.array_equal(r.map, np.ones((1, 1)))
+            _, a = attention(x, w)
+            assert np.array_equal(a, np.ones((1, 1)))
 
     def test_smoke_matches_unit_reference(self):
         # Independent recomputation of one block: spatial per frame, temporal

@@ -3,15 +3,15 @@ import pytest
 
 from oracles import ref_sliced_attention_via_reconstruction
 from unicp.linalg import frob, rel_l2
-from unicp.metrics import macs_full_attention, macs_sliced
-from unicp.model import AttentionWeights, attention_forward
+from unicp.dws import CacheMap, ReplayDispatcher
+from unicp.metrics import RunTrace, macs_full_attention, macs_sliced
+from unicp.model import AttentionWeights, BlockWeights, attention
 from unicp.pcas import (
     compute_basis,
     load_sliced_weights,
     reconstruction_error,
     save_sliced_weights,
     slice_weights,
-    sliced_attention_forward,
 )
 
 
@@ -106,10 +106,10 @@ class TestSlicedAttention:
         x = rng.standard_normal((s, m))
         basis = compute_basis([x])
         sw = slice_weights(w, basis, m)
-        full = attention_forward(x, w)
-        sliced = sliced_attention_forward(x, w, sw)
-        assert rel_l2(sliced.output, full.output) < 1e-10
-        assert rel_l2(sliced.map, full.map) < 1e-10
+        full_o, full_a = attention(x, w)
+        sliced_o, sliced_a = attention(x, w, qk=(sw.wq_sliced, sw.wk_sliced))
+        assert rel_l2(sliced_o, full_o) < 1e-10
+        assert rel_l2(sliced_a, full_a) < 1e-10
 
     def test_zero_input_uniform_map_zero_output(self):
         rng = np.random.default_rng(7)
@@ -118,9 +118,9 @@ class TestSlicedAttention:
         basis = compute_basis([rng.standard_normal((5, m))])
         for n in (1, 3, 6):
             sw = slice_weights(w, basis, n)
-            r = sliced_attention_forward(np.zeros((s, m)), w, sw)
-            assert np.allclose(r.map, np.full((s, s), 1.0 / s), atol=1e-15)
-            assert np.array_equal(r.output, np.zeros((s, m)))
+            o, a = attention(np.zeros((s, m)), w, qk=(sw.wq_sliced, sw.wk_sliced))
+            assert np.allclose(a, np.full((s, s), 1.0 / s), atol=1e-15)
+            assert np.array_equal(o, np.zeros((s, m)))
 
     def test_matches_reconstruct_then_multiply_oracle(self):
         rng = np.random.default_rng(8)
@@ -129,11 +129,11 @@ class TestSlicedAttention:
         x = rng.standard_normal((s, m))
         basis = compute_basis([x])
         sw = slice_weights(w, basis, n)
-        got = sliced_attention_forward(x, w, sw)
+        got_o, got_a = attention(x, w, qk=(sw.wq_sliced, sw.wk_sliced))
         ref_map, ref_out = ref_sliced_attention_via_reconstruction(
             x, w.w_q, w.w_k, w.w_v, w.w_o, basis.rotation, n)
-        assert rel_l2(got.map, ref_map) < 1e-10
-        assert rel_l2(got.output, ref_out) < 1e-10
+        assert rel_l2(got_a, ref_map) < 1e-10
+        assert rel_l2(got_o, ref_out) < 1e-10
 
     def test_macs_formula(self):
         rng = np.random.default_rng(9)
@@ -142,7 +142,12 @@ class TestSlicedAttention:
         x = rng.standard_normal((s, m))
         basis = compute_basis([x])
         sw = slice_weights(w, basis, n)
-        r = sliced_attention_forward(x, w, sw)
+        # The kernel returns no MACs; the trace row of a pruned cell carries them.
+        cmap = CacheMap(model_header={"dim": m}, delta=0.0, window=4, ratio_lo=0.1,
+                        ratio_hi=0.4, mode="replay", aggregation="conservative",
+                        grid={(0, "spatial"): ["P"]})
+        replay = ReplayDispatcher([BlockWeights(w, w, None)], cmap, {(0, "spatial"): sw})
+        _, r = replay.run_unit(0, "spatial", x[None], 0, RunTrace())
         assert r.macs == macs_sliced(s, m, n)
         assert r.macs == 2 * s * m * n + 2 * s * m * m + s * s * n + s * s * m
 
