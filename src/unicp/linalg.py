@@ -13,22 +13,9 @@ import numpy as np
 # Relative-norm floor: rel_l2 divides by max(||ref||, EPS_NORM).
 EPS_NORM = 1e-12
 
-# Jacobi eigensolver: stop when the off-diagonal Frobenius norm falls below
-# JACOBI_TOL * max(1, ||M||_F), give up after JACOBI_MAX_SWEEPS full sweeps.
-JACOBI_TOL = 1e-10
-JACOBI_MAX_SWEEPS = 100
-
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
-
-
-class ConvergenceError(RuntimeError):
-    """Iterative solver hit its iteration cap; carries the final residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
 
 
 def as_matrix(x) -> np.ndarray:
@@ -92,78 +79,16 @@ class EigResult:
     eigenvectors: np.ndarray
 
 
-def _off_diag_norm(a: np.ndarray) -> float:
-    # Summing the off-diagonal entries directly; subtracting diagonal mass
-    # from the total cancels catastrophically for large-norm matrices.
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return frob(off)
-
-
 def sym_eig(m) -> EigResult:
-    """Eigendecomposition of a symmetric matrix via cyclic Jacobi rotations.
-
-    The input is symmetrized as (M + M^T)/2 first. Robust for the sizes this
-    engine uses (up to a few hundred); convergence failure raises
-    ConvergenceError carrying the off-diagonal residual.
-    """
+    """Eigendecomposition of a symmetric matrix (input symmetrized as (M + M^T)/2)."""
     a = as_matrix(m)
-    n_rows, n_cols = a.shape
-    if n_rows != n_cols:
+    if a.shape[0] != a.shape[1]:
         raise ShapeError(f"sym_eig requires a square matrix, got {a.shape}")
-    a = (a + a.T) / 2.0
-    n = n_rows
-    v = np.eye(n)
-    if n == 1:
-        return EigResult(eigenvalues=a[0].copy(), eigenvectors=v)
-
-    scale = max(1.0, frob(a))
-    tol = JACOBI_TOL * scale
-    converged = False
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if _off_diag_norm(a) <= tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tol / (n * n):
-                    continue
-                # Givens rotation zeroing a[p, q].
-                theta = 0.5 * np.arctan2(2.0 * apq, a[q, q] - a[p, p])
-                c = np.cos(theta)
-                s = np.sin(theta)
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :] = rot_p
-                a[q, :] = rot_q
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p] = rot_p
-                a[:, q] = rot_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p] = rot_p
-                v[:, q] = rot_q
-    else:
-        converged = _off_diag_norm(a) <= tol
-    if not converged:
-        residual = _off_diag_norm(a)
-        raise ConvergenceError(
-            f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps "
-            f"(off-diagonal residual {residual:.3e})",
-            residual,
-        )
-
-    eigenvalues = np.diag(a).copy()
+    eigenvalues, v = np.linalg.eigh((a + a.T) / 2.0)
     order = np.argsort(-eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
     v = v[:, order]
     # Deterministic sign: flip columns whose largest-magnitude entry is negative.
-    for j in range(n):
-        idx = int(np.argmax(np.abs(v[:, j])))
-        if v[idx, j] < 0:
-            v[:, j] = -v[:, j]
+    lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    v = np.where(lead < 0, -v, v)
     return EigResult(eigenvalues=eigenvalues, eigenvectors=v)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from unicp.linalg import (
-    ConvergenceError,
     EPS_NORM,
     ShapeError,
     frob,
@@ -155,7 +154,3 @@ class TestSymEig:
         eig = sym_eig(a)
         expected = np.sort(np.linalg.eigvalsh(a))[::-1]
         assert np.abs(eig.eigenvalues - expected).max() < 1e-9 * max(1.0, frob(a))
-
-    def test_convergence_error_carries_residual(self):
-        err = ConvergenceError("nope", 0.25)
-        assert err.residual == 0.25
