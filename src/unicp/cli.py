@@ -146,6 +146,15 @@ def _write_spec(out_dir: Path, name: str, spec: RunSpec):
     _write_text(out_dir / name, json.dumps(spec.as_dict(), sort_keys=True) + "\n")
 
 
+def _check_spec(spec: RunSpec, recorded: dict, artifact: str):
+    """Reject an artifact made under other calibration parameters than `spec`."""
+    wanted = spec.as_dict()
+    for field in ("delta", "window", "ratio_lo", "ratio_hi", "aggregation"):
+        if recorded.get(field) != wanted[field]:
+            raise ConfigError(f"{artifact} was made with {field}={recorded.get(field)!r}, "
+                              f"but this run has {field}={wanted[field]!r}")
+
+
 def _threads() -> int:
     raw = os.environ.get("UNICP_THREADS", "1")
     try:
@@ -202,6 +211,7 @@ def cmd_run(args) -> int:
         sliced, header = load_sliced_weights(sliced_path, spec.model.model_dim)
         if header.get("model") != spec.model.header():
             raise ConfigError("sliced weights were calibrated for a different model config")
+        _check_spec(spec, header, SLICED_WEIGHTS_FILE)
 
     if spec.mode == "replay":
         map_path = out_dir / CACHE_MAP_FILE
@@ -211,6 +221,7 @@ def cmd_run(args) -> int:
         cmap = cache_map_parse(map_path.read_text())
         if cmap.model_header != spec.model.header():
             raise ConfigError("cache map was calibrated for a different model config")
+        _check_spec(spec, vars(cmap), CACHE_MAP_FILE)
         if any(LETTER == "P" for row in cmap.grid.values() for LETTER in row) and sliced is None:
             raise MissingArtifactError(
                 f"replay map contains pruned cells but {SLICED_WEIGHTS_FILE} is missing")

@@ -369,14 +369,13 @@ def _calibrate_unit(model, cfg, sched, captured, unit, fracs, calib_steps, aggre
     per_step_n = {}
     for step in calib_steps:
         x_stack, o_full = per_step[step]
-        threshold = sched.threshold_at(step)
         best_n = None
         for frac in fracs:
             n = math.ceil(m * (1.0 - frac))
             sw = slice_weights(w, basis, n)
             o_sliced, _ = attention(x_stack, w, qk=(sw.wq_sliced, sw.wk_sliced))
             err = rel_l2(o_sliced, o_full)
-            accepted = err <= threshold
+            accepted = err <= sched.delta
             records.append(CalibrationRecord(block=block_idx, kind=kind, step=step,
                                              candidate_n=n, measured_error=err,
                                              accepted=accepted))
@@ -400,7 +399,7 @@ def _calibrate_unit(model, cfg, sched, captured, unit, fracs, calib_steps, aggre
             for step in calib_steps:
                 x_stack, o_full = per_step[step]
                 o_sliced, _ = attention(x_stack, w, qk=(sw.wq_sliced, sw.wk_sliced))
-                if rel_l2(o_sliced, o_full) > sched.threshold_at(step):
+                if rel_l2(o_sliced, o_full) > sched.delta:
                     sound = False
                     break
             if sound:

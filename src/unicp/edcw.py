@@ -37,20 +37,12 @@ CACHE_MAP = "map"
 class SchedulerConfig:
     delta: float
     search_window: int = 4
-    per_step_delta: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.delta < 0:
             raise ValueError("delta must be >= 0")
         if self.search_window < 1:
             raise ValueError("search_window must be >= 1")
-        if self.per_step_delta is not None and any(d < 0 for d in self.per_step_delta):
-            raise ValueError("per_step_delta entries must be >= 0")
-
-    def threshold_at(self, step: int) -> float:
-        if self.per_step_delta is not None and 0 <= step < len(self.per_step_delta):
-            return self.per_step_delta[step]
-        return self.delta
 
 
 @dataclass(frozen=True)
@@ -116,7 +108,7 @@ def edcw_decide(state: BlockCacheState, current: AttentionResult, step: int,
         if candidate is None:
             continue
         drift = rel_l2(current.output, candidate.output)
-        if drift <= cfg.threshold_at(step - k):
+        if drift <= cfg.delta:
             decision = Decision(kind=DecisionKind.REUSE_OUTPUT, window=k,
                                 measured_drift_output=drift)
             break
@@ -126,7 +118,7 @@ def edcw_decide(state: BlockCacheState, current: AttentionResult, step: int,
             if candidate is None:
                 continue
             drift = rel_l2(current.map, candidate.map)
-            if drift <= cfg.threshold_at(step - k):
+            if drift <= cfg.delta:
                 decision = Decision(kind=DecisionKind.REUSE_MAP, window=k,
                                     measured_drift_map=drift)
                 break

@@ -1,4 +1,4 @@
-"""Dense real linear algebra: matmul, row softmax, symmetric eigensolver, norms.
+"""Dense real linear algebra: row softmax, symmetric eigensolver, norms.
 
 Matrices are plain float64 numpy arrays (row-major, 2-D). Everything here is
 a pure function over immutable inputs and safe to call from multiple threads.
@@ -24,18 +24,6 @@ def as_matrix(x) -> np.ndarray:
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got shape {a.shape}")
     return a
-
-
-def matmul(a, b) -> np.ndarray:
-    """Dense product a @ b with an explicit inner-dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"matmul dimension mismatch: left is {a.shape[0]}x{a.shape[1]}, "
-            f"right is {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
 
 
 def softmax_rows(m) -> np.ndarray:

@@ -6,8 +6,7 @@ residual connections and an RMS pre-normalization that keeps activations
 bounded over the denoising loop. The latent is a (frames, tokens, dim)
 float64 tensor.
 
-Weights are regenerated deterministically from the config seed; the binary
-container here exists for debugging and interchange.
+Weights are regenerated deterministically from the config seed.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .linalg import frob, softmax_rows
 from .metrics import macs_mlp
 
 STATE_MAGIC = b"UNICPST1\n"
-WEIGHTS_MAGIC = b"UNICPWT1\n"
 
 # Step-size schedule: large at both ends of the run, small in the middle, so
 # adjacent-step attention drift shows the U-shaped profile the cache
@@ -74,14 +72,18 @@ class ModelConfig:
 
     @staticmethod
     def from_header(h: dict) -> "ModelConfig":
-        return ModelConfig(
-            num_blocks=int(h["blocks"]),
-            model_dim=int(h["dim"]),
-            tokens_per_frame=int(h["tokens"]),
-            num_frames=int(h["frames"]),
-            num_steps=int(h["steps"]),
-            seed=int(h["seed"]),
-        )
+        require_keys(h, ("blocks", "dim", "tokens", "frames", "steps", "seed"), "model header")
+        try:
+            return ModelConfig(
+                num_blocks=int(h["blocks"]),
+                model_dim=int(h["dim"]),
+                tokens_per_frame=int(h["tokens"]),
+                num_frames=int(h["frames"]),
+                num_steps=int(h["steps"]),
+                seed=int(h["seed"]),
+            )
+        except TypeError as exc:
+            raise ValueError(f"model header holds a non-integer value: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -264,7 +266,16 @@ def check_finite(state: np.ndarray, step: int):
 # Binary containers: versioned header line + raw little-endian float64 payload.
 # ---------------------------------------------------------------------------
 
-def _write_container(path, magic: bytes, header: dict, arrays: list[np.ndarray]):
+def require_keys(h, keys, what: str):
+    """Raise ValueError naming every key a parsed JSON header lacks."""
+    if not isinstance(h, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    missing = [k for k in keys if k not in h]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(missing)}")
+
+
+def write_container(path, magic: bytes, header: dict, arrays: list[np.ndarray]):
     with open(path, "wb") as fh:
         fh.write(magic)
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
@@ -272,7 +283,7 @@ def _write_container(path, magic: bytes, header: dict, arrays: list[np.ndarray])
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
-def _read_container(path, magic: bytes):
+def read_container(path, magic: bytes):
     with open(path, "rb") as fh:
         got = fh.read(len(magic))
         if got != magic:
@@ -283,48 +294,16 @@ def _read_container(path, magic: bytes):
 
 
 def save_state(path, state: np.ndarray, cfg: ModelConfig):
-    _write_container(path, STATE_MAGIC, cfg.header(), [state])
+    write_container(path, STATE_MAGIC, cfg.header(), [state])
 
 
 def load_state(path):
-    header, payload = _read_container(path, STATE_MAGIC)
-    cfg = ModelConfig.from_header(header)
+    header, payload = read_container(path, STATE_MAGIC)
+    try:
+        cfg = ModelConfig.from_header(header)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     shape = (cfg.num_frames, cfg.tokens_per_frame, cfg.model_dim)
     if payload.size != np.prod(shape):
         raise ValueError(f"{path}: payload holds {payload.size} values, expected {np.prod(shape)}")
     return payload.reshape(shape).astype(np.float64), cfg
-
-
-def save_weights(path, model: list[BlockWeights], cfg: ModelConfig):
-    arrays = []
-    for block in model:
-        arrays.extend(block.spatial.matrices())
-        arrays.extend(block.temporal.matrices())
-        arrays.extend(block.mlp.matrices())
-    _write_container(path, WEIGHTS_MAGIC, cfg.header(), arrays)
-
-
-def load_weights(path):
-    header, payload = _read_container(path, WEIGHTS_MAGIC)
-    cfg = ModelConfig.from_header(header)
-    m = cfg.model_dim
-    cursor = 0
-
-    def take(*shape):
-        nonlocal cursor
-        size = int(np.prod(shape))
-        chunk = payload[cursor:cursor + size]
-        if chunk.size != size:
-            raise ValueError(f"{path}: truncated weight payload")
-        cursor += size
-        return chunk.reshape(shape).astype(np.float64)
-
-    blocks = []
-    for _ in range(cfg.num_blocks):
-        spatial = AttentionWeights(take(m, m), take(m, m), take(m, m), take(m, m))
-        temporal = AttentionWeights(take(m, m), take(m, m), take(m, m), take(m, m))
-        mlp = MlpWeights(take(m, 2 * m), take(2 * m), take(2 * m, m), take(m))
-        blocks.append(BlockWeights(spatial=spatial, temporal=temporal, mlp=mlp))
-    if cursor != payload.size:
-        raise ValueError(f"{path}: {payload.size - cursor} trailing values in weight payload")
-    return blocks, cfg

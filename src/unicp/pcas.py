@@ -7,18 +7,18 @@ from s x m by m x s to s x n by n x s. Because the rotation is orthonormal
 and truncation only drops trailing columns, the scores computed in the
 reduced space equal the scores of the reconstructed full-width queries and
 keys, so no reconstruction happens at inference. V and the output projection
-are never sliced.
+are never sliced. Sliced attention itself is `model.attention` called with
+`qk=(wq_sliced, wk_sliced)`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ShapeError, as_matrix, frob, matmul, sym_eig
-from .model import AttentionWeights
+from .linalg import ShapeError, as_matrix, frob, sym_eig
+from .model import AttentionWeights, read_container, require_keys, write_container
 
 SLICED_MAGIC = b"UNICPSW1\n"
 
@@ -66,8 +66,7 @@ def slice_weights(w: AttentionWeights, basis: PcaBasis, n: int) -> SlicedWeights
     if not 1 <= n <= m:
         raise ValueError(f"retained dimension n={n} out of range [1, {m}]")
     r_thin = basis.rotation[:, :n]
-    return SlicedWeights(n=n, wq_sliced=matmul(w.w_q, r_thin),
-                         wk_sliced=matmul(w.w_k, r_thin),
+    return SlicedWeights(n=n, wq_sliced=w.w_q @ r_thin, wk_sliced=w.w_k @ r_thin,
                          calib_steps=basis.calib_steps, basis=basis)
 
 
@@ -87,13 +86,13 @@ def reconstruction_error(x, basis: PcaBasis, n: int) -> float:
         # Full-rank projector is the identity by construction.
         return 0.0
     r_thin = basis.rotation[:, :n]
-    projected = matmul(matmul(x, r_thin), r_thin.T)
+    projected = (x @ r_thin) @ r_thin.T
     return frob(x - projected)
 
 
 # ---------------------------------------------------------------------------
-# Sliced-weight container: same layout as the model weight container, with
-# the retained dimensions and calibration steps recorded in the header.
+# Sliced-weight container: same layout as the state container, with the
+# retained dimensions and calibration steps recorded in the header.
 # ---------------------------------------------------------------------------
 
 def save_sliced_weights(path, sliced: dict, header_extra: dict):
@@ -117,24 +116,24 @@ def save_sliced_weights(path, sliced: dict, header_extra: dict):
         arrays.append(sw.wk_sliced)
     header = dict(header_extra)
     header["units"] = units
-    with open(path, "wb") as fh:
-        fh.write(SLICED_MAGIC)
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    write_container(path, SLICED_MAGIC, header, arrays)
 
 
 def load_sliced_weights(path, model_dim: int):
     """Read the sliced-weight container back into a (block, kind) -> SlicedWeights map."""
-    with open(path, "rb") as fh:
-        got = fh.read(len(SLICED_MAGIC))
-        if got != SLICED_MAGIC:
-            raise ValueError(f"{path}: bad magic {got!r}")
-        header = json.loads(fh.readline().decode("utf-8"))
-        payload = np.frombuffer(fh.read(), dtype="<f8")
+    header, payload = read_container(path, SLICED_MAGIC)
+    require_keys(header, ("units",), f"{path}: header")
+    units = header["units"]
+    for unit in units:
+        require_keys(unit, ("block", "kind", "n", "calib_steps"), f"{path}: unit entry")
+        if not 1 <= int(unit["n"]) <= model_dim:
+            raise ValueError(f"{path}: retained dimension n={unit['n']} out of range [1, {model_dim}]")
+    expected = sum(2 * model_dim * int(unit["n"]) for unit in units)
+    if payload.size != expected:
+        raise ValueError(f"{path}: payload holds {payload.size} values, its units need {expected}")
     cursor = 0
     out = {}
-    for unit in header["units"]:
+    for unit in units:
         n = int(unit["n"])
         size = model_dim * n
         wq = payload[cursor:cursor + size].reshape(model_dim, n).astype(np.float64)
@@ -144,6 +143,4 @@ def load_sliced_weights(path, model_dim: int):
         out[(int(unit["block"]), unit["kind"])] = SlicedWeights(
             n=n, wq_sliced=wq, wk_sliced=wk,
             calib_steps=tuple(int(s) for s in unit["calib_steps"]))
-    if cursor != payload.size:
-        raise ValueError(f"{path}: {payload.size - cursor} trailing values in payload")
     return out, header

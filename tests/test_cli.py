@@ -19,6 +19,13 @@ def read(path):
     return path.read_bytes()
 
 
+def container(magic, header, values=0):
+    return magic + json.dumps(header).encode() + b"\n" + np.zeros(values).astype("<f8").tobytes()
+
+
+SLICED_UNIT = {"block": 0, "kind": "spatial", "n": 4, "calib_steps": [0]}
+
+
 class TestBaseline:
     def test_smoke_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "base"
@@ -147,6 +154,22 @@ class TestRun:
         assert len(ratio_line) == 1
         assert float(ratio_line[0].split()[1]) <= 1.0
 
+    def test_spec_mismatch_with_artifacts_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        run_cli("calibrate", "--out", str(out), *TINY_FLAGS, "--preset", "E5")
+        capsys.readouterr()
+        for mode in ("online", "replay"):
+            assert run_cli("run", "--out", str(out), *TINY_FLAGS, "--preset", "E1",
+                           "--mode", mode) == 2
+            err = capsys.readouterr().err
+            assert "sliced_weights.bin" in err and "delta=0.175" in err
+        (out / "sliced_weights.bin").unlink()
+        assert run_cli("run", "--out", str(out), *TINY_FLAGS, "--preset", "E5",
+                       "--ratio-hi", "0.3", "--mode", "replay") == 2
+        err = capsys.readouterr().err
+        assert "cache_map.txt" in err and "ratio_hi=0.4" in err
+        assert not (out / "run_spec.json").exists()
+
     def test_decision_counts_match_map_tallies_in_replay(self, tmp_path):
         from collections import Counter
         from unicp.dws import cache_map_parse
@@ -181,6 +204,26 @@ class TestExitCodes:
         run_cli("calibrate", "--out", str(b), *TINY_FLAGS, "--preset", "E5")
         for name in ("cache_map.txt", "sliced_weights.bin"):
             assert read(a / name) == read(b / name)
+
+    @pytest.mark.parametrize("name, content, expected", [
+        ("state.bin", container(b"UNICPST1\n", {"dim": 4}), "model header lacks blocks"),
+        ("sliced_weights.bin", container(b"UNICPSW1\n", {"delta": 0.175}), "header lacks units"),
+        ("sliced_weights.bin",
+         container(b"UNICPSW1\n", {"units": [{"block": 0, "kind": "spatial", "calib_steps": []}]}),
+         "unit entry lacks n"),
+        ("sliced_weights.bin",
+         container(b"UNICPSW1\n", {"units": [SLICED_UNIT]}, values=2 * 16 * 4 - 1),
+         "payload holds 127 values, its units need 128"),
+    ], ids=["state-missing-keys", "sliced-no-units", "sliced-unit-no-n", "sliced-short-payload"])
+    def test_malformed_artifact_exits_2(self, tmp_path, capsys, name, content, expected):
+        path = tmp_path / name
+        path.write_bytes(content)
+        if name == "state.bin":
+            argv = ["compare", str(path), str(path)]
+        else:
+            argv = ["run", "--out", str(tmp_path), *TINY_FLAGS]
+        assert run_cli(*argv) == 2
+        assert expected in capsys.readouterr().err
 
     def test_bad_threads_env_exits_2(self, tmp_path, monkeypatch):
         monkeypatch.setenv("UNICP_THREADS", "many")

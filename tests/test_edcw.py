@@ -121,28 +121,6 @@ class TestDecide:
         assert decision.kind is DecisionKind.REUSE_OUTPUT
         assert decision.window == 3
 
-    def test_per_step_delta_override(self):
-        rng = np.random.default_rng(7)
-        # Candidate sits at step 1; its slot threshold forbids the match even
-        # though the global delta would allow it.
-        sched = SchedulerConfig(delta=1.0, search_window=2,
-                                per_step_delta=(1.0, 0.0, 1.0, 1.0))
-        state = BlockCacheState(capacity=2)
-        base = rng_result(rng)
-        fill_history(state, [base, result_from(base.output * 5)], start_step=0)
-        current = result_from(base.output * 1.01)
-        decision = edcw_decide(state, current, step=2, cfg=sched)
-        # distance 2 -> step 0 (threshold 1.0, drift ~0.01: hit). Flip the
-        # schedule so step 0 forbids and step 1 allows.
-        assert decision.kind is DecisionKind.REUSE_OUTPUT and decision.window == 2
-        sched2 = SchedulerConfig(delta=1.0, search_window=2,
-                                 per_step_delta=(0.0, 1.0, 1.0, 1.0))
-        state2 = BlockCacheState(capacity=2)
-        fill_history(state2, [base, result_from(base.output * 1.02)], start_step=0)
-        decision2 = edcw_decide(state2, result_from(base.output * 1.01), step=2, cfg=sched2)
-        assert decision2.kind is DecisionKind.REUSE_OUTPUT
-        assert decision2.window == 1
-
 
 def rng_dirichlet(rng, s=4):
     amap = np.abs(rng.standard_normal((s, s))) + 0.05

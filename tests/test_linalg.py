@@ -7,41 +7,10 @@ from unicp.linalg import (
     EPS_NORM,
     ShapeError,
     frob,
-    matmul,
     rel_l2,
     softmax_rows,
     sym_eig,
 )
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), a), a)
-
-    def test_annihilator(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(a, np.zeros((2, 2))), np.zeros((2, 2)))
-
-    def test_hand_multiplication(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0], [6.0]])
-        assert np.array_equal(matmul(a, b), np.array([[17.0], [39.0]]))
-
-    def test_dimension_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError) as exc:
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-        assert "2x3" in str(exc.value)
-
-    def test_associativity_on_random_triples(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            a = rng.standard_normal((5, 7))
-            b = rng.standard_normal((7, 3))
-            c = rng.standard_normal((3, 6))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert rel_l2(left, right) < 1e-9
 
 
 class TestSoftmaxRows:

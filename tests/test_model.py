@@ -15,9 +15,7 @@ from unicp.model import (
     init_latent,
     init_model,
     load_state,
-    load_weights,
     save_state,
-    save_weights,
     time_embedding,
     unit_input_stack,
 )
@@ -280,18 +278,6 @@ class TestContainers:
         loaded, loaded_cfg = load_state(path)
         assert np.array_equal(loaded, state)
         assert loaded_cfg == cfg
-
-    def test_weights_round_trip(self, tmp_path):
-        cfg = small_cfg()
-        model = init_model(cfg)
-        path = tmp_path / "weights.bin"
-        save_weights(path, model, cfg)
-        loaded, loaded_cfg = load_weights(path)
-        assert loaded_cfg == cfg
-        for ba, bb in zip(model, loaded):
-            assert np.array_equal(ba.spatial.w_q, bb.spatial.w_q)
-            assert np.array_equal(ba.temporal.w_o, bb.temporal.w_o)
-            assert np.array_equal(ba.mlp.b1, bb.mlp.b1)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
