@@ -187,9 +187,8 @@ class _CellExecutor:
     that armed any cache an O or M cell serves from.
     """
 
-    def __init__(self, model, model_dim: int, sliced_weights: dict | None):
+    def __init__(self, model, sliced_weights: dict | None):
         self.model = model
-        self.model_dim = model_dim
         self.sliced = dict(sliced_weights) if sliced_weights else {}
         self._stash = {}
 
@@ -235,7 +234,7 @@ class OnlineDispatcher(_CellExecutor):
 
     def __init__(self, model, cfg: ModelConfig, sched: SchedulerConfig,
                  sliced_weights: dict | None = None):
-        super().__init__(model, cfg.model_dim, sliced_weights)
+        super().__init__(model, sliced_weights)
         self.sched = sched
         self.states = {(b, kind): BlockCacheState(capacity=sched.search_window)
                        for b in range(len(model)) for kind in ATTENTION_KINDS}
@@ -264,7 +263,7 @@ class OnlineDispatcher(_CellExecutor):
             letter, window = LETTER_FULL, decision.window
             sw = self.sliced.get(unit)
             if (decision.kind is DecisionKind.PRUNED and sw is not None
-                    and sw.n < self.model_dim):
+                    and sw.n < x_stack.shape[-1]):
                 letter = LETTER_PRUNED
                 o_stack, macs = self.execute_cell(letter, block_idx, kind, x_stack, step)
 
@@ -293,7 +292,7 @@ class ReplayDispatcher(_CellExecutor):
     """Execute a precomputed cache map cell by cell."""
 
     def __init__(self, model, cache_map: CacheMap, sliced_weights: dict | None = None):
-        super().__init__(model, int(cache_map.model_header["dim"]), sliced_weights)
+        super().__init__(model, sliced_weights)
         self.map = cache_map
 
     def run_unit(self, block_idx: int, kind: str, x_stack: np.ndarray,

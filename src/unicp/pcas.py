@@ -123,24 +123,30 @@ def load_sliced_weights(path, model_dim: int):
     """Read the sliced-weight container back into a (block, kind) -> SlicedWeights map."""
     header, payload = read_container(path, SLICED_MAGIC)
     require_keys(header, ("units",), f"{path}: header")
-    units = header["units"]
-    for unit in units:
+    if not isinstance(header["units"], list):
+        raise ValueError(f"{path}: header units is not a list")
+    units = []
+    for unit in header["units"]:
         require_keys(unit, ("block", "kind", "n", "calib_steps"), f"{path}: unit entry")
-        if not 1 <= int(unit["n"]) <= model_dim:
-            raise ValueError(f"{path}: retained dimension n={unit['n']} out of range [1, {model_dim}]")
-    expected = sum(2 * model_dim * int(unit["n"]) for unit in units)
+        try:
+            units.append((int(unit["block"]), str(unit["kind"]), int(unit["n"]),
+                          tuple(int(s) for s in unit["calib_steps"])))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed unit entry {unit!r}: {exc}") from exc
+    for _, _, n, _ in units:
+        if not 1 <= n <= model_dim:
+            raise ValueError(f"{path}: retained dimension n={n} out of range [1, {model_dim}]")
+    expected = sum(2 * model_dim * n for _, _, n, _ in units)
     if payload.size != expected:
         raise ValueError(f"{path}: payload holds {payload.size} values, its units need {expected}")
     cursor = 0
     out = {}
-    for unit in units:
-        n = int(unit["n"])
+    for block, kind, n, calib_steps in units:
         size = model_dim * n
         wq = payload[cursor:cursor + size].reshape(model_dim, n).astype(np.float64)
         cursor += size
         wk = payload[cursor:cursor + size].reshape(model_dim, n).astype(np.float64)
         cursor += size
-        out[(int(unit["block"]), unit["kind"])] = SlicedWeights(
-            n=n, wq_sliced=wq, wk_sliced=wk,
-            calib_steps=tuple(int(s) for s in unit["calib_steps"]))
+        out[(block, kind)] = SlicedWeights(n=n, wq_sliced=wq, wk_sliced=wk,
+                                           calib_steps=calib_steps)
     return out, header

@@ -212,9 +212,13 @@ class TestExitCodes:
          container(b"UNICPSW1\n", {"units": [{"block": 0, "kind": "spatial", "calib_steps": []}]}),
          "unit entry lacks n"),
         ("sliced_weights.bin",
+         container(b"UNICPSW1\n", {"units": [dict(SLICED_UNIT, n=None)]}),
+         "malformed unit entry"),
+        ("sliced_weights.bin",
          container(b"UNICPSW1\n", {"units": [SLICED_UNIT]}, values=2 * 16 * 4 - 1),
          "payload holds 127 values, its units need 128"),
-    ], ids=["state-missing-keys", "sliced-no-units", "sliced-unit-no-n", "sliced-short-payload"])
+    ], ids=["state-missing-keys", "sliced-no-units", "sliced-unit-no-n", "sliced-unit-null-n",
+            "sliced-short-payload"])
     def test_malformed_artifact_exits_2(self, tmp_path, capsys, name, content, expected):
         path = tmp_path / name
         path.write_bytes(content)
