@@ -9,9 +9,10 @@ the fallback tier) to populate the block x step cache map.
 Dispatch holds both the original and the sliced weights. Online mode decides
 live per the cache-window scheduler; replay mode executes a precomputed grid
 cell by cell. Both run every cell through the same executor, so a replay of
-an online run's map reproduces it by construction. Cells where the retained dimension equals the full width
-execute the unsliced math (bitwise identical to full attention) while the
-accounting uses the sliced formula, which is equal there.
+an online run's map reproduces it by construction. Cells where the retained
+dimension equals the full width execute the unsliced math (bitwise identical
+to full attention) while the accounting uses the sliced formula, which is
+equal there.
 """
 
 from __future__ import annotations
