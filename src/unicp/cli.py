@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -155,14 +154,6 @@ def _check_spec(spec: RunSpec, recorded: dict, artifact: str):
                               f"but this run has {field}={wanted[field]!r}")
 
 
-def _threads() -> int:
-    raw = os.environ.get("UNICP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"UNICP_THREADS must be an integer, got {raw!r}")
-
-
 def cmd_baseline(args) -> int:
     spec = build_spec(args)
     out_dir = Path(args.out)
@@ -183,7 +174,7 @@ def cmd_calibrate(args) -> int:
     model = init_model(spec.model)
     result = dws_calibrate(model, spec.model, spec.scheduler,
                            ratio_bounds=(spec.ratio_lo, spec.ratio_hi),
-                           aggregation=spec.aggregation, threads=_threads())
+                           aggregation=spec.aggregation)
     _write_text(out_dir / CACHE_MAP_FILE, cache_map_export(result.cache_map))
     save_sliced_weights(out_dir / SLICED_WEIGHTS_FILE, result.sliced, {
         "model": spec.model.header(),

@@ -18,7 +18,6 @@ equal there.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +25,6 @@ import numpy as np
 from .edcw import (
     CACHE_OUTPUT,
     BlockCacheState,
-    Decision,
     DecisionKind,
     SchedulerConfig,
     consume_cache,
@@ -48,6 +46,7 @@ from .model import (
     ModelConfig,
     attention,
     attention_weights_for,
+    require_keys,
 )
 from .pcas import compute_basis, slice_weights
 from .runner import BaselineExecutor, denoise_run
@@ -71,18 +70,6 @@ FRACTION_STEP = 0.05
 
 class MissingArtifactError(RuntimeError):
     """A dispatch or replay step needed an artifact that is not available."""
-
-
-@dataclass(frozen=True)
-class DecideEvent:
-    """One live scheduler decision with everything needed to replay it."""
-
-    step: int
-    block: int
-    kind: str
-    history: tuple  # ((step, AttentionResult), ...) as seen before deciding
-    current: AttentionResult
-    decision: Decision
 
 
 @dataclass(frozen=True)
@@ -141,10 +128,16 @@ def cache_map_parse(text: str) -> CacheMap:
     lines = text.splitlines()
     if not lines or lines[0] != CACHE_MAP_MAGIC:
         raise ValueError("not a cache map document")
+    if len(lines) < 4 or lines[3] != "grid":
+        raise ValueError("cache map is missing its grid section")
     dims = _parse_kv_line(lines[1])
     run = _parse_kv_line(lines[2])
+    dim_keys = ("blocks", "dim", "tokens", "frames", "steps", "seed")
+    require_keys(dims, dim_keys, "cache map dims line")
+    require_keys(run, ("delta", "window", "ratio_lo", "ratio_hi", "mode", "aggregation"),
+                 "cache map run line")
     cmap = CacheMap(
-        model_header={k: int(dims[k]) for k in ("blocks", "dim", "tokens", "frames", "steps", "seed")},
+        model_header={k: int(dims[k]) for k in dim_keys},
         delta=float(run["delta"]),
         window=int(run["window"]),
         ratio_lo=float(run["ratio_lo"]),
@@ -152,8 +145,6 @@ def cache_map_parse(text: str) -> CacheMap:
         mode=run["mode"],
         aggregation=run["aggregation"],
     )
-    if lines[3] != "grid":
-        raise ValueError("cache map is missing its grid section")
     i = 4
     while i < len(lines) and lines[i] != "final_n":
         block, kind, letters = lines[i].split()
@@ -252,15 +243,10 @@ class OnlineDispatcher(_CellExecutor):
             o_stack, macs = self.execute_cell(letter, block_idx, kind, x_stack, step)
             window, drift_o, drift_m = cached.window, None, None
         else:
-            st.clear_processed()
             o_stack, macs = self.execute_cell(LETTER_FULL, block_idx, kind, x_stack, step)
-            current = AttentionResult(map=self._stash[unit][1], output=o_stack, macs=macs)
+            current = AttentionResult(map=self._stash[unit][1], output=o_stack)
             drift_o, drift_m = drift_vs_previous(st, current, step)
-            history_snapshot = tuple(st.history)
             decision = edcw_decide(st, current, step, self.sched)
-            trace.decide_events.append(DecideEvent(
-                step=step, block=block_idx, kind=kind, history=history_snapshot,
-                current=current, decision=decision))
             letter, window = LETTER_FULL, decision.window
             sw = self.sliced.get(unit)
             if (decision.kind is DecisionKind.PRUNED and sw is not None
@@ -407,12 +393,11 @@ def _calibrate_unit(model, cfg, sched, captured, unit, fracs, calib_steps, aggre
             larger = [n for n in candidates if n > final_n]
             final_n = larger[0] if larger else m
 
-    return unit, slice_weights(w, basis, final_n), records
+    return slice_weights(w, basis, final_n), records
 
 
 def dws_calibrate(model, cfg: ModelConfig, sched: SchedulerConfig,
-                  ratio_bounds=(0.1, 0.4), aggregation: str = "conservative",
-                  threads: int = 1) -> CalibrationResult:
+                  ratio_bounds=(0.1, 0.4), aggregation: str = "conservative") -> CalibrationResult:
     """Calibrate per-unit pruning dimensions and build the cache map.
 
     Returns the populated cache map (from an online pass with the calibrated
@@ -432,22 +417,11 @@ def dws_calibrate(model, cfg: ModelConfig, sched: SchedulerConfig,
         raise ValueError("calibration captured no block inputs")
 
     fracs = fraction_grid(lo, hi)
-    units = [(b, kind) for b in range(len(model)) for kind in ATTENTION_KINDS]
-
-    def work(unit):
-        return _calibrate_unit(model, cfg, sched, capture.captured, unit,
-                               fracs, calib_steps, aggregation)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, units))
-    else:
-        results = [work(unit) for unit in units]
-
     sliced = {}
     records = []
-    for unit, sw, unit_records in results:
-        sliced[unit] = sw
+    for unit in ((b, kind) for b in range(len(model)) for kind in ATTENTION_KINDS):
+        sliced[unit], unit_records = _calibrate_unit(model, cfg, sched, capture.captured, unit,
+                                                     fracs, calib_steps, aggregation)
         records.extend(unit_records)
 
     dispatcher = OnlineDispatcher(model, cfg, sched, sliced)

@@ -17,10 +17,6 @@ from dataclasses import dataclass, field
 from .linalg import rel_l2
 from .model import AttentionResult
 
-STATUS_FREE = "F"
-STATUS_CACHED = "T"
-STATUS_PROCESSED = "Processed"
-
 
 class DecisionKind(enum.Enum):
     FULL = "full"
@@ -49,24 +45,24 @@ class SchedulerConfig:
 class Decision:
     kind: DecisionKind
     window: int | None = None
-    measured_drift_output: float | None = None
-    measured_drift_map: float | None = None
 
 
 @dataclass
 class ActiveCache:
     kind: str  # CACHE_OUTPUT | CACHE_MAP
-    payload: object  # stacked output or stacked map
     window: int
     expires_at_step: int
 
 
 @dataclass
 class BlockCacheState:
-    """Cache bookkeeping owned by exactly one (block, attention-kind) unit."""
+    """Cache bookkeeping owned by exactly one (block, attention-kind) unit.
+
+    The unit is cached exactly when `active_cache` is set; the cached arrays
+    themselves live with whoever executes the reuse.
+    """
 
     capacity: int
-    status: str = STATUS_FREE
     history: list[tuple[int, AttentionResult]] = field(default_factory=list)
     active_cache: ActiveCache | None = None
 
@@ -84,10 +80,6 @@ class BlockCacheState:
                 break
         return None
 
-    def clear_processed(self):
-        if self.status == STATUS_PROCESSED:
-            self.status = STATUS_FREE
-
 
 def edcw_decide(state: BlockCacheState, current: AttentionResult, step: int,
                 cfg: SchedulerConfig) -> Decision:
@@ -99,44 +91,32 @@ def edcw_decide(state: BlockCacheState, current: AttentionResult, step: int,
     history either way. Absent history distances are simply skipped, so the
     first steps of a run cannot match at the full window.
     """
-    if state.status != STATUS_FREE:
-        raise RuntimeError(f"edcw_decide requires a free cache status, got {state.status!r}")
+    if state.active_cache is not None:
+        raise RuntimeError("edcw_decide requires a unit without an active cache")
 
     decision = None
     for k in range(cfg.search_window, 0, -1):
         candidate = state.entry_at_distance(step, k)
         if candidate is None:
             continue
-        drift = rel_l2(current.output, candidate.output)
-        if drift <= cfg.delta:
-            decision = Decision(kind=DecisionKind.REUSE_OUTPUT, window=k,
-                                measured_drift_output=drift)
+        if rel_l2(current.output, candidate.output) <= cfg.delta:
+            decision = Decision(kind=DecisionKind.REUSE_OUTPUT, window=k)
             break
     if decision is None:
         for k in range(cfg.search_window, 0, -1):
             candidate = state.entry_at_distance(step, k)
             if candidate is None:
                 continue
-            drift = rel_l2(current.map, candidate.map)
-            if drift <= cfg.delta:
-                decision = Decision(kind=DecisionKind.REUSE_MAP, window=k,
-                                    measured_drift_map=drift)
+            if rel_l2(current.map, candidate.map) <= cfg.delta:
+                decision = Decision(kind=DecisionKind.REUSE_MAP, window=k)
                 break
     if decision is None:
         decision = Decision(kind=DecisionKind.PRUNED)
 
-    if decision.kind is DecisionKind.REUSE_OUTPUT:
-        state.status = STATUS_CACHED
-        state.active_cache = ActiveCache(kind=CACHE_OUTPUT, payload=current.output,
-                                         window=decision.window,
-                                         expires_at_step=step + decision.window - 1)
-    elif decision.kind is DecisionKind.REUSE_MAP:
-        state.status = STATUS_CACHED
-        state.active_cache = ActiveCache(kind=CACHE_MAP, payload=current.map,
-                                         window=decision.window,
-                                         expires_at_step=step + decision.window - 1)
-    else:
-        state.status = STATUS_PROCESSED
+    if decision.window is not None:
+        state.active_cache = ActiveCache(
+            kind=CACHE_OUTPUT if decision.kind is DecisionKind.REUSE_OUTPUT else CACHE_MAP,
+            window=decision.window, expires_at_step=step + decision.window - 1)
 
     state.record(step, current)
     return decision
@@ -145,15 +125,14 @@ def edcw_decide(state: BlockCacheState, current: AttentionResult, step: int,
 def consume_cache(state: BlockCacheState, step: int) -> ActiveCache | None:
     """Return the active cache entry if it still covers `step`.
 
-    Once the step passes the expiry the cache is cleared, the status returns
-    to free and the unit decides again.
+    Once the step passes the expiry the cache is cleared and the unit decides
+    again.
     """
     if state.active_cache is None:
         return None
     if step <= state.active_cache.expires_at_step:
         return state.active_cache
     state.active_cache = None
-    state.status = STATUS_FREE
     return None
 
 

@@ -89,14 +89,13 @@ def synthesize_sequence(profile: DriftProfile, shape: tuple[int, int],
     direction_map -= direction_map.mean(axis=1, keepdims=True)
     direction_map /= frob(direction_map)
 
-    full_macs = 4 * s * m * m + 2 * s * s * m
     results = []
     out = base_out
     amap = base_map
     for d in drifts:
         out = out + d * frob(out) * direction_out
         amap = amap + d * frob(amap) * direction_map
-        results.append(AttentionResult(map=amap, output=out, macs=full_macs))
+        results.append(AttentionResult(map=amap, output=out))
     return results
 
 
@@ -140,26 +139,26 @@ def run_scheduler_on_profile(profile: DriftProfile, sched: SchedulerConfig,
     Before each decision the candidate buffer is filled with the results of
     the next K steps (distance k maps to step i+k), so a window only arms
     when the drift across the span it would serve stays under the threshold.
-    Reuse steps consume the armed payload and accrue its error against the
-    true value. Fixed-window comparators run on the same sequence.
+    Reuse steps serve the result that armed the cache and accrue its error
+    against the true value. Fixed-window comparators run on the same sequence.
     """
     results = synthesize_sequence(profile, shape, seed)
     num_steps = len(results)
     res = HarnessResult()
     st = BlockCacheState(capacity=sched.search_window)
+    armed = None  # the result that armed the active cache
     for i in range(num_steps):
         cached = consume_cache(st, i)
         if cached is not None:
             true = results[i]
             if cached.kind == CACHE_OUTPUT:
-                err = rel_l2(cached.payload, true.output)
+                err = rel_l2(armed.output, true.output)
             else:
-                err = rel_l2(cached.payload, true.map)
+                err = rel_l2(armed.map, true.map)
             res.accumulated_error += err
             res.steps.append(HarnessStep(step=i, consumed=cached.kind,
                                          reuse_error=err, decision=None))
             continue
-        st.clear_processed()
         st.history = [(i - k, results[i + k])
                       for k in range(sched.search_window, 0, -1)
                       if i + k < num_steps]
@@ -167,7 +166,8 @@ def run_scheduler_on_profile(profile: DriftProfile, sched: SchedulerConfig,
         decision = edcw_decide(st, results[i], i, sched)
         res.steps.append(HarnessStep(step=i, consumed=None, reuse_error=None,
                                      decision=decision, history=snapshot))
-        if decision.kind in (DecisionKind.REUSE_OUTPUT, DecisionKind.REUSE_MAP):
+        if decision.window is not None:
+            armed = results[i]
             res.armings.append((i, decision.window, decision.kind))
     for w in fixed_windows:
         res.fixed_window_errors[w] = run_fixed_window(results, w)

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .linalg import ShapeError, rel_l2
 
@@ -73,9 +74,6 @@ class TraceRow:
 @dataclass
 class RunTrace:
     rows: list[TraceRow] = field(default_factory=list)
-    # Decide events captured for oracle replay: (step, block, kind,
-    # [(hist_step, output, map), ...], current output, current map, decision).
-    decide_events: list = field(default_factory=list)
 
     def add(self, row: TraceRow):
         self.rows.append(row)
@@ -162,19 +160,6 @@ def psnr(a: np.ndarray, b: np.ndarray, peak: float) -> float:
     return 10.0 * math.log10(peak * peak / mse)
 
 
-def _ssim_window_score(wa: np.ndarray, wb: np.ndarray, c1: float, c2: float) -> float:
-    mu_a = float(np.mean(wa))
-    mu_b = float(np.mean(wb))
-    da = wa - mu_a
-    db = wb - mu_b
-    var_a = float(np.mean(da * da))
-    var_b = float(np.mean(db * db))
-    cov = float(np.mean(da * db))
-    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-    return num / den
-
-
 def ssim(a: np.ndarray, b: np.ndarray, dynamic_range: float) -> float:
     """Single-scale SSIM with uniform 8x8 windows over square token grids.
 
@@ -196,17 +181,23 @@ def ssim(a: np.ndarray, b: np.ndarray, dynamic_range: float) -> float:
     win = min(SSIM_WINDOW, side)
     c1 = (SSIM_C1_SCALE * dynamic_range) ** 2
     c2 = (SSIM_C2_SCALE * dynamic_range) ** 2
-    scores = []
-    for fi in range(frames):
-        ga = a[fi].reshape(side, side, dim)
-        gb = b[fi].reshape(side, side, dim)
-        for ci in range(dim):
-            for r in range(side - win + 1):
-                for c in range(side - win + 1):
-                    wa = ga[r:r + win, c:c + win, ci]
-                    wb = gb[r:r + win, c:c + win, ci]
-                    scores.append(_ssim_window_score(wa, wb, c1, c2))
-    return float(np.mean(scores)) if scores else 1.0
+
+    def windows(x):
+        # (frames, dim, rows, cols, win, win): every win x win patch per channel.
+        grid = np.ascontiguousarray(x.reshape(frames, side, side, dim).transpose(0, 3, 1, 2))
+        return sliding_window_view(grid, (win, win), axis=(2, 3))
+
+    wa, wb = windows(a), windows(b)
+    mu_a = np.mean(wa, axis=(-2, -1))
+    mu_b = np.mean(wb, axis=(-2, -1))
+    da = wa - mu_a[..., None, None]
+    db = wb - mu_b[..., None, None]
+    var_a = np.mean(da * da, axis=(-2, -1))
+    var_b = np.mean(db * db, axis=(-2, -1))
+    cov = np.mean(da * db, axis=(-2, -1))
+    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    return float(np.mean(num / den))
 
 
 def quality_report(reference: np.ndarray, candidate: np.ndarray) -> QualityReport:

@@ -117,11 +117,10 @@ class BlockWeights:
 
 @dataclass(frozen=True)
 class AttentionResult:
-    """One attention evaluation: row-stochastic map, projected output, MACs."""
+    """One attention evaluation: row-stochastic map and projected output."""
 
     map: np.ndarray  # seq x seq
     output: np.ndarray  # seq x m
-    macs: int
 
 
 # Attention kinds, in execution order within a block.
@@ -211,16 +210,19 @@ def unit_input_stack(state: np.ndarray, kind: str) -> np.ndarray:
     """Extract the per-instance sequences an attention unit operates on.
 
     Spatial: one instance per frame, shape (f, s, m). Temporal: one instance
-    per token position, shape (s, f, m). Instances are RMS-normalized, which
-    is what the unit (and PCAS calibration) actually consumes.
+    per token position, shape (s, f, m). Each instance is RMS-normalized
+    (as `rms_normalize` does to one matrix), which is what the unit (and PCAS
+    calibration) actually consumes.
     """
     if kind == KIND_SPATIAL:
         raw = state
     elif kind == KIND_TEMPORAL:
-        raw = state.transpose(1, 0, 2)
+        raw = np.ascontiguousarray(state.transpose(1, 0, 2))
     else:
         raise ValueError(f"unknown attention kind {kind!r}")
-    return np.stack([rms_normalize(x) for x in raw])
+    _, seq, m = raw.shape
+    rms = np.sqrt(np.sum(np.square(raw), axis=(1, 2))) / np.sqrt(seq * m)
+    return raw / np.maximum(rms, RMS_EPS)[:, None, None]
 
 
 def apply_unit_output(state: np.ndarray, kind: str, o_stack: np.ndarray) -> np.ndarray:

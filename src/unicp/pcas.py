@@ -38,9 +38,6 @@ class SlicedWeights:
     wq_sliced: np.ndarray  # m x n
     wk_sliced: np.ndarray  # m x n
     calib_steps: tuple[int, ...] = ()
-    # Present when the weights were sliced in-process; containers do not
-    # persist the rotation, execution only needs the folded projections.
-    basis: PcaBasis | None = None
 
 
 def compute_basis(calib_inputs: list[np.ndarray], calib_steps=()) -> PcaBasis:
@@ -67,7 +64,7 @@ def slice_weights(w: AttentionWeights, basis: PcaBasis, n: int) -> SlicedWeights
         raise ValueError(f"retained dimension n={n} out of range [1, {m}]")
     r_thin = basis.rotation[:, :n]
     return SlicedWeights(n=n, wq_sliced=w.w_q @ r_thin, wk_sliced=w.w_k @ r_thin,
-                         calib_steps=basis.calib_steps, basis=basis)
+                         calib_steps=basis.calib_steps)
 
 
 def reconstruction_error(x, basis: PcaBasis, n: int) -> float:

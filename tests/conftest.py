@@ -5,8 +5,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import unicp.dws
 from unicp.dws import dws_calibrate
-from unicp.edcw import SchedulerConfig
+from unicp.edcw import SchedulerConfig, edcw_decide
 from unicp.model import ModelConfig, init_model
 from unicp.runner import BaselineExecutor, denoise_run
 
@@ -45,12 +46,29 @@ def desk_baseline(desk_cfg, desk_model):
 
 
 @pytest.fixture(scope="session")
-def desk_calibrations(desk_cfg, desk_model):
+def desk_decide_events():
+    """preset -> [(step, history, current, decision)], one entry per live
+    decide of that preset's calibration; filled by `desk_calibrations`."""
+    return {}
+
+
+@pytest.fixture(scope="session")
+def desk_calibrations(desk_cfg, desk_model, desk_decide_events):
     """One calibration per threshold preset; the expensive shared fixture."""
     out = {}
     for preset, delta in PRESETS.items():
         sched = SchedulerConfig(delta=delta, search_window=4)
-        out[preset] = (sched, dws_calibrate(desk_model, desk_cfg, sched))
+        events = desk_decide_events.setdefault(preset, [])
+
+        def recording_decide(state, current, step, cfg, events=events):
+            history = tuple(state.history)
+            decision = edcw_decide(state, current, step, cfg)
+            events.append((step, history, current, decision))
+            return decision
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(unicp.dws, "edcw_decide", recording_decide)
+            out[preset] = (sched, dws_calibrate(desk_model, desk_cfg, sched))
     return out
 
 

@@ -138,3 +138,38 @@ def exhaustive_n_sweep(x_stacks_by_step, o_full_by_step, wq, wk, wv, wo,
 def ref_mse(a, b):
     diff = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
     return float(np.mean(diff * diff))
+
+
+def ref_ssim(a, b, dynamic_range, window=8):
+    """Window-by-window SSIM: uniform win x win patches per frame and channel.
+
+    Each frame's tokens form a sqrt(s) x sqrt(s) grid; every channel is an
+    independent image; the score is the mean over all windows.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    frames, tokens, dim = a.shape
+    side = math.isqrt(tokens)
+    win = min(window, side)
+    c1 = (0.01 * dynamic_range) ** 2
+    c2 = (0.03 * dynamic_range) ** 2
+    scores = []
+    for fi in range(frames):
+        ga = a[fi].reshape(side, side, dim)
+        gb = b[fi].reshape(side, side, dim)
+        for ci in range(dim):
+            for r in range(side - win + 1):
+                for c in range(side - win + 1):
+                    wa = ga[r:r + win, c:c + win, ci]
+                    wb = gb[r:r + win, c:c + win, ci]
+                    mu_a = float(np.mean(wa))
+                    mu_b = float(np.mean(wb))
+                    da = wa - mu_a
+                    db = wb - mu_b
+                    var_a = float(np.mean(da * da))
+                    var_b = float(np.mean(db * db))
+                    cov = float(np.mean(da * db))
+                    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+                    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+                    scores.append(num / den)
+    return float(np.mean(scores))

@@ -97,20 +97,20 @@ def test_03_slicing_exact_at_full_rank():
             assert rel_l2(sliced_o, full_o) < 1e-10
 
 
-def test_04_algorithm_conformance(desk_calibrations):
+def test_04_algorithm_conformance(desk_calibrations, desk_decide_events):
     with criterion(4, "scheduler conformance vs brute-force oracle (E1-E5)"):
         total = 0
         for preset in PRESET_ORDER:
-            sched, calib = desk_calibrations[preset]
-            events = calib.population_trace.decide_events
+            sched, _ = desk_calibrations[preset]
+            events = desk_decide_events[preset]
             assert events, f"no decide events captured for {preset}"
-            for ev in events:
-                history = [(step, r.output, r.map) for step, r in ev.history]
+            for i, (step, history, current, decision) in enumerate(events):
+                history = [(s, r.output, r.map) for s, r in history]
                 kind, window = brute_force_cache_decision_at(
-                    history, ev.step, ev.current.output, ev.current.map,
+                    history, step, current.output, current.map,
                     sched.delta, sched.search_window)
-                assert ev.decision.kind.value == kind, (preset, ev.step, ev.block, ev.kind)
-                assert ev.decision.window == window, (preset, ev.step, ev.block, ev.kind)
+                assert decision.kind.value == kind, (preset, step, i)
+                assert decision.window == window, (preset, step, i)
                 total += 1
         assert total > 500
 

@@ -23,7 +23,18 @@ def container(magic, header, values=0):
     return magic + json.dumps(header).encode() + b"\n" + np.zeros(values).astype("<f8").tobytes()
 
 
+def text_doc(lines):
+    return ("\n".join(lines) + "\n").encode()
+
+
 SLICED_UNIT = {"block": 0, "kind": "spatial", "n": 4, "calib_steps": [0]}
+# The header and grid of a valid cache map for TINY_FLAGS (default delta).
+CACHE_MAP_LINES = [
+    "unicp-cache-map v1",
+    "blocks=2 dim=16 tokens=16 frames=2 steps=8 seed=7",
+    "delta=0.05 window=4 ratio_lo=0.1 ratio_hi=0.4 mode=online aggregation=conservative",
+    "grid",
+]
 
 
 class TestBaseline:
@@ -196,15 +207,6 @@ class TestExitCodes:
         monkeypatch.setattr(cli_module, "baseline_run", explode)
         assert run_cli("baseline", "--out", str(tmp_path / "o"), *TINY_FLAGS) == 4
 
-    def test_threads_env_does_not_change_artifacts(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a", tmp_path / "b"
-        monkeypatch.delenv("UNICP_THREADS", raising=False)
-        run_cli("calibrate", "--out", str(a), *TINY_FLAGS, "--preset", "E5")
-        monkeypatch.setenv("UNICP_THREADS", "4")
-        run_cli("calibrate", "--out", str(b), *TINY_FLAGS, "--preset", "E5")
-        for name in ("cache_map.txt", "sliced_weights.bin"):
-            assert read(a / name) == read(b / name)
-
     @pytest.mark.parametrize("name, content, expected", [
         ("state.bin", container(b"UNICPST1\n", {"dim": 4}), "model header lacks blocks"),
         ("sliced_weights.bin", container(b"UNICPSW1\n", {"delta": 0.175}), "header lacks units"),
@@ -217,21 +219,28 @@ class TestExitCodes:
         ("sliced_weights.bin",
          container(b"UNICPSW1\n", {"units": [SLICED_UNIT]}, values=2 * 16 * 4 - 1),
          "payload holds 127 values, its units need 128"),
+        ("cache_map.txt", text_doc(CACHE_MAP_LINES[:2]), "cache map is missing its grid section"),
+        ("cache_map.txt",
+         text_doc([CACHE_MAP_LINES[0], CACHE_MAP_LINES[1].replace(" seed=7", ""),
+                   *CACHE_MAP_LINES[2:]]),
+         "cache map dims line lacks seed"),
+        ("cache_map.txt",
+         text_doc([*CACHE_MAP_LINES[:2], CACHE_MAP_LINES[2].replace(" mode=online", ""),
+                   *CACHE_MAP_LINES[3:]]),
+         "cache map run line lacks mode"),
     ], ids=["state-missing-keys", "sliced-no-units", "sliced-unit-no-n", "sliced-unit-null-n",
-            "sliced-short-payload"])
+            "sliced-short-payload", "map-truncated", "map-dims-no-seed", "map-run-no-mode"])
     def test_malformed_artifact_exits_2(self, tmp_path, capsys, name, content, expected):
         path = tmp_path / name
         path.write_bytes(content)
         if name == "state.bin":
             argv = ["compare", str(path), str(path)]
+        elif name == "cache_map.txt":
+            argv = ["run", "--out", str(tmp_path), *TINY_FLAGS, "--mode", "replay"]
         else:
             argv = ["run", "--out", str(tmp_path), *TINY_FLAGS]
         assert run_cli(*argv) == 2
         assert expected in capsys.readouterr().err
-
-    def test_bad_threads_env_exits_2(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("UNICP_THREADS", "many")
-        assert run_cli("calibrate", "--out", str(tmp_path / "o"), *TINY_FLAGS) == 2
 
 
 class TestHarnessCommand:

@@ -121,17 +121,6 @@ class TestCalibrate:
         for unit in a.sliced:
             assert np.array_equal(a.sliced[unit].wq_sliced, b.sliced[unit].wq_sliced)
 
-    def test_threads_do_not_change_results(self):
-        cfg = tiny()
-        model = init_model(cfg)
-        sched = SchedulerConfig(delta=0.075, search_window=4)
-        serial = dws_calibrate(model, cfg, sched, threads=1)
-        threaded = dws_calibrate(model, cfg, sched, threads=4)
-        assert cache_map_export(serial.cache_map) == cache_map_export(threaded.cache_map)
-        for unit in serial.sliced:
-            assert np.array_equal(serial.sliced[unit].wq_sliced,
-                                  threaded.sliced[unit].wq_sliced)
-
     def test_bad_ratio_bounds_rejected(self):
         cfg = tiny()
         model = init_model(cfg)

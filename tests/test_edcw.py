@@ -20,8 +20,7 @@ def result_from(output, amap=None):
     if amap is None:
         s = output.shape[0]
         amap = np.full((s, s), 1.0 / s)
-    return AttentionResult(map=np.asarray(amap, dtype=np.float64),
-                           output=output, macs=0)
+    return AttentionResult(map=np.asarray(amap, dtype=np.float64), output=output)
 
 
 def rng_result(rng, s=4, m=4, amap=None):
@@ -44,7 +43,6 @@ class TestDecide:
         decision = edcw_decide(state, current, step=3, cfg=sched)
         assert decision.kind is DecisionKind.REUSE_OUTPUT
         assert decision.window == 3
-        assert decision.measured_drift_output == 0.0
 
     def test_map_tier_hit_when_outputs_drift(self):
         # History where the output drift is 0.5 at every distance but the map
@@ -66,7 +64,6 @@ class TestDecide:
         decision = edcw_decide(state, current, step=3, cfg=sched)
         assert decision.kind is DecisionKind.REUSE_MAP
         assert decision.window == 2
-        assert decision.measured_drift_map == 0.0
 
     def test_empty_history_prunes(self):
         sched = SchedulerConfig(delta=10.0, search_window=4)
@@ -101,15 +98,18 @@ class TestDecide:
         decision = edcw_decide(state, current, step=2, cfg=sched)
         assert decision.kind is DecisionKind.REUSE_OUTPUT
 
-    def test_requires_free_status(self):
+    def test_requires_no_active_cache(self):
         rng = np.random.default_rng(5)
-        sched = SchedulerConfig(delta=1.0, search_window=2)
+        sched = SchedulerConfig(delta=0.0, search_window=2)
         state = BlockCacheState(capacity=2)
-        fill_history(state, [rng_result(rng)], start_step=0)
-        edcw_decide(state, rng_result(rng), 1, sched)  # arms or prunes
-        if state.status != "F":
-            with pytest.raises(RuntimeError):
-                edcw_decide(state, rng_result(rng), 2, sched)
+        base = rng_result(rng)
+        fill_history(state, [base, base], start_step=0)
+        # An exact repeat hits the output tier at any delta, so the unit arms.
+        decision = edcw_decide(state, result_from(base.output.copy(), base.map.copy()), 2, sched)
+        assert decision.kind is DecisionKind.REUSE_OUTPUT and decision.window == 2
+        assert state.active_cache is not None
+        with pytest.raises(RuntimeError):
+            edcw_decide(state, rng_result(rng), 3, sched)
 
     def test_history_gap_is_skipped(self):
         rng = np.random.default_rng(6)
@@ -143,7 +143,6 @@ class TestConsume:
         assert hit_12 is not None
         assert consume_cache(state, 13) is None
         assert state.active_cache is None
-        assert state.status == "F"
 
     def test_window_one_serves_nothing(self):
         rng = np.random.default_rng(9)
@@ -171,23 +170,9 @@ class TestConsume:
         assert decision.kind is DecisionKind.REUSE_MAP
         hit = consume_cache(state, 3)
         assert hit.kind == CACHE_MAP
-        assert np.array_equal(hit.payload, current.map)
 
 
 class TestInvariants:
-    def test_active_cache_iff_status_cached(self):
-        rng = np.random.default_rng(11)
-        sched = SchedulerConfig(delta=0.3, search_window=3)
-        state = BlockCacheState(capacity=3)
-        for step in range(12):
-            cached = consume_cache(state, step)
-            assert (state.active_cache is not None) == (state.status == "T")
-            if cached is not None:
-                continue
-            state.clear_processed()
-            edcw_decide(state, rng_result(rng), step, sched)
-            assert (state.active_cache is not None) == (state.status == "T")
-
     def test_no_history_recorded_while_consuming(self):
         # Reuse steps do no full compute, so nothing enters the ring buffer
         # until the cache expires and a fresh decision runs.
@@ -216,7 +201,6 @@ class TestInvariants:
         state = BlockCacheState(capacity=4)
         for step in range(8):
             assert consume_cache(state, step) is None
-            state.clear_processed()
             decision = edcw_decide(state, rng_result(rng, amap=rng_dirichlet(rng)),
                                    step, sched)
             assert decision.kind is DecisionKind.PRUNED

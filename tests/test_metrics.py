@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import ref_mse
+from oracles import ref_mse, ref_ssim
 from unicp.linalg import ShapeError
 from unicp.metrics import (
     PSNR_CAP_DB,
@@ -147,6 +147,14 @@ class TestSsim:
         rng = np.random.default_rng(6)
         a = latent(rng, f=1, s=256, m=1)
         assert -1.0 <= ssim(a, a + 0.1, 1.0) <= 1.0
+
+    @pytest.mark.parametrize("f, s, m", [(2, 256, 3), (3, 100, 2), (2, 64, 4), (1, 16, 3)],
+                             ids=["side16-win8", "side10-win8", "side8-win8", "side4-win4"])
+    def test_matches_window_loop_oracle(self, f, s, m):
+        rng = np.random.default_rng(8)
+        a = latent(rng, f=f, s=s, m=m)
+        b = a + 0.3 * latent(rng, f=f, s=s, m=m)
+        assert ssim(a, b, 2.5) == pytest.approx(ref_ssim(a, b, 2.5), rel=1e-12, abs=1e-15)
 
 
 class TestQualityReport:
