@@ -1,10 +1,11 @@
 """Dynamic weight shift: calibration, the cache map, and dispatch.
 
-Calibration runs one captured baseline pass, fits a PCA basis per
-(block, attention-kind) unit from the captured inputs, sweeps the pruned
-fraction upward until the unit's sliced output drifts past the error
-threshold, then replays the whole schedule online (caching first, slicing as
-the fallback tier) to populate the block x step cache map.
+Calibration runs one captured baseline pass up to the last calibration
+step, fits a PCA basis per (block, attention-kind) unit from the captured
+inputs, sweeps the pruned fraction upward until the unit's sliced output
+drifts past the error threshold, then replays the whole schedule online
+(caching first, slicing as the fallback tier) to populate the block x step
+cache map.
 
 Dispatch holds both the original and the sliced weights. Online mode decides
 live per the cache-window scheduler; replay mode executes a precomputed grid
@@ -232,8 +233,7 @@ class OnlineDispatcher(_CellExecutor):
                        for b in range(len(model)) for kind in ATTENTION_KINDS}
         self.grid = {unit: [] for unit in self.states}
 
-    def run_unit(self, block_idx: int, kind: str, x_stack: np.ndarray,
-                 step: int, trace: RunTrace):
+    def run_unit(self, block_idx: int, kind: str, x_stack: np.ndarray, step: int):
         unit = (block_idx, kind)
         st = self.states[unit]
 
@@ -282,8 +282,7 @@ class ReplayDispatcher(_CellExecutor):
         super().__init__(model, sliced_weights)
         self.map = cache_map
 
-    def run_unit(self, block_idx: int, kind: str, x_stack: np.ndarray,
-                 step: int, trace: RunTrace):
+    def run_unit(self, block_idx: int, kind: str, x_stack: np.ndarray, step: int):
         letters = self.map.grid.get((block_idx, kind))
         if letters is None or step >= len(letters):
             raise MissingArtifactError(
@@ -308,8 +307,8 @@ class _CaptureExecutor(BaselineExecutor):
         self.calib_steps = set(calib_steps)
         self.captured = {}
 
-    def run_unit(self, block_idx, kind, x_stack, step, trace):
-        o_stack, row = super().run_unit(block_idx, kind, x_stack, step, trace)
+    def run_unit(self, block_idx, kind, x_stack, step):
+        o_stack, row = super().run_unit(block_idx, kind, x_stack, step)
         if step in self.calib_steps:
             self.captured.setdefault((block_idx, kind), {})[step] = (x_stack, o_stack)
         return o_stack, row
@@ -339,8 +338,6 @@ class CalibrationResult:
     records: list  # CalibrationRecord, in (block, kind, step, n) order
     population_state: np.ndarray
     population_trace: RunTrace
-    baseline_state: np.ndarray
-    baseline_trace: RunTrace
 
 
 def _calibrate_unit(model, cfg, sched, captured, unit, fracs, calib_steps, aggregation):
@@ -412,7 +409,8 @@ def dws_calibrate(model, cfg: ModelConfig, sched: SchedulerConfig,
 
     calib_steps = default_calib_steps(cfg.num_steps)
     capture = _CaptureExecutor(model, calib_steps)
-    baseline_state, baseline_trace = denoise_run(cfg, capture)
+    # Only the calibration steps' captures are read, so the pass stops there.
+    denoise_run(cfg, capture, last_step=max(calib_steps))
     if not capture.captured:
         raise ValueError("calibration captured no block inputs")
 
@@ -430,6 +428,4 @@ def dws_calibrate(model, cfg: ModelConfig, sched: SchedulerConfig,
 
     return CalibrationResult(cache_map=cache_map, sliced=sliced, records=records,
                              population_state=population_state,
-                             population_trace=population_trace,
-                             baseline_state=baseline_state,
-                             baseline_trace=baseline_trace)
+                             population_trace=population_trace)

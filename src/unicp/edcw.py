@@ -19,7 +19,6 @@ from .model import AttentionResult
 
 
 class DecisionKind(enum.Enum):
-    FULL = "full"
     REUSE_OUTPUT = "reuse_output"
     REUSE_MAP = "reuse_map"
     PRUNED = "pruned"

@@ -105,7 +105,6 @@ class HarnessStep:
     consumed: str | None  # "output" | "map" when served from cache
     reuse_error: float | None
     decision: Decision | None
-    history: tuple = ()
 
 
 @dataclass
@@ -162,10 +161,9 @@ def run_scheduler_on_profile(profile: DriftProfile, sched: SchedulerConfig,
         st.history = [(i - k, results[i + k])
                       for k in range(sched.search_window, 0, -1)
                       if i + k < num_steps]
-        snapshot = tuple(st.history)
         decision = edcw_decide(st, results[i], i, sched)
         res.steps.append(HarnessStep(step=i, consumed=None, reuse_error=None,
-                                     decision=decision, history=snapshot))
+                                     decision=decision))
         if decision.window is not None:
             armed = results[i]
             res.armings.append((i, decision.window, decision.kind))

@@ -3,7 +3,8 @@
 MAC formulas count multiply-accumulates of dense matmuls only; softmax and
 nonlinearities are excluded. PSNR/SSIM operate on (frames, tokens, dim)
 latent tensors; SSIM reshapes each frame's tokens to a square grid and slides
-an 8x8 uniform window over it per channel.
+an 8x8 uniform window over it per channel, so a quality report carries no
+SSIM (written `ssim=n/a`) when the token count is not a perfect square.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ PSNR_CAP_DB = 99.0
 SSIM_WINDOW = 8
 SSIM_C1_SCALE = 0.01
 SSIM_C2_SCALE = 0.03
+SSIM_NA = "n/a"
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +141,7 @@ def trace_parse(text: str) -> RunTrace:
 @dataclass(frozen=True)
 class QualityReport:
     psnr_db: float
-    ssim: float
+    ssim: float | None  # None when the token count is not a perfect square
     rel_l2: float
     peak: float
     ssim_range: float
@@ -204,13 +206,16 @@ def quality_report(reference: np.ndarray, candidate: np.ndarray) -> QualityRepor
     """PSNR/SSIM/relative-L2 of a candidate against a reference run.
 
     The PSNR peak and SSIM dynamic range are the reference's value range
-    (max - min), falling back to 1.0 for a constant reference.
+    (max - min), falling back to 1.0 for a constant reference. SSIM is None
+    when the token count does not form a square grid.
     """
     spread = float(np.max(reference) - np.min(reference))
     peak = spread if spread > 0 else 1.0
+    tokens = reference.shape[1]
+    square = math.isqrt(tokens) ** 2 == tokens
     return QualityReport(
         psnr_db=psnr(candidate, reference, peak),
-        ssim=ssim(candidate, reference, peak),
+        ssim=ssim(candidate, reference, peak) if square else None,
         rel_l2=rel_l2(candidate, reference),
         peak=peak,
         ssim_range=peak,
@@ -225,7 +230,7 @@ def report_export(report: QualityReport) -> str:
         f"ssim_range={report.ssim_range!r}",
         f"ssim_window={report.ssim_window}",
         f"psnr_db={report.psnr_db!r}",
-        f"ssim={report.ssim!r}",
+        f"ssim={SSIM_NA if report.ssim is None else repr(report.ssim)}",
         f"rel_l2={report.rel_l2!r}",
     ]
     return "\n".join(lines) + "\n"
@@ -243,7 +248,7 @@ def report_parse(text: str) -> QualityReport:
         kv[key] = value
     return QualityReport(
         psnr_db=float(kv["psnr_db"]),
-        ssim=float(kv["ssim"]),
+        ssim=None if kv["ssim"] == SSIM_NA else float(kv["ssim"]),
         rel_l2=float(kv["rel_l2"]),
         peak=float(kv["peak"]),
         ssim_range=float(kv["ssim_range"]),

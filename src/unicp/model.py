@@ -200,9 +200,23 @@ def attention(x_stack: np.ndarray, w: AttentionWeights, qk=None, amap=None):
 
 
 def mlp_forward(x: np.ndarray, w: MlpWeights) -> np.ndarray:
-    """Two-layer MLP with a smooth GELU-style nonlinearity."""
-    h = x @ w.w1 + w.b1
-    g = 0.5 * h * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (h + 0.044715 * h ** 3)))
+    """Two-layer MLP with a smooth GELU-style nonlinearity.
+
+    The GELU, 0.5 * h * (1 + tanh(sqrt(2/pi) * (h + 0.044715 * h^3))), runs
+    in place on two buffers and cubes by multiplication: `h ** 3` goes to
+    libm `pow`, which costs more than both matmuls together.
+    """
+    h = x @ w.w1
+    h += w.b1
+    g = h * h
+    g *= h
+    g *= 0.044715
+    g += h
+    g *= np.sqrt(2.0 / np.pi)
+    np.tanh(g, out=g)
+    g += 1.0
+    g *= h
+    g *= 0.5
     return g @ w.w2 + w.b2
 
 

@@ -37,8 +37,7 @@ class BaselineExecutor:
         self.model = model
         self._prev = {}
 
-    def run_unit(self, block_idx: int, kind: str, x_stack: np.ndarray,
-                 step: int, trace: RunTrace):
+    def run_unit(self, block_idx: int, kind: str, x_stack: np.ndarray, step: int):
         w = attention_weights_for(self.model[block_idx], kind)
         o_stack, a_stack = attention(x_stack, w)
         inst, seq, m = x_stack.shape
@@ -65,7 +64,7 @@ def forward_blocks(executor, h: np.ndarray, step: int, trace: RunTrace) -> np.nd
     for block_idx, block in enumerate(executor.model):
         for kind in ATTENTION_KINDS:
             x_stack = unit_input_stack(h, kind)
-            o_stack, row = executor.run_unit(block_idx, kind, x_stack, step, trace)
+            o_stack, row = executor.run_unit(block_idx, kind, x_stack, step)
             h = apply_unit_output(h, kind, o_stack)
             trace.add(row)
         h, mlp_macs = apply_mlp(h, block)
@@ -75,15 +74,21 @@ def forward_blocks(executor, h: np.ndarray, step: int, trace: RunTrace) -> np.nd
     return h
 
 
-def denoise_run(cfg: ModelConfig, executor, eta_fn=None):
+def denoise_run(cfg: ModelConfig, executor, eta_fn=None, last_step: int | None = None):
     """Run the reverse loop and return (final latent, trace).
 
     `eta_fn` overrides the built-in step-size schedule (physical step in,
-    step size out); tests use it to pin degenerate schedules.
+    step size out); tests use it to pin degenerate schedules. `last_step`
+    stops the loop after that execution step, so the returned latent and
+    trace cover steps 0..last_step only.
     """
+    if last_step is None:
+        last_step = cfg.num_steps - 1
+    if not 0 <= last_step < cfg.num_steps:
+        raise ValueError(f"last_step must lie in [0, {cfg.num_steps - 1}], got {last_step}")
     state = init_latent(cfg)
     trace = RunTrace()
-    for step in range(cfg.num_steps):
+    for step in range(last_step + 1):
         t = cfg.num_steps - step
         eta = eta_fn(t) if eta_fn is not None else eta_schedule(t, cfg.num_steps)
         conditioned = state + TEMB_AMP * time_embedding(t, cfg.model_dim)

@@ -29,6 +29,13 @@ def ref_attention(x, wq, wk, wv, wo):
     return a, (a @ v) @ wo
 
 
+def ref_mlp(x, w1, b1, w2, b2):
+    """Two-layer MLP with the tanh-approximated GELU, cube written as a power."""
+    h = np.asarray(x, dtype=np.float64) @ w1 + b1
+    g = 0.5 * h * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (h + 0.044715 * h ** 3)))
+    return g @ w2 + b2
+
+
 def ref_sliced_attention_via_reconstruction(x, wq, wk, wv, wo, rotation, n):
     """Slicing oracle that reconstructs full-width queries/keys first.
 

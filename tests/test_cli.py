@@ -312,6 +312,25 @@ class TestCompare:
         expected_rel = float(np.linalg.norm(cand - ref) / np.linalg.norm(ref))
         assert report.rel_l2 == pytest.approx(expected_rel, rel=1e-12)
 
+    def test_non_square_token_count_reports_without_ssim(self, tmp_path, capsys):
+        base, run_out = tmp_path / "base", tmp_path / "run"
+        flags = [*TINY_FLAGS, "--tokens", "12"]  # the last --tokens wins
+        run_cli("baseline", "--out", str(base), *flags)
+        run_cli("run", "--out", str(run_out), *flags, "--preset", "E5")
+        capsys.readouterr()
+        assert run_cli("compare", str(base / "baseline_state.bin"),
+                       str(run_out / "run_state.bin"), "--out", str(tmp_path / "rep")) == 0
+        text = capsys.readouterr().out
+        assert "\npsnr_db=" in text and "\nrel_l2=" in text and "\nssim=n/a\n" in text
+        report = report_parse(text)
+        assert report.ssim is None
+        ref, _ = load_state(base / "baseline_state.bin")
+        cand, _ = load_state(run_out / "run_state.bin")
+        assert ref.shape == (2, 12, 16)
+        expected_rel = float(np.linalg.norm(cand - ref) / np.linalg.norm(ref))
+        assert report.rel_l2 == pytest.approx(expected_rel, rel=1e-12)
+        assert read(tmp_path / "rep" / "quality_report.txt") == text.encode()
+
     def test_shape_mismatch_exits_2(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"

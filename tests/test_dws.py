@@ -81,6 +81,37 @@ class TestCalibrate:
                                           w.w_v, w.w_o, sched.delta, n_candidates)
             assert sw.n == oracle_n, (block, kind)
 
+    def test_capture_pass_stops_at_last_calibration_step(self, tiny_cfg, tiny_model, monkeypatch):
+        import unicp.dws
+        from unicp.dws import _CaptureExecutor
+        calib_steps = default_calib_steps(tiny_cfg.num_steps)
+        made = []
+
+        class StepCountingCapture(_CaptureExecutor):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.steps_run = set()
+                made.append(self)
+
+            def run_unit(self, block_idx, kind, x_stack, step):
+                self.steps_run.add(step)
+                return super().run_unit(block_idx, kind, x_stack, step)
+
+        monkeypatch.setattr(unicp.dws, "_CaptureExecutor", StepCountingCapture)
+        dws_calibrate(tiny_model, tiny_cfg, SchedulerConfig(delta=0.075, search_window=4))
+        (capture,) = made
+        assert capture.steps_run == set(range(max(calib_steps) + 1))
+        assert max(calib_steps) + 1 < tiny_cfg.num_steps
+        # A full-length capture run sees the same inputs and outputs, bit for bit.
+        full = _CaptureExecutor(tiny_model, calib_steps)
+        denoise_run(tiny_cfg, full)
+        assert capture.captured.keys() == full.captured.keys()
+        for unit, per_step in full.captured.items():
+            assert sorted(capture.captured[unit]) == calib_steps == sorted(per_step)
+            for step, (x_stack, o_stack) in per_step.items():
+                got_x, got_o = capture.captured[unit][step]
+                assert np.array_equal(got_x, x_stack) and np.array_equal(got_o, o_stack)
+
     def test_records_mark_acceptance_against_threshold(self, tiny_calibration):
         sched, calib = tiny_calibration
         assert calib.records

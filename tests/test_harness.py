@@ -121,12 +121,15 @@ class TestScheduler:
         profile = u_profile(24, spike_step=12)
         sched = SchedulerConfig(delta=0.05, search_window=4)
         res = run_scheduler_on_profile(profile, sched, seed=3)
+        seq = synthesize_sequence(profile, (16, 8), seed=3)
         for step_rec in res.steps:
             if step_rec.decision is None:
                 continue
-            history = [(s, r.output, r.map) for s, r in step_rec.history]
-            seq = synthesize_sequence(profile, (16, 8), seed=3)
-            current = seq[step_rec.step]
+            # The rig's candidate buffer: distance k holds the result of step i+k.
+            i = step_rec.step
+            history = [(i - k, seq[i + k].output, seq[i + k].map)
+                       for k in range(sched.search_window, 0, -1) if i + k < len(seq)]
+            current = seq[i]
             kind, window = brute_force_cache_decision_at(
                 history, step_rec.step, current.output, current.map,
                 sched.delta, sched.search_window)

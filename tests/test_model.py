@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import ref_attention, ref_sliced_attention_via_reconstruction
+from oracles import ref_attention, ref_mlp, ref_sliced_attention_via_reconstruction
 from unicp.linalg import rel_l2
-from unicp.metrics import RunTrace, macs_full_attention, macs_mlp
+from unicp.metrics import macs_full_attention, macs_mlp
 from unicp.model import (
     AttentionWeights,
     ModelConfig,
@@ -15,6 +15,8 @@ from unicp.model import (
     init_latent,
     init_model,
     load_state,
+    mlp_forward,
+    rms_normalize,
     save_state,
     time_embedding,
     unit_input_stack,
@@ -100,7 +102,7 @@ class TestAttentionForward:
         cfg = small_cfg()
         model = init_model(cfg)
         s, m = 5, cfg.model_dim
-        _, r = BaselineExecutor(model).run_unit(0, "spatial", np.ones((1, s, m)), 0, RunTrace())
+        _, r = BaselineExecutor(model).run_unit(0, "spatial", np.ones((1, s, m)), 0)
         assert r.macs == 4 * s * m * m + 2 * s * s * m == macs_full_attention(s, m)
 
     def test_maps_are_row_stochastic(self):
@@ -205,6 +207,15 @@ class TestBlockForward:
         assert rel_l2(got, expected) < 1e-12
 
 
+class TestMlp:
+    @pytest.mark.parametrize("rows, m", [(512, 64), (1024, 32)], ids=["desk", "longseq"])
+    def test_matches_power_cube_oracle(self, rows, m):
+        # The engine cubes by multiplication; the oracle uses h ** 3.
+        w = init_model(small_cfg(model_dim=m))[0].mlp
+        x = rms_normalize(np.random.default_rng(rows).standard_normal((rows, m)))
+        assert rel_l2(mlp_forward(x, w), ref_mlp(x, w.w1, w.b1, w.w2, w.b2)) <= 1e-14
+
+
 class TestDenoiseRun:
     def test_trace_row_counts(self):
         cfg = small_cfg(num_steps=2)
@@ -227,6 +238,17 @@ class TestDenoiseRun:
         s2, t2 = denoise_run(cfg, BaselineExecutor(model))
         assert np.array_equal(s1, s2)
         assert t1.rows == t2.rows
+
+    def test_last_step_stops_the_loop(self):
+        cfg = small_cfg()
+        model = init_model(cfg)
+        _, full = denoise_run(cfg, BaselineExecutor(model))
+        _, part = denoise_run(cfg, BaselineExecutor(model), last_step=1)
+        assert {r.step for r in part.rows} == {0, 1}
+        assert part.rows == [r for r in full.rows if r.step <= 1]
+        for bad in (-1, cfg.num_steps):
+            with pytest.raises(ValueError, match="last_step"):
+                denoise_run(cfg, BaselineExecutor(model), last_step=bad)
 
     def test_mac_total_closed_form(self):
         cfg = small_cfg(num_steps=3)

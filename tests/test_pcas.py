@@ -4,7 +4,7 @@ import pytest
 from oracles import ref_sliced_attention_via_reconstruction
 from unicp.linalg import frob, rel_l2
 from unicp.dws import CacheMap, ReplayDispatcher
-from unicp.metrics import RunTrace, macs_full_attention, macs_sliced
+from unicp.metrics import macs_full_attention, macs_sliced
 from unicp.model import AttentionWeights, BlockWeights, attention
 from unicp.pcas import (
     compute_basis,
@@ -147,7 +147,7 @@ class TestSlicedAttention:
                         ratio_hi=0.4, mode="replay", aggregation="conservative",
                         grid={(0, "spatial"): ["P"]})
         replay = ReplayDispatcher([BlockWeights(w, w, None)], cmap, {(0, "spatial"): sw})
-        _, r = replay.run_unit(0, "spatial", x[None], 0, RunTrace())
+        _, r = replay.run_unit(0, "spatial", x[None], 0)
         assert r.macs == macs_sliced(s, m, n)
         assert r.macs == 2 * s * m * n + 2 * s * m * m + s * s * n + s * s * m
 
