@@ -59,6 +59,11 @@ RUN_CACHE_MAP = "run_cache_map.txt"
 HARNESS_REPORT = "harness_report.txt"
 QUALITY_REPORT = "quality_report.txt"
 
+# Spec keys that hold numbers, with the type each is read as.
+NUMBER_KEYS = {"blocks": int, "dim": int, "tokens": int, "frames": int, "steps": int,
+               "seed": int, "window": int, "delta": float, "ratio_lo": float,
+               "ratio_hi": float}
+
 
 class ConfigError(ValueError):
     pass
@@ -97,13 +102,15 @@ def build_spec(args) -> RunSpec:
             raise MissingArtifactError(f"config file not found: {args.config}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file holds {loaded!r}, not a JSON object")
         unknown = set(loaded) - set(DEFAULTS) - {"preset"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         values.update(loaded)
     preset = getattr(args, "preset", None) or values.get("preset")
     if preset:
-        if preset not in PRESETS:
+        if not isinstance(preset, str) or preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r}; expected one of {sorted(PRESETS)}")
         values["delta"] = PRESETS[preset]
     for flag in ("delta", "window", "seed", "ratio_lo", "ratio_hi", "mode", "aggregation",
@@ -115,25 +122,29 @@ def build_spec(args) -> RunSpec:
         raise ConfigError(f"mode must be online or replay, got {values['mode']!r}")
     if values["aggregation"] not in ("conservative", "smallest"):
         raise ConfigError(f"aggregation must be conservative or smallest, got {values['aggregation']!r}")
+    for key, cast in NUMBER_KEYS.items():
+        try:
+            values[key] = cast(values[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{key} must be a number, got {values[key]!r}") from exc
     if not 0.0 <= values["ratio_lo"] <= values["ratio_hi"] < 1.0:
         raise ConfigError(
             f"ratio bounds must satisfy 0 <= lo <= hi < 1, got [{values['ratio_lo']}, {values['ratio_hi']}]")
     try:
         model = ModelConfig(
-            num_blocks=int(values["blocks"]),
-            model_dim=int(values["dim"]),
-            tokens_per_frame=int(values["tokens"]),
-            num_frames=int(values["frames"]),
-            num_steps=int(values["steps"]),
-            seed=int(values["seed"]),
+            num_blocks=values["blocks"],
+            model_dim=values["dim"],
+            tokens_per_frame=values["tokens"],
+            num_frames=values["frames"],
+            num_steps=values["steps"],
+            seed=values["seed"],
         )
-        scheduler = SchedulerConfig(delta=float(values["delta"]),
-                                    search_window=int(values["window"]))
+        scheduler = SchedulerConfig(delta=values["delta"], search_window=values["window"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return RunSpec(model=model, scheduler=scheduler,
-                   ratio_lo=float(values["ratio_lo"]), ratio_hi=float(values["ratio_hi"]),
-                   mode=str(values["mode"]), aggregation=str(values["aggregation"]),
+                   ratio_lo=values["ratio_lo"], ratio_hi=values["ratio_hi"],
+                   mode=values["mode"], aggregation=values["aggregation"],
                    preset=preset)
 
 
@@ -216,11 +227,19 @@ def cmd_run(args) -> int:
         if any(LETTER == "P" for row in cmap.grid.values() for LETTER in row) and sliced is None:
             raise MissingArtifactError(
                 f"replay map contains pruned cells but {SLICED_WEIGHTS_FILE} is missing")
+        if sliced is not None:
+            weights_n = {unit: sw.n for unit, sw in sliced.items()}
+            for unit in sorted(set(cmap.final_n) | set(weights_n)):
+                if cmap.final_n.get(unit) != weights_n.get(unit):
+                    raise ConfigError(
+                        f"{CACHE_MAP_FILE} gives block {unit[0]} {unit[1]} "
+                        f"final_n={cmap.final_n.get(unit)}, but {SLICED_WEIGHTS_FILE} "
+                        f"holds n={weights_n.get(unit)}")
         dispatcher = ReplayDispatcher(model, cmap, sliced)
         state, trace = denoise_run(spec.model, dispatcher)
         run_map = cmap
     else:
-        dispatcher = OnlineDispatcher(model, spec.model, spec.scheduler, sliced)
+        dispatcher = OnlineDispatcher(model, spec.scheduler, sliced)
         state, trace = denoise_run(spec.model, dispatcher)
         run_map = dispatcher.build_cache_map(spec.model, spec.ratio_lo, spec.ratio_hi,
                                              spec.aggregation)
@@ -238,6 +257,9 @@ def cmd_run(args) -> int:
         if not base_path.exists():
             raise MissingArtifactError(f"baseline trace not found: {base_path}")
         base_total = trace_parse(base_path.read_text()).macs_total
+        if base_total <= 0:
+            raise ConfigError(f"baseline trace {base_path} has a MAC total of {base_total}; "
+                              f"the MAC ratio needs a positive one")
         print(f"mac_ratio {trace.macs_total / base_total!r}")
     return 0
 

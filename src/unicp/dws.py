@@ -9,11 +9,12 @@ cache map.
 
 Dispatch holds both the original and the sliced weights. Online mode decides
 live per the cache-window scheduler; replay mode executes a precomputed grid
-cell by cell. Both run every cell through the same executor, so a replay of
-an online run's map reproduces it by construction. Cells where the retained
-dimension equals the full width execute the unsliced math (bitwise identical
-to full attention) while the accounting uses the sliced formula, which is
-equal there.
+cell by cell. Both run every cell through `runner.CellExecutor`, the
+executor the baseline runs on too, so a replay of an online run's map
+reproduces it by construction. Cells where the retained dimension equals
+the full width execute the unsliced math (bitwise identical to full
+attention) while the accounting uses the sliced formula, which is equal
+there.
 """
 
 from __future__ import annotations
@@ -29,18 +30,10 @@ from .edcw import (
     DecisionKind,
     SchedulerConfig,
     consume_cache,
-    drift_vs_previous,
     edcw_decide,
 )
 from .linalg import rel_l2
-from .metrics import (
-    RunTrace,
-    TraceRow,
-    macs_full_attention,
-    macs_map_reuse,
-    macs_output_reuse,
-    macs_sliced,
-)
+from .metrics import RunTrace, TraceRow
 from .model import (
     ATTENTION_KINDS,
     AttentionResult,
@@ -50,14 +43,18 @@ from .model import (
     require_keys,
 )
 from .pcas import compute_basis, slice_weights
-from .runner import BaselineExecutor, denoise_run
+from .runner import (
+    LETTER_FULL,
+    LETTER_MAP,
+    LETTER_OUTPUT,
+    LETTER_PRUNED,
+    BaselineExecutor,
+    CellExecutor,
+    MissingArtifactError,
+    denoise_run,
+)
 
 CACHE_MAP_MAGIC = "unicp-cache-map v1"
-
-LETTER_FULL = "F"
-LETTER_OUTPUT = "O"
-LETTER_MAP = "M"
-LETTER_PRUNED = "P"
 
 DECISION_BY_LETTER = {
     LETTER_FULL: "full",
@@ -67,10 +64,6 @@ DECISION_BY_LETTER = {
 }
 
 FRACTION_STEP = 0.05
-
-
-class MissingArtifactError(RuntimeError):
-    """A dispatch or replay step needed an artifact that is not available."""
 
 
 @dataclass(frozen=True)
@@ -169,64 +162,19 @@ def cache_map_parse(text: str) -> CacheMap:
 # Dispatchers (executors for runner.denoise_run / runner.forward_blocks).
 # ---------------------------------------------------------------------------
 
-class _CellExecutor:
-    """Runs one cache-map cell of a unit; both dispatchers execute through it.
-
-    F runs full attention and stashes (output, map) per unit; O serves the
-    stashed output; M reruns the value path under the stashed map; P runs
-    sliced attention, or the full math when the retained dimension equals
-    the width (accounted with the sliced formula, which is equal there). A
-    unit's stash always holds its most recent F result, which is the result
-    that armed any cache an O or M cell serves from.
-    """
-
-    def __init__(self, model, sliced_weights: dict | None):
-        self.model = model
-        self.sliced = dict(sliced_weights) if sliced_weights else {}
-        self._stash = {}
-
-    def execute_cell(self, letter: str, block_idx: int, kind: str,
-                     x_stack: np.ndarray, step: int):
-        """Execute one cell and return (o_stack, macs)."""
-        unit = (block_idx, kind)
-        w = attention_weights_for(self.model[block_idx], kind)
-        inst, seq, m = x_stack.shape
-        if letter == LETTER_FULL:
-            o_stack, a_stack = attention(x_stack, w)
-            self._stash[unit] = (o_stack, a_stack)
-            return o_stack, inst * macs_full_attention(seq, m)
-        if letter in (LETTER_OUTPUT, LETTER_MAP):
-            if unit not in self._stash:
-                raise MissingArtifactError(
-                    f"reuse cell before any full compute: block {block_idx} {kind} step {step}")
-            o_cached, a_cached = self._stash[unit]
-            if letter == LETTER_OUTPUT:
-                return o_cached, macs_output_reuse()
-            o_stack, _ = attention(x_stack, w, amap=a_cached)
-            return o_stack, inst * macs_map_reuse(seq, m)
-        if letter == LETTER_PRUNED:
-            sw = self.sliced.get(unit)
-            if sw is None:
-                raise MissingArtifactError(
-                    f"pruned cell without sliced weights: block {block_idx} {kind} step {step}")
-            qk = (sw.wq_sliced, sw.wk_sliced) if sw.n < m else None
-            o_stack, _ = attention(x_stack, w, qk=qk)
-            return o_stack, inst * macs_sliced(seq, m, sw.n)
-        raise ValueError(f"unknown cache map letter {letter!r}")
-
-
-class OnlineDispatcher(_CellExecutor):
+class OnlineDispatcher(CellExecutor):
     """Live scheduling: consume an armed cache, else full-compute and decide.
 
     A decide step executes the fresh full result (recorded as F, with the
     matched window in the trace when it armed a cache). A miss on both cache
     tiers executes sliced attention when sliced weights with n < m exist,
     else falls back to full. Each unit owns its cache state; the executed
-    letters build the cache map record.
+    letters build the cache map record. A decide row's drifts are those of
+    its F cell: every online F is a decide and O/M/P cells leave the stash
+    alone, so the previous F result is the newest history entry.
     """
 
-    def __init__(self, model, cfg: ModelConfig, sched: SchedulerConfig,
-                 sliced_weights: dict | None = None):
+    def __init__(self, model, sched: SchedulerConfig, sliced_weights: dict | None = None):
         super().__init__(model, sliced_weights)
         self.sched = sched
         self.states = {(b, kind): BlockCacheState(capacity=sched.search_window)
@@ -243,9 +191,8 @@ class OnlineDispatcher(_CellExecutor):
             o_stack, macs = self.execute_cell(letter, block_idx, kind, x_stack, step)
             window, drift_o, drift_m = cached.window, None, None
         else:
-            o_stack, macs = self.execute_cell(LETTER_FULL, block_idx, kind, x_stack, step)
+            o_stack, macs, drift_o, drift_m = self.full_with_drift(block_idx, kind, x_stack, step)
             current = AttentionResult(map=self._stash[unit][1], output=o_stack)
-            drift_o, drift_m = drift_vs_previous(st, current, step)
             decision = edcw_decide(st, current, step, self.sched)
             letter, window = LETTER_FULL, decision.window
             sw = self.sliced.get(unit)
@@ -275,7 +222,7 @@ class OnlineDispatcher(_CellExecutor):
         )
 
 
-class ReplayDispatcher(_CellExecutor):
+class ReplayDispatcher(CellExecutor):
     """Execute a precomputed cache map cell by cell."""
 
     def __init__(self, model, cache_map: CacheMap, sliced_weights: dict | None = None):
@@ -348,14 +295,16 @@ def _calibrate_unit(model, cfg, sched, captured, unit, fracs, calib_steps, aggre
     instances = [x for step in calib_steps for x in per_step[step][0]]
     basis = compute_basis(instances, calib_steps)
 
+    # Candidates run from the widest n down; each is sliced once per unit.
+    candidates = [math.ceil(m * (1.0 - frac)) for frac in fracs]
+    slices = {n: slice_weights(w, basis, n) for n in set(candidates)}
     records = []
     per_step_n = {}
     for step in calib_steps:
         x_stack, o_full = per_step[step]
         best_n = None
-        for frac in fracs:
-            n = math.ceil(m * (1.0 - frac))
-            sw = slice_weights(w, basis, n)
+        for n in candidates:
+            sw = slices[n]
             o_sliced, _ = attention(x_stack, w, qk=(sw.wq_sliced, sw.wk_sliced))
             err = rel_l2(o_sliced, o_full)
             accepted = err <= sched.delta
@@ -371,24 +320,9 @@ def _calibrate_unit(model, cfg, sched, captured, unit, fracs, calib_steps, aggre
         accepted_ns = [n for n in per_step_n.values() if n < m]
         final_n = min(accepted_ns) if accepted_ns else m
     else:
+        # Sound without re-measuring: every step accepted each candidate down
+        # to its own best n, so the largest best n is within delta at all steps.
         final_n = max(per_step_n.values())
-        # Soundness net: attention error is not guaranteed monotone in n, so
-        # re-verify the aggregate at every calibration step and widen if a
-        # step objects; abandoning pruning entirely beats an unsound slice.
-        candidates = sorted({math.ceil(m * (1.0 - f)) for f in fracs})
-        while final_n < m:
-            sw = slice_weights(w, basis, final_n)
-            sound = True
-            for step in calib_steps:
-                x_stack, o_full = per_step[step]
-                o_sliced, _ = attention(x_stack, w, qk=(sw.wq_sliced, sw.wk_sliced))
-                if rel_l2(o_sliced, o_full) > sched.delta:
-                    sound = False
-                    break
-            if sound:
-                break
-            larger = [n for n in candidates if n > final_n]
-            final_n = larger[0] if larger else m
 
     return slice_weights(w, basis, final_n), records
 
@@ -422,7 +356,7 @@ def dws_calibrate(model, cfg: ModelConfig, sched: SchedulerConfig,
                                                      fracs, calib_steps, aggregation)
         records.extend(unit_records)
 
-    dispatcher = OnlineDispatcher(model, cfg, sched, sliced)
+    dispatcher = OnlineDispatcher(model, sched, sliced)
     population_state, population_trace = denoise_run(cfg, dispatcher)
     cache_map = dispatcher.build_cache_map(cfg, lo, hi, aggregation)
 

@@ -133,17 +133,3 @@ def consume_cache(state: BlockCacheState, step: int) -> ActiveCache | None:
         return state.active_cache
     state.active_cache = None
     return None
-
-
-def drift_vs_previous(state: BlockCacheState, current: AttentionResult, step: int):
-    """Adjacent-step drifts (output, map) against the most recent history entry.
-
-    Feeds the trace's error curves; returns (None, None) when no prior entry
-    exists.
-    """
-    if not state.history:
-        return None, None
-    prev_step, prev = state.history[-1]
-    if prev_step >= step:
-        return None, None
-    return rel_l2(current.output, prev.output), rel_l2(current.map, prev.map)

@@ -172,11 +172,6 @@ def run_scheduler_on_profile(profile: DriftProfile, sched: SchedulerConfig,
     return res
 
 
-def window_spans_step(arming_step: int, window: int, target_step: int) -> bool:
-    """True when a window armed at `arming_step` serves `target_step`."""
-    return arming_step < target_step <= arming_step + window - 1
-
-
 # ---------------------------------------------------------------------------
 # Profile files: header line with T, delta, K; one drift per line; spikes as
 # "@step magnitude".

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import frob, softmax_rows
+from .linalg import softmax_rows
 from .metrics import macs_mlp
 
 STATE_MAGIC = b"UNICPST1\n"
@@ -93,9 +93,6 @@ class AttentionWeights:
     w_v: np.ndarray
     w_o: np.ndarray
 
-    def matrices(self) -> list[np.ndarray]:
-        return [self.w_q, self.w_k, self.w_v, self.w_o]
-
 
 @dataclass(frozen=True)
 class MlpWeights:
@@ -103,9 +100,6 @@ class MlpWeights:
     b1: np.ndarray  # 2m
     w2: np.ndarray  # 2m x m
     b2: np.ndarray  # m
-
-    def matrices(self) -> list[np.ndarray]:
-        return [self.w1, self.b1, self.w2, self.b2]
 
 
 @dataclass(frozen=True)
@@ -126,7 +120,6 @@ class AttentionResult:
 # Attention kinds, in execution order within a block.
 KIND_SPATIAL = "spatial"
 KIND_TEMPORAL = "temporal"
-KIND_MLP = "mlp"
 ATTENTION_KINDS = (KIND_SPATIAL, KIND_TEMPORAL)
 
 
@@ -177,9 +170,10 @@ def time_embedding(t: int, dim: int) -> np.ndarray:
 
 
 def rms_normalize(x: np.ndarray) -> np.ndarray:
-    """Scale a matrix to unit root-mean-square entry magnitude."""
-    rms = frob(x) / np.sqrt(x.size)
-    return x / max(rms, RMS_EPS)
+    """Scale each matrix (the last two axes) to unit root-mean-square entry magnitude."""
+    seq, m = x.shape[-2:]
+    rms = np.sqrt(np.sum(np.square(x), axis=(-2, -1), keepdims=True)) / np.sqrt(seq * m)
+    return x / np.maximum(rms, RMS_EPS)
 
 
 def attention(x_stack: np.ndarray, w: AttentionWeights, qk=None, amap=None):
@@ -224,9 +218,8 @@ def unit_input_stack(state: np.ndarray, kind: str) -> np.ndarray:
     """Extract the per-instance sequences an attention unit operates on.
 
     Spatial: one instance per frame, shape (f, s, m). Temporal: one instance
-    per token position, shape (s, f, m). Each instance is RMS-normalized
-    (as `rms_normalize` does to one matrix), which is what the unit (and PCAS
-    calibration) actually consumes.
+    per token position, shape (s, f, m). Each instance is RMS-normalized,
+    which is what the unit (and PCAS calibration) actually consumes.
     """
     if kind == KIND_SPATIAL:
         raw = state
@@ -234,9 +227,7 @@ def unit_input_stack(state: np.ndarray, kind: str) -> np.ndarray:
         raw = np.ascontiguousarray(state.transpose(1, 0, 2))
     else:
         raise ValueError(f"unknown attention kind {kind!r}")
-    _, seq, m = raw.shape
-    rms = np.sqrt(np.sum(np.square(raw), axis=(1, 2))) / np.sqrt(seq * m)
-    return raw / np.maximum(rms, RMS_EPS)[:, None, None]
+    return rms_normalize(raw)
 
 
 def apply_unit_output(state: np.ndarray, kind: str, o_stack: np.ndarray) -> np.ndarray:
@@ -253,16 +244,6 @@ def apply_mlp(state: np.ndarray, block: BlockWeights):
     tokens = state.reshape(f * s, m)
     out = mlp_forward(rms_normalize(tokens), block.mlp)
     return state + out.reshape(f, s, m), macs_mlp(f * s, m)
-
-
-def block_forward(state: np.ndarray, block: BlockWeights) -> np.ndarray:
-    """Reference (scheduler-free) block: full attention everywhere."""
-    for kind in ATTENTION_KINDS:
-        x_stack = unit_input_stack(state, kind)
-        o_stack, _ = attention(x_stack, attention_weights_for(block, kind))
-        state = apply_unit_output(state, kind, o_stack)
-    state, _ = apply_mlp(state, block)
-    return state
 
 
 def attention_weights_for(block: BlockWeights, kind: str) -> AttentionWeights:

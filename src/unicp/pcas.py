@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ShapeError, as_matrix, frob, sym_eig
+from .linalg import ShapeError, as_matrix, sym_eig
 from .model import AttentionWeights, read_container, require_keys, write_container
 
 SLICED_MAGIC = b"UNICPSW1\n"
@@ -65,26 +65,6 @@ def slice_weights(w: AttentionWeights, basis: PcaBasis, n: int) -> SlicedWeights
     r_thin = basis.rotation[:, :n]
     return SlicedWeights(n=n, wq_sliced=w.w_q @ r_thin, wk_sliced=w.w_k @ r_thin,
                          calib_steps=basis.calib_steps)
-
-
-def reconstruction_error(x, basis: PcaBasis, n: int) -> float:
-    """Frobenius error of projecting X onto the top-n eigendirections.
-
-    Equals sqrt(sum of dropped eigenvalues) when the basis came from this
-    single input.
-    """
-    x = as_matrix(x)
-    m = basis.rotation.shape[0]
-    if x.shape[1] != m:
-        raise ShapeError(f"input width {x.shape[1]} does not match basis width {m}")
-    if not 1 <= n <= m:
-        raise ValueError(f"retained dimension n={n} out of range [1, {m}]")
-    if n == m:
-        # Full-rank projector is the identity by construction.
-        return 0.0
-    r_thin = basis.rotation[:, :n]
-    projected = (x @ r_thin) @ r_thin.T
-    return frob(x - projected)
 
 
 # ---------------------------------------------------------------------------

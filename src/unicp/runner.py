@@ -5,7 +5,9 @@ latent with a sinusoidal embedding of t, running every block through a
 pluggable per-unit executor, and applying x <- x - eta(t) * residual. The
 executor decides how each attention unit is evaluated (full, cached,
 sliced) and reports one trace row per unit; the driver appends one MLP row
-per block.
+per block. Every executor runs its attention through `CellExecutor`, the
+only code that evaluates a cell; the baseline is the executor that runs F
+everywhere.
 """
 
 from __future__ import annotations
@@ -13,7 +15,14 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import frob, rel_l2
-from .metrics import RunTrace, TraceRow, macs_full_attention
+from .metrics import (
+    RunTrace,
+    TraceRow,
+    macs_full_attention,
+    macs_map_reuse,
+    macs_output_reuse,
+    macs_sliced,
+)
 from .model import (
     ATTENTION_KINDS,
     TEMB_AMP,
@@ -30,24 +39,80 @@ from .model import (
 )
 
 
-class BaselineExecutor:
+LETTER_FULL = "F"
+LETTER_OUTPUT = "O"
+LETTER_MAP = "M"
+LETTER_PRUNED = "P"
+
+
+class MissingArtifactError(RuntimeError):
+    """A dispatch or replay step needed an artifact that is not available."""
+
+
+class CellExecutor:
+    """Runs one cache-map cell of a unit; every executor runs its cells here.
+
+    F runs full attention and stashes (output, map) per unit; O serves the
+    stashed output; M reruns the value path under the stashed map; P runs
+    sliced attention, or the full math when the retained dimension equals
+    the width (accounted with the sliced formula, which is equal there). A
+    unit's stash always holds its most recent F result, which is the result
+    that armed any cache an O or M cell serves from.
+    """
+
+    def __init__(self, model, sliced_weights: dict | None = None):
+        self.model = model
+        self.sliced = dict(sliced_weights) if sliced_weights else {}
+        self._stash = {}
+
+    def execute_cell(self, letter: str, block_idx: int, kind: str,
+                     x_stack: np.ndarray, step: int):
+        """Execute one cell and return (o_stack, macs)."""
+        unit = (block_idx, kind)
+        w = attention_weights_for(self.model[block_idx], kind)
+        inst, seq, m = x_stack.shape
+        if letter == LETTER_FULL:
+            o_stack, a_stack = attention(x_stack, w)
+            self._stash[unit] = (o_stack, a_stack)
+            return o_stack, inst * macs_full_attention(seq, m)
+        if letter in (LETTER_OUTPUT, LETTER_MAP):
+            if unit not in self._stash:
+                raise MissingArtifactError(
+                    f"reuse cell before any full compute: block {block_idx} {kind} step {step}")
+            o_cached, a_cached = self._stash[unit]
+            if letter == LETTER_OUTPUT:
+                return o_cached, macs_output_reuse()
+            o_stack, _ = attention(x_stack, w, amap=a_cached)
+            return o_stack, inst * macs_map_reuse(seq, m)
+        if letter == LETTER_PRUNED:
+            sw = self.sliced.get(unit)
+            if sw is None:
+                raise MissingArtifactError(
+                    f"pruned cell without sliced weights: block {block_idx} {kind} step {step}")
+            qk = (sw.wq_sliced, sw.wk_sliced) if sw.n < m else None
+            o_stack, _ = attention(x_stack, w, qk=qk)
+            return o_stack, inst * macs_sliced(seq, m, sw.n)
+        raise ValueError(f"unknown cache map letter {letter!r}")
+
+    def full_with_drift(self, block_idx: int, kind: str, x_stack: np.ndarray, step: int):
+        """Execute an F cell; return (o_stack, macs, drift_output, drift_map).
+
+        The drifts are the relative distances of the fresh output and map
+        from the unit's previous F result, or None on the unit's first F.
+        """
+        unit = (block_idx, kind)
+        prev = self._stash.get(unit)
+        o_stack, macs = self.execute_cell(LETTER_FULL, block_idx, kind, x_stack, step)
+        if prev is None:
+            return o_stack, macs, None, None
+        return o_stack, macs, rel_l2(o_stack, prev[0]), rel_l2(self._stash[unit][1], prev[1])
+
+
+class BaselineExecutor(CellExecutor):
     """Full attention everywhere; records adjacent-step drifts for the trace."""
 
-    def __init__(self, model):
-        self.model = model
-        self._prev = {}
-
     def run_unit(self, block_idx: int, kind: str, x_stack: np.ndarray, step: int):
-        w = attention_weights_for(self.model[block_idx], kind)
-        o_stack, a_stack = attention(x_stack, w)
-        inst, seq, m = x_stack.shape
-        macs = inst * macs_full_attention(seq, m)
-        drift_o = drift_m = None
-        prev = self._prev.get((block_idx, kind))
-        if prev is not None:
-            drift_o = rel_l2(o_stack, prev[0])
-            drift_m = rel_l2(a_stack, prev[1])
-        self._prev[(block_idx, kind)] = (o_stack, a_stack)
+        o_stack, macs, drift_o, drift_m = self.full_with_drift(block_idx, kind, x_stack, step)
         row = TraceRow(step=step, block=block_idx, kind=kind, decision="full",
                        window=None, drift_output=drift_o, drift_map=drift_m,
                        macs=macs)

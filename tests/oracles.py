@@ -96,6 +96,31 @@ def _scan(lookup, step, current_output, current_map, delta, window):
     return "pruned", None
 
 
+def reconstruction_error(x, basis, n):
+    """Frobenius error of projecting X onto the top-n eigendirections of `basis`.
+
+    Equals sqrt(sum of dropped eigenvalues) when the basis came from this
+    single input.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    m = basis.rotation.shape[0]
+    if x.ndim != 2 or x.shape[1] != m:
+        raise ValueError(f"input shape {x.shape} does not match basis width {m}")
+    if not 1 <= n <= m:
+        raise ValueError(f"retained dimension n={n} out of range [1, {m}]")
+    if n == m:
+        # Full-rank projector is the identity by construction.
+        return 0.0
+    r_thin = basis.rotation[:, :n]
+    projected = (x @ r_thin) @ r_thin.T
+    return float(np.sqrt(np.sum(np.square(x - projected))))
+
+
+def window_spans_step(arming_step, window, target_step):
+    """True when a window armed at `arming_step` serves `target_step`."""
+    return arming_step < target_step <= arming_step + window - 1
+
+
 def ref_pca_basis(instances):
     """Descending eigenbasis of pooled X^T X via numpy's eigensolver."""
     m = instances[0].shape[1]

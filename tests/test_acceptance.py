@@ -14,10 +14,10 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from oracles import brute_force_cache_decision_at
+from oracles import brute_force_cache_decision_at, reconstruction_error, window_spans_step
 from unicp.cli import main as cli_main
 from unicp.edcw import SchedulerConfig
-from unicp.harness import run_scheduler_on_profile, u_profile, window_spans_step
+from unicp.harness import run_scheduler_on_profile, u_profile
 from unicp.linalg import frob, rel_l2
 from unicp.metrics import (
     RunTrace,
@@ -28,7 +28,7 @@ from unicp.metrics import (
     trace_parse,
 )
 from unicp.model import attention
-from unicp.pcas import compute_basis, reconstruction_error, slice_weights
+from unicp.pcas import compute_basis, slice_weights
 from unicp.runner import denoise_run
 
 DESK_FLAGS = ["--blocks", "6", "--dim", "64", "--tokens", "64", "--frames", "8",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from unicp.cli import main
-from unicp.metrics import report_parse, trace_parse
+from unicp.metrics import TRACE_HEADER, report_parse, trace_parse
 from unicp.model import load_state
 
 TINY_FLAGS = ["--blocks", "2", "--dim", "16", "--tokens", "16", "--frames", "2",
@@ -68,6 +68,19 @@ class TestBaseline:
         out = tmp_path / "x"
         assert run_cli("baseline", "--out", str(out), "--dim", "2") == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("loaded, expected", [
+        (5, "not a JSON object"),
+        ({"blocks": None}, "blocks must be a number"),
+        ({"ratio_lo": "a"}, "ratio_lo must be a number"),
+        ({"delta": [1]}, "delta must be a number"),
+        ({"preset": [1]}, "unknown preset"),
+    ], ids=["not-object", "null-blocks", "text-ratio-lo", "list-delta", "list-preset"])
+    def test_malformed_config_file_exits_2(self, tmp_path, capsys, loaded, expected):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(loaded))
+        assert run_cli("baseline", "--out", str(tmp_path / "x"), "--config", str(cfg_path)) == 2
+        assert expected in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -165,6 +178,12 @@ class TestRun:
         assert len(ratio_line) == 1
         assert float(ratio_line[0].split()[1]) <= 1.0
 
+        empty = tmp_path / "empty_trace.csv"
+        empty.write_text(TRACE_HEADER + "\n")
+        assert run_cli("run", "--out", str(out), *TINY_FLAGS, "--preset", "E5",
+                       "--baseline-trace", str(empty)) == 2
+        assert "MAC total of 0" in capsys.readouterr().err
+
     def test_spec_mismatch_with_artifacts_exits_2(self, tmp_path, capsys):
         out = tmp_path / "o"
         run_cli("calibrate", "--out", str(out), *TINY_FLAGS, "--preset", "E5")
@@ -174,6 +193,13 @@ class TestRun:
                            "--mode", mode) == 2
             err = capsys.readouterr().err
             assert "sliced_weights.bin" in err and "delta=0.175" in err
+        text = (out / "cache_map.txt").read_text()
+        head, _, tail = text.partition("final_n\n0 spatial ")
+        (out / "cache_map.txt").write_text(head + "final_n\n0 spatial 5" + tail[tail.index("\n"):])
+        assert run_cli("run", "--out", str(out), *TINY_FLAGS, "--preset", "E5",
+                       "--mode", "replay") == 2
+        err = capsys.readouterr().err
+        assert "block 0 spatial final_n=5" in err and "sliced_weights.bin" in err
         (out / "sliced_weights.bin").unlink()
         assert run_cli("run", "--out", str(out), *TINY_FLAGS, "--preset", "E5",
                        "--ratio-hi", "0.3", "--mode", "replay") == 2

@@ -134,6 +134,25 @@ class TestCalibrate:
                 o_sliced, _ = attention(x_stack, w, qk=(sw.wq_sliced, sw.wk_sliced))
                 assert rel_l2(o_sliced, o_full) <= sched.delta
 
+    def test_conservative_final_n_accepted_at_every_step(self, tiny_calibration,
+                                                         desk_calibrations, tiny_cfg, desk_cfg):
+        # A conservative final_n < m was itself measured within delta at every
+        # calibration step, so no re-verification of the slice is needed.
+        runs = [(tiny_cfg, tiny_calibration[1])]
+        runs += [(desk_cfg, calib) for _, calib in desk_calibrations.values()]
+        sliced_units = 0
+        for cfg, calib in runs:
+            steps = default_calib_steps(cfg.num_steps)
+            for (block, kind), sw in calib.sliced.items():
+                if sw.n == cfg.model_dim:
+                    continue
+                sliced_units += 1
+                accepted_steps = {rec.step for rec in calib.records
+                                  if (rec.block, rec.kind) == (block, kind)
+                                  and rec.candidate_n == sw.n and rec.accepted}
+                assert accepted_steps == set(steps), (block, kind, sw.n)
+        assert sliced_units > 0
+
     def test_pruned_fraction_bounds(self, tiny_calibration, tiny_cfg):
         _, calib = tiny_calibration
         m = tiny_cfg.model_dim
@@ -240,7 +259,7 @@ class TestDispatch:
 
     def test_online_replay_equivalence(self, tiny_calibration, tiny_cfg, tiny_model):
         sched, calib = tiny_calibration
-        online = OnlineDispatcher(tiny_model, tiny_cfg, sched, calib.sliced)
+        online = OnlineDispatcher(tiny_model, sched, calib.sliced)
         state_online, trace_online = denoise_run(tiny_cfg, online)
         assert np.array_equal(state_online, calib.population_state)
 

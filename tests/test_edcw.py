@@ -9,7 +9,6 @@ from unicp.edcw import (
     DecisionKind,
     SchedulerConfig,
     consume_cache,
-    drift_vs_previous,
     edcw_decide,
 )
 from unicp.model import AttentionResult
@@ -246,20 +245,3 @@ class TestInvariants:
                 history, 4, current.output, current.map, sched.delta, 4)
             assert decision.kind.value == kind
             assert decision.window == window
-
-
-class TestDriftVsPrevious:
-    def test_no_history(self):
-        state = BlockCacheState(capacity=2)
-        assert drift_vs_previous(state, rng_result(np.random.default_rng(0)), 0) == (None, None)
-
-    def test_matches_rel_norm(self):
-        from unicp.linalg import rel_l2
-        rng = np.random.default_rng(16)
-        state = BlockCacheState(capacity=2)
-        prev = rng_result(rng)
-        state.record(0, prev)
-        cur = rng_result(rng)
-        d_out, d_map = drift_vs_previous(state, cur, 1)
-        assert d_out == rel_l2(cur.output, prev.output)
-        assert d_map == rel_l2(cur.map, prev.map)

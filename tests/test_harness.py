@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import brute_force_cache_decision_at, ref_rel_norm
+from oracles import brute_force_cache_decision_at, ref_rel_norm, window_spans_step
 from unicp.edcw import DecisionKind, SchedulerConfig
 from unicp.harness import (
     DriftProfile,
@@ -11,7 +11,6 @@ from unicp.harness import (
     run_scheduler_on_profile,
     synthesize_sequence,
     u_profile,
-    window_spans_step,
 )
 
 

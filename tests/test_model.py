@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,14 @@ from oracles import ref_attention, ref_mlp, ref_sliced_attention_via_reconstruct
 from unicp.linalg import rel_l2
 from unicp.metrics import macs_full_attention, macs_mlp
 from unicp.model import (
+    ATTENTION_KINDS,
     AttentionWeights,
     ModelConfig,
     MlpWeights,
+    apply_mlp,
+    apply_unit_output,
     attention,
     attention_weights_for,
-    block_forward,
     BlockWeights,
     init_latent,
     init_model,
@@ -23,6 +27,21 @@ from unicp.model import (
 )
 from unicp.pcas import compute_basis, slice_weights
 from unicp.runner import BaselineExecutor, denoise_run
+
+
+def matrices(weights):
+    """The arrays of an AttentionWeights or MlpWeights, in field order."""
+    return [getattr(weights, f.name) for f in dataclasses.fields(weights)]
+
+
+def block_forward(state, block):
+    """Scheduler-free block: full attention everywhere, then the MLP."""
+    for kind in ATTENTION_KINDS:
+        x_stack = unit_input_stack(state, kind)
+        o_stack, _ = attention(x_stack, attention_weights_for(block, kind))
+        state = apply_unit_output(state, kind, o_stack)
+    state, _ = apply_mlp(state, block)
+    return state
 
 
 def small_cfg(**overrides):
@@ -52,15 +71,15 @@ class TestInitModel:
         a = init_model(cfg)
         b = init_model(cfg)
         for ba, bb in zip(a, b):
-            for wa, wb in zip(ba.spatial.matrices() + ba.temporal.matrices() + ba.mlp.matrices(),
-                              bb.spatial.matrices() + bb.temporal.matrices() + bb.mlp.matrices()):
+            for wa, wb in zip(matrices(ba.spatial) + matrices(ba.temporal) + matrices(ba.mlp),
+                              matrices(bb.spatial) + matrices(bb.temporal) + matrices(bb.mlp)):
                 assert np.array_equal(wa, wb)
 
     def test_shapes(self):
         cfg = small_cfg(model_dim=4)
         model = init_model(cfg)
         for block in model:
-            for w in block.spatial.matrices() + block.temporal.matrices():
+            for w in matrices(block.spatial) + matrices(block.temporal):
                 assert w.shape == (4, 4)
             assert block.mlp.w1.shape == (4, 8)
             assert block.mlp.w2.shape == (8, 4)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import ref_sliced_attention_via_reconstruction
+from oracles import reconstruction_error, ref_sliced_attention_via_reconstruction
 from unicp.linalg import frob, rel_l2
 from unicp.dws import CacheMap, ReplayDispatcher
 from unicp.metrics import macs_full_attention, macs_sliced
@@ -9,7 +9,6 @@ from unicp.model import AttentionWeights, BlockWeights, attention
 from unicp.pcas import (
     compute_basis,
     load_sliced_weights,
-    reconstruction_error,
     save_sliced_weights,
     slice_weights,
 )
