@@ -24,19 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .edcw import (
-    CACHE_OUTPUT,
-    BlockCacheState,
-    DecisionKind,
-    SchedulerConfig,
-    consume_cache,
-    edcw_decide,
-)
+from .edcw import DecisionKind, SchedulerConfig, edcw_decide
 from .linalg import rel_l2
 from .metrics import RunTrace, TraceRow
 from .model import (
     ATTENTION_KINDS,
-    AttentionResult,
     ModelConfig,
     attention,
     attention_weights_for,
@@ -163,38 +155,39 @@ def cache_map_parse(text: str) -> CacheMap:
 # ---------------------------------------------------------------------------
 
 class OnlineDispatcher(CellExecutor):
-    """Live scheduling: consume an armed cache, else full-compute and decide.
+    """Live scheduling: serve an armed cache, else full-compute and decide.
 
     A decide step executes the fresh full result (recorded as F, with the
     matched window in the trace when it armed a cache). A miss on both cache
     tiers executes sliced attention when sliced weights with n < m exist,
-    else falls back to full. Each unit owns its cache state; the executed
-    letters build the cache map record. A decide row's drifts are those of
-    its F cell: every online F is a decide and O/M/P cells leave the stash
-    alone, so the previous F result is the newest history entry.
+    else falls back to full. The fresh F enters the unit's ring before the
+    decide, so the ring holds K + 1 entries and the one at distance K
+    survives. `armed` maps a unit to the letter, window and last step of
+    the cache its latest hit armed; the executed letters build the cache
+    map record.
     """
 
     def __init__(self, model, sched: SchedulerConfig, sliced_weights: dict | None = None):
-        super().__init__(model, sliced_weights)
+        super().__init__(model, sliced_weights, depth=sched.search_window + 1)
         self.sched = sched
-        self.states = {(b, kind): BlockCacheState(capacity=sched.search_window)
-                       for b in range(len(model)) for kind in ATTENTION_KINDS}
-        self.grid = {unit: [] for unit in self.states}
+        self.armed = {}  # (block, kind) -> (letter, window, last step served)
+        self.grid = {(b, kind): [] for b in range(len(model)) for kind in ATTENTION_KINDS}
 
     def run_unit(self, block_idx: int, kind: str, x_stack: np.ndarray, step: int):
         unit = (block_idx, kind)
-        st = self.states[unit]
-
-        cached = consume_cache(st, step)
-        if cached is not None:
-            letter = LETTER_OUTPUT if cached.kind == CACHE_OUTPUT else LETTER_MAP
+        armed = self.armed.get(unit)
+        if armed is not None and step <= armed[2]:
+            letter, window, _ = armed
             o_stack, macs = self.execute_cell(letter, block_idx, kind, x_stack, step)
-            window, drift_o, drift_m = cached.window, None, None
+            drift_o, drift_m = None, None
         else:
             o_stack, macs, drift_o, drift_m = self.full_with_drift(block_idx, kind, x_stack, step)
-            current = AttentionResult(map=self._stash[unit][1], output=o_stack)
-            decision = edcw_decide(st, current, step, self.sched)
+            ring = self.rings[unit]
+            decision = edcw_decide(ring, ring[-1][1], step, self.sched)
             letter, window = LETTER_FULL, decision.window
+            if window is not None:
+                served = LETTER_OUTPUT if decision.kind is DecisionKind.REUSE_OUTPUT else LETTER_MAP
+                self.armed[unit] = (served, window, step + window - 1)
             sw = self.sliced.get(unit)
             if (decision.kind is DecisionKind.PRUNED and sw is not None
                     and sw.n < x_stack.shape[-1]):

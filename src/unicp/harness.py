@@ -15,15 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .edcw import (
-    CACHE_OUTPUT,
-    BlockCacheState,
-    Decision,
-    DecisionKind,
-    SchedulerConfig,
-    consume_cache,
-    edcw_decide,
-)
+from .edcw import Decision, DecisionKind, SchedulerConfig, edcw_decide
 from .linalg import frob, rel_l2
 from .model import AttentionResult
 
@@ -133,39 +125,37 @@ def run_fixed_window(results: list[AttentionResult], window: int) -> float:
 def run_scheduler_on_profile(profile: DriftProfile, sched: SchedulerConfig,
                              shape: tuple[int, int] = (16, 8), seed: int = 0,
                              fixed_windows: tuple[int, ...] = (2, 3, 4)) -> HarnessResult:
-    """Walk the synthesized sequence through decide/consume, step by step.
+    """Walk the synthesized sequence through decide and reuse, step by step.
 
-    Before each decision the candidate buffer is filled with the results of
-    the next K steps (distance k maps to step i+k), so a window only arms
-    when the drift across the span it would serve stays under the threshold.
-    Reuse steps serve the result that armed the cache and accrue its error
-    against the true value. Fixed-window comparators run on the same sequence.
+    Each decision sees the results of the next K steps as its history
+    (distance k maps to step i+k), so a window only arms when the drift
+    across the span it would serve stays under the threshold. Reuse steps
+    serve the result that armed the cache and accrue its error against the
+    true value. Fixed-window comparators run on the same sequence.
     """
     results = synthesize_sequence(profile, shape, seed)
     num_steps = len(results)
     res = HarnessResult()
-    st = BlockCacheState(capacity=sched.search_window)
-    armed = None  # the result that armed the active cache
+    armed = None  # (decision kind, arming result, last step served)
     for i in range(num_steps):
-        cached = consume_cache(st, i)
-        if cached is not None:
+        if armed is not None and i <= armed[2]:
+            kind, anchor, _ = armed
             true = results[i]
-            if cached.kind == CACHE_OUTPUT:
-                err = rel_l2(armed.output, true.output)
+            if kind is DecisionKind.REUSE_OUTPUT:
+                consumed, err = "output", rel_l2(anchor.output, true.output)
             else:
-                err = rel_l2(armed.map, true.map)
+                consumed, err = "map", rel_l2(anchor.map, true.map)
             res.accumulated_error += err
-            res.steps.append(HarnessStep(step=i, consumed=cached.kind,
+            res.steps.append(HarnessStep(step=i, consumed=consumed,
                                          reuse_error=err, decision=None))
             continue
-        st.history = [(i - k, results[i + k])
-                      for k in range(sched.search_window, 0, -1)
-                      if i + k < num_steps]
-        decision = edcw_decide(st, results[i], i, sched)
+        lookahead = [(i - k, results[i + k])
+                     for k in range(sched.search_window, 0, -1) if i + k < num_steps]
+        decision = edcw_decide(lookahead, results[i], i, sched)
         res.steps.append(HarnessStep(step=i, consumed=None, reuse_error=None,
                                      decision=decision))
         if decision.window is not None:
-            armed = results[i]
+            armed = (decision.kind, results[i], i + decision.window - 1)
             res.armings.append((i, decision.window, decision.kind))
     for w in fixed_windows:
         res.fixed_window_errors[w] = run_fixed_window(results, w)

@@ -12,6 +12,8 @@ everywhere.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from .linalg import frob, rel_l2
@@ -25,6 +27,7 @@ from .metrics import (
 )
 from .model import (
     ATTENTION_KINDS,
+    AttentionResult,
     TEMB_AMP,
     ModelConfig,
     apply_mlp,
@@ -52,18 +55,21 @@ class MissingArtifactError(RuntimeError):
 class CellExecutor:
     """Runs one cache-map cell of a unit; every executor runs its cells here.
 
-    F runs full attention and stashes (output, map) per unit; O serves the
-    stashed output; M reruns the value path under the stashed map; P runs
-    sliced attention, or the full math when the retained dimension equals
-    the width (accounted with the sliced formula, which is equal there). A
-    unit's stash always holds its most recent F result, which is the result
-    that armed any cache an O or M cell serves from.
+    Each unit owns a ring of its last `depth` F results as (step,
+    AttentionResult) pairs, oldest first; nothing else holds them. F runs
+    full attention and appends to the ring; O serves the newest entry's
+    output; M reruns the value path under its map; P runs sliced attention,
+    or the full math when the retained dimension equals the width (accounted
+    with the sliced formula, which is equal there). O, M and P leave the
+    ring alone, so its newest entry is the F result that armed any cache an
+    O or M cell serves from.
     """
 
-    def __init__(self, model, sliced_weights: dict | None = None):
+    def __init__(self, model, sliced_weights: dict | None = None, depth: int = 1):
         self.model = model
         self.sliced = dict(sliced_weights) if sliced_weights else {}
-        self._stash = {}
+        self.depth = depth
+        self.rings = {}  # (block, kind) -> deque of (step, AttentionResult)
 
     def execute_cell(self, letter: str, block_idx: int, kind: str,
                      x_stack: np.ndarray, step: int):
@@ -73,16 +79,17 @@ class CellExecutor:
         inst, seq, m = x_stack.shape
         if letter == LETTER_FULL:
             o_stack, a_stack = attention(x_stack, w)
-            self._stash[unit] = (o_stack, a_stack)
+            ring = self.rings.setdefault(unit, deque(maxlen=self.depth))
+            ring.append((step, AttentionResult(map=a_stack, output=o_stack)))
             return o_stack, inst * macs_full_attention(seq, m)
         if letter in (LETTER_OUTPUT, LETTER_MAP):
-            if unit not in self._stash:
+            if not self.rings.get(unit):
                 raise MissingArtifactError(
                     f"reuse cell before any full compute: block {block_idx} {kind} step {step}")
-            o_cached, a_cached = self._stash[unit]
+            cached = self.rings[unit][-1][1]
             if letter == LETTER_OUTPUT:
-                return o_cached, macs_output_reuse()
-            o_stack, _ = attention(x_stack, w, amap=a_cached)
+                return cached.output, macs_output_reuse()
+            o_stack, _ = attention(x_stack, w, amap=cached.map)
             return o_stack, inst * macs_map_reuse(seq, m)
         if letter == LETTER_PRUNED:
             sw = self.sliced.get(unit)
@@ -100,12 +107,13 @@ class CellExecutor:
         The drifts are the relative distances of the fresh output and map
         from the unit's previous F result, or None on the unit's first F.
         """
-        unit = (block_idx, kind)
-        prev = self._stash.get(unit)
+        ring = self.rings.get((block_idx, kind))
+        prev = ring[-1][1] if ring else None
         o_stack, macs = self.execute_cell(LETTER_FULL, block_idx, kind, x_stack, step)
         if prev is None:
             return o_stack, macs, None, None
-        return o_stack, macs, rel_l2(o_stack, prev[0]), rel_l2(self._stash[unit][1], prev[1])
+        fresh = self.rings[(block_idx, kind)][-1][1]
+        return o_stack, macs, rel_l2(fresh.output, prev.output), rel_l2(fresh.map, prev.map)
 
 
 class BaselineExecutor(CellExecutor):

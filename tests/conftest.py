@@ -60,9 +60,9 @@ def desk_calibrations(desk_cfg, desk_model, desk_decide_events):
         sched = SchedulerConfig(delta=delta, search_window=4)
         events = desk_decide_events.setdefault(preset, [])
 
-        def recording_decide(state, current, step, cfg, events=events):
-            history = tuple(state.history)
-            decision = edcw_decide(state, current, step, cfg)
+        def recording_decide(history, current, step, cfg, events=events):
+            history = tuple(history)
+            decision = edcw_decide(history, current, step, cfg)
             events.append((step, history, current, decision))
             return decision
 

@@ -322,6 +322,66 @@ class TestDispatch:
             assert all(l in "FOMP" for l in letters)
 
 
+def drive_unit(dispatcher, cfg, steps, seed=0):
+    """Run unit (0, spatial) of `dispatcher` on fresh random inputs per step."""
+    rng = np.random.default_rng(seed)
+    shape = (cfg.num_frames, cfg.tokens_per_frame, cfg.model_dim)
+    xs = [rng.standard_normal(shape) for _ in range(steps)]
+    return xs, [dispatcher.run_unit(0, "spatial", x, step) for step, x in enumerate(xs)]
+
+
+class TestOnlineRing:
+    def test_window_three_serves_two_steps_then_decides(self, tiny_cfg, tiny_model):
+        # With a huge delta every decide arms the largest distance present:
+        # k=1 at step 1, k=2 at step 2, then k=3 once the ring reaches back.
+        online = OnlineDispatcher(tiny_model, SchedulerConfig(delta=1e9, search_window=3))
+        _, out = drive_unit(online, tiny_cfg, 11)
+        assert "".join(online.grid[(0, "spatial")]) == "FFFOFOOFOOF"
+        assert [row.window for _, row in out] == [None, 1, 2, 2, 3, 3, 3, 3, 3, 3, 3]
+        o_armed = out[4][0]
+        assert out[5][0] is o_armed and out[6][0] is o_armed
+
+    def test_window_one_serves_nothing(self, tiny_cfg, tiny_model):
+        online = OnlineDispatcher(tiny_model, SchedulerConfig(delta=1e9, search_window=1))
+        drive_unit(online, tiny_cfg, 6)
+        assert online.grid[(0, "spatial")] == ["F"] * 6
+
+    def test_ring_reaches_distance_k_after_the_fresh_append(self, tiny_cfg, tiny_model):
+        # The fresh F enters the ring before the decide; a ring of depth K
+        # would have evicted the entry at distance K by then.
+        online = OnlineDispatcher(tiny_model, SchedulerConfig(delta=1e9, search_window=1))
+        _, out = drive_unit(online, tiny_cfg, 6)
+        assert [row.window for _, row in out] == [None] + [1] * 5
+        assert online.depth == 2
+
+    def test_no_ring_entry_while_serving(self, tiny_cfg, tiny_model):
+        online = OnlineDispatcher(tiny_model, SchedulerConfig(delta=1e9, search_window=3))
+        rings = []
+        rng = np.random.default_rng(3)
+        shape = (tiny_cfg.num_frames, tiny_cfg.tokens_per_frame, tiny_cfg.model_dim)
+        for step in range(8):
+            online.run_unit(0, "spatial", rng.standard_normal(shape), step)
+            rings.append([s for s, _ in online.rings[(0, "spatial")]])
+        # O cells at steps 3, 5 and 6 (see the window-three test) add nothing.
+        assert rings[3] == rings[2] == [0, 1, 2]
+        assert rings[6] == rings[5] == rings[4] == [0, 1, 2, 4]
+        assert rings[7] == [1, 2, 4, 7]
+
+    def test_map_hit_serves_the_arming_map(self, tiny_cfg, tiny_model, monkeypatch):
+        import unicp.dws
+        from unicp.edcw import Decision, DecisionKind
+        from unicp.model import attention
+        hit = Decision(kind=DecisionKind.REUSE_MAP, window=3)
+        monkeypatch.setattr(unicp.dws, "edcw_decide", lambda history, current, step, cfg: hit)
+        online = OnlineDispatcher(tiny_model, SchedulerConfig(delta=0.0, search_window=3))
+        xs, out = drive_unit(online, tiny_cfg, 4)
+        assert online.grid[(0, "spatial")] == ["F", "M", "M", "F"]
+        w = attention_weights_for(tiny_model[0], "spatial")
+        _, a_armed = attention(xs[0], w)
+        for step in (1, 2):
+            assert np.array_equal(out[step][0], attention(xs[step], w, amap=a_armed)[0])
+
+
 class TestCacheMapDocument:
     def test_round_trip_byte_identical(self, tiny_calibration):
         _, calib = tiny_calibration

@@ -4,6 +4,7 @@ from unicp.linalg import rel_l2
 from unicp.model import ModelConfig, attention, attention_weights_for, init_model
 from unicp.pcas import compute_basis, slice_weights
 from unicp.runner import (
+    LETTER_FULL,
     LETTER_MAP,
     LETTER_OUTPUT,
     LETTER_PRUNED,
@@ -15,13 +16,13 @@ CFG = ModelConfig(num_blocks=1, model_dim=8, tokens_per_frame=6, num_frames=3,
 UNIT = (0, "spatial")
 
 
-def executor_and_stacks(count):
+def executor_and_stacks(count, depth=1):
     model = init_model(CFG)
     w = attention_weights_for(model[0], "spatial")
     rng = np.random.default_rng(5)
     m = CFG.model_dim
     basis = compute_basis([rng.standard_normal((2 * m, m))])
-    executor = CellExecutor(model, {UNIT: slice_weights(w, basis, m // 2)})
+    executor = CellExecutor(model, {UNIT: slice_weights(w, basis, m // 2)}, depth=depth)
     shape = (CFG.num_frames, CFG.tokens_per_frame, m)
     return executor, w, [rng.standard_normal(shape) for _ in range(count)]
 
@@ -35,7 +36,7 @@ class TestFullWithDrift:
         assert macs > 0
 
     def test_drift_is_against_the_last_full_result(self):
-        # O, M and P cells between two F cells leave the stash alone, so the
+        # O, M and P cells between two F cells leave the ring alone, so the
         # second F measures its drift against the first one.
         executor, w, xs = executor_and_stacks(5)
         executor.full_with_drift(*UNIT, xs[0], 0)
@@ -47,3 +48,30 @@ class TestFullWithDrift:
         assert np.array_equal(o_stack, o_fresh)
         assert drift_o == rel_l2(o_fresh, o_first)
         assert drift_m == rel_l2(a_fresh, a_first)
+
+
+class TestRing:
+    def test_ring_keeps_at_most_depth_entries(self):
+        executor, _, xs = executor_and_stacks(6, depth=3)
+        for step, x in enumerate(xs):
+            executor.execute_cell(LETTER_FULL, *UNIT, x, step)
+            assert len(executor.rings[UNIT]) <= 3
+        assert [s for s, _ in executor.rings[UNIT]] == [3, 4, 5]
+
+    def test_served_cells_add_no_ring_entry(self):
+        executor, _, xs = executor_and_stacks(4, depth=4)
+        executor.execute_cell(LETTER_FULL, *UNIT, xs[0], 0)
+        (entry,) = executor.rings[UNIT]
+        for step, letter in enumerate((LETTER_OUTPUT, LETTER_MAP, LETTER_PRUNED), start=1):
+            executor.execute_cell(letter, *UNIT, xs[step], step)
+            assert list(executor.rings[UNIT]) == [entry]
+
+    def test_reuse_cells_serve_the_newest_entry(self):
+        executor, w, xs = executor_and_stacks(4, depth=2)
+        executor.execute_cell(LETTER_FULL, *UNIT, xs[0], 0)
+        executor.execute_cell(LETTER_FULL, *UNIT, xs[1], 1)
+        o_newest, a_newest = attention(xs[1], w)
+        o_served, macs = executor.execute_cell(LETTER_OUTPUT, *UNIT, xs[2], 2)
+        assert np.array_equal(o_served, o_newest) and macs == 0
+        o_mapped, _ = executor.execute_cell(LETTER_MAP, *UNIT, xs[3], 3)
+        assert np.array_equal(o_mapped, attention(xs[3], w, amap=a_newest)[0])
