@@ -6,6 +6,7 @@ a pure function over immutable inputs and safe to call from multiple threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,11 @@ def rel_l2(a, b) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeError(f"rel_l2 shape mismatch: {a.shape} vs {b.shape}")
-    return frob(a - b) / max(frob(b), EPS_NORM)
+    # One BLAS dot per norm: several times faster than frob on attention
+    # maps, and equal to it up to the last bits.
+    d = (a - b).ravel()
+    r = b.ravel()
+    return math.sqrt(d @ d) / max(math.sqrt(r @ r), EPS_NORM)
 
 
 @dataclass(frozen=True)
