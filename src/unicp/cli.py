@@ -28,7 +28,7 @@ from .harness import profile_parse, run_scheduler_on_profile, u_profile
 from .metrics import quality_report, report_export, trace_export, trace_parse
 from .model import ModelConfig, NumericError, init_model, load_state, save_state
 from .pcas import load_sliced_weights, save_sliced_weights
-from .runner import baseline_run, denoise_run
+from .runner import LETTER_PRUNED, baseline_run, denoise_run
 
 PRESETS = {"E1": 0.025, "E2": 0.05, "E3": 0.075, "E4": 0.125, "E5": 0.175}
 
@@ -123,10 +123,15 @@ def build_spec(args) -> RunSpec:
     if values["aggregation"] not in ("conservative", "smallest"):
         raise ConfigError(f"aggregation must be conservative or smallest, got {values['aggregation']!r}")
     for key, cast in NUMBER_KEYS.items():
+        value = values[key]
+        if isinstance(value, bool):
+            raise ConfigError(f"{key} must be a number, got {value!r}")
         try:
-            values[key] = cast(values[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{key} must be a number, got {values[key]!r}") from exc
+            values[key] = cast(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+        if cast is int and isinstance(value, float) and values[key] != value:
+            raise ConfigError(f"{key} must be a whole number, got {value!r}")
     if not 0.0 <= values["ratio_lo"] <= values["ratio_hi"] < 1.0:
         raise ConfigError(
             f"ratio bounds must satisfy 0 <= lo <= hi < 1, got [{values['ratio_lo']}, {values['ratio_hi']}]")
@@ -203,6 +208,15 @@ def cmd_calibrate(args) -> int:
 
 def cmd_run(args) -> int:
     spec = build_spec(args)
+    base_total = None
+    if args.baseline_trace:
+        base_path = Path(args.baseline_trace)
+        if not base_path.exists():
+            raise MissingArtifactError(f"baseline trace not found: {base_path}")
+        base_total = trace_parse(base_path.read_text()).macs_total
+        if base_total <= 0:
+            raise ConfigError(f"baseline trace {base_path} has a MAC total of {base_total}; "
+                              f"the MAC ratio needs a positive one")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = init_model(spec.model)
@@ -224,7 +238,7 @@ def cmd_run(args) -> int:
         if cmap.model_header != spec.model.header():
             raise ConfigError("cache map was calibrated for a different model config")
         _check_spec(spec, vars(cmap), CACHE_MAP_FILE)
-        if any(LETTER == "P" for row in cmap.grid.values() for LETTER in row) and sliced is None:
+        if any(LETTER_PRUNED in row for row in cmap.grid.values()) and sliced is None:
             raise MissingArtifactError(
                 f"replay map contains pruned cells but {SLICED_WEIGHTS_FILE} is missing")
         if sliced is not None:
@@ -252,14 +266,7 @@ def cmd_run(args) -> int:
     counts = trace.decision_counts()
     print(f"run complete: mode={spec.mode} macs_total={trace.macs_total} "
           f"decisions={json.dumps(counts, sort_keys=True)}")
-    if args.baseline_trace:
-        base_path = Path(args.baseline_trace)
-        if not base_path.exists():
-            raise MissingArtifactError(f"baseline trace not found: {base_path}")
-        base_total = trace_parse(base_path.read_text()).macs_total
-        if base_total <= 0:
-            raise ConfigError(f"baseline trace {base_path} has a MAC total of {base_total}; "
-                              f"the MAC ratio needs a positive one")
+    if base_total is not None:
         print(f"mac_ratio {trace.macs_total / base_total!r}")
     return 0
 

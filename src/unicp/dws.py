@@ -348,6 +348,9 @@ def dws_calibrate(model, cfg: ModelConfig, sched: SchedulerConfig,
         sliced[unit], unit_records = _calibrate_unit(model, cfg, sched, capture.captured, unit,
                                                      fracs, calib_steps, aggregation)
         records.extend(unit_records)
+    # The captured stacks and the capture pass's rings would otherwise stay
+    # alive through the online pass, which sets calibrate's peak memory.
+    del capture
 
     dispatcher = OnlineDispatcher(model, sched, sliced)
     population_state, population_trace = denoise_run(cfg, dispatcher)

@@ -30,8 +30,8 @@ class SchedulerConfig:
     search_window: int = 4
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
+        if not self.delta >= 0:  # also rejects NaN
+            raise ValueError(f"delta must be >= 0, got {self.delta!r}")
         if self.search_window < 1:
             raise ValueError("search_window must be >= 1")
 

@@ -167,13 +167,6 @@ def run_scheduler_on_profile(profile: DriftProfile, sched: SchedulerConfig,
 # "@step magnitude".
 # ---------------------------------------------------------------------------
 
-def profile_export(profile: DriftProfile, delta: float, window: int) -> str:
-    lines = [f"T={len(profile.drifts)} delta={delta!r} K={window}"]
-    lines.extend(repr(d) for d in profile.drifts)
-    lines.extend(f"@{step} {magnitude!r}" for step, magnitude in profile.spikes)
-    return "\n".join(lines) + "\n"
-
-
 def profile_parse(text: str):
     """Parse a profile document; returns (DriftProfile, delta, window)."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]

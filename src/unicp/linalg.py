@@ -1,7 +1,7 @@
 """Dense real linear algebra: row softmax, symmetric eigensolver, norms.
 
 Matrices are plain float64 numpy arrays (row-major, 2-D). Everything here is
-a pure function over immutable inputs and safe to call from multiple threads.
+a pure function over immutable inputs.
 """
 
 from __future__ import annotations

@@ -90,9 +90,6 @@ class RunTrace:
             counts[r.decision] = counts.get(r.decision, 0) + 1
         return counts
 
-    def attention_rows(self) -> list[TraceRow]:
-        return [r for r in self.rows if r.kind != "mlp"]
-
 
 def _fmt_opt(value) -> str:
     if value is None:
@@ -234,23 +231,3 @@ def report_export(report: QualityReport) -> str:
         f"rel_l2={report.rel_l2!r}",
     ]
     return "\n".join(lines) + "\n"
-
-
-def report_parse(text: str) -> QualityReport:
-    lines = text.splitlines()
-    if not lines or lines[0] != "unicp-quality-report v1":
-        raise ValueError("not a quality report document")
-    kv = {}
-    for ln in lines[1:]:
-        if not ln:
-            continue
-        key, _, value = ln.partition("=")
-        kv[key] = value
-    return QualityReport(
-        psnr_db=float(kv["psnr_db"]),
-        ssim=None if kv["ssim"] == SSIM_NA else float(kv["ssim"]),
-        rel_l2=float(kv["rel_l2"]),
-        peak=float(kv["peak"]),
-        ssim_range=float(kv["ssim_range"]),
-        ssim_window=int(kv["ssim_window"]),
-    )

@@ -2,12 +2,15 @@
 
 Everything here is deliberately written from scratch against the algorithm
 definitions (plain numpy, no imports from the package's compute paths) so a
-bug in the engine cannot hide in its own oracle.
+bug in the engine cannot hide in its own oracle. The end of the file holds
+the document readers and writers that only the tests need.
 """
 
 import math
 
 import numpy as np
+
+from unicp.metrics import SSIM_NA, QualityReport
 
 
 def ref_rel_norm(a, b):
@@ -205,3 +208,37 @@ def ref_ssim(a, b, dynamic_range, window=8):
                     den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
                     scores.append(num / den)
     return float(np.mean(scores))
+
+
+def attention_rows(trace):
+    """The rows of a RunTrace for attention units, MLP rows left out."""
+    return [r for r in trace.rows if r.kind != "mlp"]
+
+
+def profile_export(profile, delta, window):
+    """Render a drift profile document that harness.profile_parse reads."""
+    lines = [f"T={len(profile.drifts)} delta={delta!r} K={window}"]
+    lines.extend(repr(d) for d in profile.drifts)
+    lines.extend(f"@{step} {magnitude!r}" for step, magnitude in profile.spikes)
+    return "\n".join(lines) + "\n"
+
+
+def report_parse(text):
+    """Read a quality report document back into a QualityReport."""
+    lines = text.splitlines()
+    if not lines or lines[0] != "unicp-quality-report v1":
+        raise ValueError("not a quality report document")
+    kv = {}
+    for ln in lines[1:]:
+        if not ln:
+            continue
+        key, _, value = ln.partition("=")
+        kv[key] = value
+    return QualityReport(
+        psnr_db=float(kv["psnr_db"]),
+        ssim=None if kv["ssim"] == SSIM_NA else float(kv["ssim"]),
+        rel_l2=float(kv["rel_l2"]),
+        peak=float(kv["peak"]),
+        ssim_range=float(kv["ssim_range"]),
+        ssim_window=int(kv["ssim_window"]),
+    )

@@ -14,7 +14,12 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from oracles import brute_force_cache_decision_at, reconstruction_error, window_spans_step
+from oracles import (
+    attention_rows,
+    brute_force_cache_decision_at,
+    reconstruction_error,
+    window_spans_step,
+)
 from unicp.cli import main as cli_main
 from unicp.edcw import SchedulerConfig
 from unicp.harness import run_scheduler_on_profile, u_profile
@@ -136,7 +141,7 @@ def test_06_mac_reduction(desk_baseline, desk_calibrations):
         # Schedule precondition: at least half the steps sit in the
         # low-drift region below the E5 threshold.
         per_step = defaultdict(list)
-        for row in base_trace.attention_rows():
+        for row in attention_rows(base_trace):
             if row.drift_output is not None:
                 per_step[row.step].append(row.drift_output)
         quiet_steps = sum(1 for drifts in per_step.values()

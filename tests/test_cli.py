@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from oracles import attention_rows, report_parse
 from unicp.cli import main
-from unicp.metrics import TRACE_HEADER, report_parse, trace_parse
+from unicp.metrics import TRACE_HEADER, trace_parse
 from unicp.model import load_state
 
 TINY_FLAGS = ["--blocks", "2", "--dim", "16", "--tokens", "16", "--frames", "2",
@@ -75,7 +76,13 @@ class TestBaseline:
         ({"ratio_lo": "a"}, "ratio_lo must be a number"),
         ({"delta": [1]}, "delta must be a number"),
         ({"preset": [1]}, "unknown preset"),
-    ], ids=["not-object", "null-blocks", "text-ratio-lo", "list-delta", "list-preset"])
+        ({"steps": 2.9}, "steps must be a whole number, got 2.9"),
+        ({"blocks": True}, "blocks must be a number, got True"),
+        ({"delta": False}, "delta must be a number, got False"),
+        ({"seed": float("inf")}, "seed must be a number, got inf"),
+        ({"delta": float("nan")}, "delta must be >= 0, got nan"),
+    ], ids=["not-object", "null-blocks", "text-ratio-lo", "list-delta", "list-preset",
+            "fractional-steps", "bool-blocks", "bool-delta", "infinite-seed", "nan-delta"])
     def test_malformed_config_file_exits_2(self, tmp_path, capsys, loaded, expected):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(loaded))
@@ -184,6 +191,25 @@ class TestRun:
                        "--baseline-trace", str(empty)) == 2
         assert "MAC total of 0" in capsys.readouterr().err
 
+    def test_bad_baseline_trace_exits_before_the_run(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert run_cli("run", "--out", str(out), *TINY_FLAGS,
+                       "--baseline-trace", str(tmp_path / "missing.csv")) == 3
+        assert "baseline trace not found" in capsys.readouterr().err
+        empty = tmp_path / "empty_trace.csv"
+        empty.write_text(TRACE_HEADER + "\n")
+        assert run_cli("run", "--out", str(out), *TINY_FLAGS,
+                       "--baseline-trace", str(empty)) == 2
+        assert "MAC total of 0" in capsys.readouterr().err
+        assert not out.exists()
+
+        run_cli("calibrate", "--out", str(out), *TINY_FLAGS)
+        before = sorted(p.name for p in out.iterdir())
+        assert run_cli("run", "--out", str(out), *TINY_FLAGS,
+                       "--baseline-trace", str(empty)) == 2
+        assert sorted(p.name for p in out.iterdir()) == before
+        assert not (out / "run_state.bin").exists()
+
     def test_spec_mismatch_with_artifacts_exits_2(self, tmp_path, capsys):
         out = tmp_path / "o"
         run_cli("calibrate", "--out", str(out), *TINY_FLAGS, "--preset", "E5")
@@ -217,7 +243,7 @@ class TestRun:
         cmap = cache_map_parse((out / "run_cache_map.txt").read_text())
         trace = trace_parse((out / "run_trace.csv").read_text())
         letter_for = {"full": "F", "reuse_output": "O", "reuse_map": "M", "pruned": "P"}
-        trace_tally = Counter(letter_for[r.decision] for r in trace.attention_rows())
+        trace_tally = Counter(letter_for[r.decision] for r in attention_rows(trace))
         grid_tally = Counter(l for row in cmap.grid.values() for l in row)
         assert trace_tally == grid_tally
 

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import exhaustive_n_sweep
+from oracles import attention_rows, exhaustive_n_sweep
 from unicp.dws import (
     CacheMap,
     MissingArtifactError,
@@ -251,11 +252,11 @@ class TestDispatch:
                         grid=grid)
         state, trace = denoise_run(tiny_cfg, ReplayDispatcher(tiny_model, cmap, None))
         f, s, m = tiny_cfg.num_frames, tiny_cfg.tokens_per_frame, tiny_cfg.model_dim
-        for row in trace.attention_rows():
+        for row in attention_rows(trace):
             if row.decision == "reuse_map":
                 inst, seq = (f, s) if row.kind == "spatial" else (s, f)
                 assert row.macs == inst * macs_map_reuse(seq, m)
-        assert any(r.decision == "reuse_map" for r in trace.attention_rows())
+        assert any(r.decision == "reuse_map" for r in attention_rows(trace))
 
     def test_online_replay_equivalence(self, tiny_calibration, tiny_cfg, tiny_model):
         sched, calib = tiny_calibration
@@ -267,8 +268,8 @@ class TestDispatch:
         state_replay, trace_replay = denoise_run(tiny_cfg, replay)
         assert np.array_equal(state_replay, state_online)
         assert trace_replay.macs_total == trace_online.macs_total
-        online_letters = [r.decision for r in trace_online.attention_rows()]
-        replay_letters = [r.decision for r in trace_replay.attention_rows()]
+        online_letters = [r.decision for r in attention_rows(trace_online)]
+        replay_letters = [r.decision for r in attention_rows(trace_replay)]
         assert online_letters == replay_letters
 
     def test_mac_recount_from_trace(self, tiny_calibration, tiny_cfg):
@@ -304,7 +305,7 @@ class TestDispatch:
         from collections import Counter
         letter_for = {"full": "F", "reuse_output": "O", "reuse_map": "M", "pruned": "P"}
         trace_tally = Counter(letter_for[r.decision]
-                              for r in calib.population_trace.attention_rows())
+                              for r in attention_rows(calib.population_trace))
         grid_tally = Counter(l for row in calib.cache_map.grid.values() for l in row)
         assert trace_tally == grid_tally
 
@@ -323,11 +324,19 @@ class TestDispatch:
 
 
 def drive_unit(dispatcher, cfg, steps, seed=0):
-    """Run unit (0, spatial) of `dispatcher` on fresh random inputs per step."""
+    """Run unit (0, spatial) of `dispatcher` on fresh random inputs per step.
+
+    Returns the inputs, the (o_stack, row) pairs and the ring's steps after
+    each step.
+    """
     rng = np.random.default_rng(seed)
     shape = (cfg.num_frames, cfg.tokens_per_frame, cfg.model_dim)
-    xs = [rng.standard_normal(shape) for _ in range(steps)]
-    return xs, [dispatcher.run_unit(0, "spatial", x, step) for step, x in enumerate(xs)]
+    xs, out, rings = [], [], []
+    for step in range(steps):
+        xs.append(rng.standard_normal(shape))
+        out.append(dispatcher.run_unit(0, "spatial", xs[-1], step))
+        rings.append([s for s, _ in dispatcher.rings[(0, "spatial")]])
+    return xs, out, rings
 
 
 class TestOnlineRing:
@@ -335,37 +344,24 @@ class TestOnlineRing:
         # With a huge delta every decide arms the largest distance present:
         # k=1 at step 1, k=2 at step 2, then k=3 once the ring reaches back.
         online = OnlineDispatcher(tiny_model, SchedulerConfig(delta=1e9, search_window=3))
-        _, out = drive_unit(online, tiny_cfg, 11)
+        _, out, rings = drive_unit(online, tiny_cfg, 11)
         assert "".join(online.grid[(0, "spatial")]) == "FFFOFOOFOOF"
         assert [row.window for _, row in out] == [None, 1, 2, 2, 3, 3, 3, 3, 3, 3, 3]
         o_armed = out[4][0]
         assert out[5][0] is o_armed and out[6][0] is o_armed
-
-    def test_window_one_serves_nothing(self, tiny_cfg, tiny_model):
-        online = OnlineDispatcher(tiny_model, SchedulerConfig(delta=1e9, search_window=1))
-        drive_unit(online, tiny_cfg, 6)
-        assert online.grid[(0, "spatial")] == ["F"] * 6
-
-    def test_ring_reaches_distance_k_after_the_fresh_append(self, tiny_cfg, tiny_model):
-        # The fresh F enters the ring before the decide; a ring of depth K
-        # would have evicted the entry at distance K by then.
-        online = OnlineDispatcher(tiny_model, SchedulerConfig(delta=1e9, search_window=1))
-        _, out = drive_unit(online, tiny_cfg, 6)
-        assert [row.window for _, row in out] == [None] + [1] * 5
-        assert online.depth == 2
-
-    def test_no_ring_entry_while_serving(self, tiny_cfg, tiny_model):
-        online = OnlineDispatcher(tiny_model, SchedulerConfig(delta=1e9, search_window=3))
-        rings = []
-        rng = np.random.default_rng(3)
-        shape = (tiny_cfg.num_frames, tiny_cfg.tokens_per_frame, tiny_cfg.model_dim)
-        for step in range(8):
-            online.run_unit(0, "spatial", rng.standard_normal(shape), step)
-            rings.append([s for s, _ in online.rings[(0, "spatial")]])
-        # O cells at steps 3, 5 and 6 (see the window-three test) add nothing.
+        # Served O cells add no ring entry; the ring keeps K + 1 entries.
         assert rings[3] == rings[2] == [0, 1, 2]
         assert rings[6] == rings[5] == rings[4] == [0, 1, 2, 4]
         assert rings[7] == [1, 2, 4, 7]
+
+    def test_window_one_serves_nothing(self, tiny_cfg, tiny_model):
+        # The fresh F enters the ring before the decide, so every decide from
+        # step 1 on finds step - 1 at distance K = 1; a ring of depth K would
+        # have evicted it and pruned instead.
+        online = OnlineDispatcher(tiny_model, SchedulerConfig(delta=1e9, search_window=1))
+        _, out, _ = drive_unit(online, tiny_cfg, 6)
+        assert online.grid[(0, "spatial")] == ["F"] * 6
+        assert [row.window for _, row in out] == [None] + [1] * 5
 
     def test_map_hit_serves_the_arming_map(self, tiny_cfg, tiny_model, monkeypatch):
         import unicp.dws
@@ -374,7 +370,7 @@ class TestOnlineRing:
         hit = Decision(kind=DecisionKind.REUSE_MAP, window=3)
         monkeypatch.setattr(unicp.dws, "edcw_decide", lambda history, current, step, cfg: hit)
         online = OnlineDispatcher(tiny_model, SchedulerConfig(delta=0.0, search_window=3))
-        xs, out = drive_unit(online, tiny_cfg, 4)
+        xs, out, _ = drive_unit(online, tiny_cfg, 4)
         assert online.grid[(0, "spatial")] == ["F", "M", "M", "F"]
         w = attention_weights_for(tiny_model[0], "spatial")
         _, a_armed = attention(xs[0], w)
@@ -412,3 +408,25 @@ class TestCacheMapDocument:
     def test_rejects_non_map_text(self):
         with pytest.raises(ValueError):
             cache_map_parse("hello\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.builds(
+        CacheMap,
+        model_header=st.fixed_dictionaries({key: st.integers(0, 10 ** 6) for key in (
+            "blocks", "dim", "tokens", "frames", "steps", "seed")}),
+        delta=st.floats(min_value=0.0, allow_nan=False),
+        window=st.integers(1, 64),
+        ratio_lo=st.floats(0.0, 1.0),
+        ratio_hi=st.floats(0.0, 1.0),
+        mode=st.sampled_from(["online", "replay"]),
+        aggregation=st.sampled_from(["conservative", "smallest"]),
+        grid=st.dictionaries(st.tuples(st.integers(0, 99), st.sampled_from(ATTENTION_KINDS)),
+                             st.lists(st.sampled_from("FOMP"), min_size=1, max_size=40)),
+        final_n=st.dictionaries(st.tuples(st.integers(0, 99), st.sampled_from(ATTENTION_KINDS)),
+                                st.integers(1, 4096)),
+    ))
+    def test_export_parse_round_trip(self, cmap):
+        text = cache_map_export(cmap)
+        parsed = cache_map_parse(text)
+        assert parsed == cmap
+        assert cache_map_export(parsed) == text

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import brute_force_cache_decision_at, ref_rel_norm, window_spans_step
+from oracles import brute_force_cache_decision_at, profile_export, ref_rel_norm, window_spans_step
 from unicp.edcw import DecisionKind, SchedulerConfig
 from unicp.harness import (
     DriftProfile,
-    profile_export,
     profile_parse,
     run_fixed_window,
     run_scheduler_on_profile,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import ref_mse, ref_ssim
+from oracles import ref_mse, ref_ssim, report_parse
 from unicp.linalg import ShapeError
 from unicp.metrics import (
     PSNR_CAP_DB,
@@ -16,7 +16,6 @@ from unicp.metrics import (
     psnr,
     quality_report,
     report_export,
-    report_parse,
     ssim,
     trace_export,
     trace_parse,

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import ref_attention, ref_mlp, ref_sliced_attention_via_reconstruction
+from oracles import attention_rows, ref_attention, ref_mlp, ref_sliced_attention_via_reconstruction
 from unicp.linalg import rel_l2
 from unicp.metrics import macs_full_attention, macs_mlp
 from unicp.model import (
@@ -240,8 +240,7 @@ class TestDenoiseRun:
         cfg = small_cfg(num_steps=2)
         model = init_model(cfg)
         _, trace = denoise_run(cfg, BaselineExecutor(model))
-        attention_rows = trace.attention_rows()
-        assert len(attention_rows) == 2 * cfg.num_blocks * 2
+        assert len(attention_rows(trace)) == 2 * cfg.num_blocks * 2
         assert len(trace.rows) == 2 * cfg.num_blocks * 3  # + one MLP row per block
 
     def test_zero_eta_is_fixed_point(self):

@@ -58,14 +58,6 @@ class TestRing:
             assert len(executor.rings[UNIT]) <= 3
         assert [s for s, _ in executor.rings[UNIT]] == [3, 4, 5]
 
-    def test_served_cells_add_no_ring_entry(self):
-        executor, _, xs = executor_and_stacks(4, depth=4)
-        executor.execute_cell(LETTER_FULL, *UNIT, xs[0], 0)
-        (entry,) = executor.rings[UNIT]
-        for step, letter in enumerate((LETTER_OUTPUT, LETTER_MAP, LETTER_PRUNED), start=1):
-            executor.execute_cell(letter, *UNIT, xs[step], step)
-            assert list(executor.rings[UNIT]) == [entry]
-
     def test_reuse_cells_serve_the_newest_entry(self):
         executor, w, xs = executor_and_stacks(4, depth=2)
         executor.execute_cell(LETTER_FULL, *UNIT, xs[0], 0)
