@@ -113,8 +113,8 @@ class BlockWeights:
 class AttentionResult:
     """One attention evaluation: row-stochastic map and projected output."""
 
-    map: np.ndarray  # seq x seq
-    output: np.ndarray  # seq x m
+    map: np.ndarray  # [inst x] seq x seq
+    output: np.ndarray  # [inst x] seq x m
 
 
 # Attention kinds, in execution order within a block.
