@@ -242,3 +242,19 @@ def report_parse(text):
         ssim_range=float(kv["ssim_range"]),
         ssim_window=int(kv["ssim_window"]),
     )
+
+
+def drive_unit(dispatcher, cfg, steps, seed=0):
+    """Run unit (0, spatial) of `dispatcher` on fresh random inputs per step.
+
+    Returns the inputs, the (o_stack, row) pairs and the ring's steps after
+    each step.
+    """
+    rng = np.random.default_rng(seed)
+    shape = (cfg.num_frames, cfg.tokens_per_frame, cfg.model_dim)
+    xs, out, rings = [], [], []
+    for step in range(steps):
+        xs.append(rng.standard_normal(shape))
+        out.append(dispatcher.run_unit(0, "spatial", xs[-1], step))
+        rings.append([s for s, _ in dispatcher.rings[(0, "spatial")]])
+    return xs, out, rings

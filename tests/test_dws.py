@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import attention_rows, exhaustive_n_sweep
+from oracles import attention_rows, drive_unit, exhaustive_n_sweep
 from unicp.dws import (
     CacheMap,
     MissingArtifactError,
@@ -323,37 +323,7 @@ class TestDispatch:
             assert all(l in "FOMP" for l in letters)
 
 
-def drive_unit(dispatcher, cfg, steps, seed=0):
-    """Run unit (0, spatial) of `dispatcher` on fresh random inputs per step.
-
-    Returns the inputs, the (o_stack, row) pairs and the ring's steps after
-    each step.
-    """
-    rng = np.random.default_rng(seed)
-    shape = (cfg.num_frames, cfg.tokens_per_frame, cfg.model_dim)
-    xs, out, rings = [], [], []
-    for step in range(steps):
-        xs.append(rng.standard_normal(shape))
-        out.append(dispatcher.run_unit(0, "spatial", xs[-1], step))
-        rings.append([s for s, _ in dispatcher.rings[(0, "spatial")]])
-    return xs, out, rings
-
-
 class TestOnlineRing:
-    def test_window_three_serves_two_steps_then_decides(self, tiny_cfg, tiny_model):
-        # With a huge delta every decide arms the largest distance present:
-        # k=1 at step 1, k=2 at step 2, then k=3 once the ring reaches back.
-        online = OnlineDispatcher(tiny_model, SchedulerConfig(delta=1e9, search_window=3))
-        _, out, rings = drive_unit(online, tiny_cfg, 11)
-        assert "".join(online.grid[(0, "spatial")]) == "FFFOFOOFOOF"
-        assert [row.window for _, row in out] == [None, 1, 2, 2, 3, 3, 3, 3, 3, 3, 3]
-        o_armed = out[4][0]
-        assert out[5][0] is o_armed and out[6][0] is o_armed
-        # Served O cells add no ring entry; the ring keeps K + 1 entries.
-        assert rings[3] == rings[2] == [0, 1, 2]
-        assert rings[6] == rings[5] == rings[4] == [0, 1, 2, 4]
-        assert rings[7] == [1, 2, 4, 7]
-
     def test_window_one_serves_nothing(self, tiny_cfg, tiny_model):
         # The fresh F enters the ring before the decide, so every decide from
         # step 1 on finds step - 1 at distance K = 1; a ring of depth K would

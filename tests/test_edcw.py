@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import brute_force_cache_decision_at
+from oracles import brute_force_cache_decision_at, drive_unit
+from unicp.dws import OnlineDispatcher
 from unicp.edcw import DecisionKind, SchedulerConfig, edcw_decide
 from unicp.model import AttentionResult
 
@@ -120,6 +121,20 @@ def rng_dirichlet(rng, s=4):
     return amap / amap.sum(axis=1, keepdims=True)
 
 
+class TestConsume:
+    def test_window_three_serves_two_steps_then_clears(self, tiny_cfg, tiny_model):
+        # With a huge delta every decide arms the largest distance present:
+        # k=1 at step 1, k=2 at step 2, then k=3 once the ring reaches back.
+        # The k=3 hit at step 4 serves steps 5 and 6; step 7 computes F again.
+        online = OnlineDispatcher(tiny_model, SchedulerConfig(delta=1e9, search_window=3))
+        _, out, _ = drive_unit(online, tiny_cfg, 11)
+        assert "".join(online.grid[(0, "spatial")]) == "FFFOFOOFOOF"
+        assert [row.window for _, row in out] == [None, 1, 2, 2, 3, 3, 3, 3, 3, 3, 3]
+        o_armed = out[4][0]
+        assert out[5][0] is o_armed and out[6][0] is o_armed
+        assert out[7][0] is not o_armed
+
+
 class TestInvariants:
     def test_zero_delta_with_nonzero_drift_never_caches(self):
         rng = np.random.default_rng(13)
@@ -168,3 +183,11 @@ class TestInvariants:
                 oracle_history, 4, current.output, current.map, sched.delta, 4)
             assert decision.kind.value == kind
             assert decision.window == window
+
+    def test_no_history_recorded_while_consuming(self, tiny_cfg, tiny_model):
+        # Served O cells add no ring entry; the ring keeps K + 1 entries.
+        online = OnlineDispatcher(tiny_model, SchedulerConfig(delta=1e9, search_window=3))
+        _, _, rings = drive_unit(online, tiny_cfg, 8)
+        assert rings[3] == rings[2] == [0, 1, 2]
+        assert rings[6] == rings[5] == rings[4] == [0, 1, 2, 4]
+        assert rings[7] == [1, 2, 4, 7]
