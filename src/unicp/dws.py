@@ -161,10 +161,13 @@ class OnlineDispatcher(CellExecutor):
     matched window in the trace when it armed a cache). A miss on both cache
     tiers executes sliced attention when sliced weights with n < m exist,
     else falls back to full. The fresh F enters the unit's ring before the
-    decide, so the ring holds K + 1 entries and the one at distance K
-    survives. `armed` maps a unit to the letter, window and last step of
-    the cache its latest hit armed; the executed letters build the cache
-    map record.
+    decide, so the ring is K + 1 deep and the entry at distance K survives.
+    After the decide the ring drops every entry more than K steps before
+    the unit's next decide (at step + k, k the armed window or 1), since
+    no later decide can read it. The arming F, the newest entry, always
+    stays for the O and M cells it serves. `armed` maps a unit to the
+    letter, window and last step of the cache its latest hit armed; the
+    executed letters build the cache map record.
     """
 
     def __init__(self, model, sched: SchedulerConfig, sliced_weights: dict | None = None):
@@ -188,6 +191,9 @@ class OnlineDispatcher(CellExecutor):
             if window is not None:
                 served = LETTER_OUTPUT if decision.kind is DecisionKind.REUSE_OUTPUT else LETTER_MAP
                 self.armed[unit] = (served, window, step + window - 1)
+            horizon = step + (window or 1) - self.sched.search_window
+            while ring[0][0] < horizon:
+                ring.popleft()
             sw = self.sliced.get(unit)
             if (decision.kind is DecisionKind.PRUNED and sw is not None
                     and sw.n < x_stack.shape[-1]):

@@ -348,6 +348,51 @@ class TestOnlineRing:
             assert np.array_equal(out[step][0], attention(xs[step], w, amap=a_armed)[0])
 
 
+    def test_ring_keeps_exactly_the_entries_a_later_decide_can_read(self, tiny_cfg, tiny_model,
+                                                                    monkeypatch):
+        import unicp.dws
+        from unicp.edcw import Decision, DecisionKind
+        K = 4
+        # Decide step -> the window its decide arms; None is a miss.
+        script = {0: None, 1: 2, 3: None, 4: None, 5: 4, 9: 1, 10: None, 11: 3}
+
+        def scripted(history, current, step, cfg):
+            if script[step] is None:
+                return Decision(kind=DecisionKind.PRUNED)
+            return Decision(kind=DecisionKind.REUSE_OUTPUT, window=script[step])
+
+        monkeypatch.setattr(unicp.dws, "edcw_decide", scripted)
+        online = OnlineDispatcher(tiny_model, SchedulerConfig(delta=0.0, search_window=K))
+        _, _, rings = drive_unit(online, tiny_cfg, 14)
+        letters = online.grid[(0, "spatial")]
+        assert [s for s, letter in enumerate(letters) if letter == "F"] == list(script)
+        for step, window in script.items():
+            horizon = step + (window or 1) - K
+            assert rings[step] == [s for s in script if horizon <= s <= step]
+
+    @pytest.mark.parametrize("delta", [0.0, 0.175])
+    def test_rings_hold_at_most_k_entries_per_unit(self, tiny_cfg, tiny_model, delta):
+        # Bytes held stand in for peak RSS, which a unit test cannot assert.
+        sched = SchedulerConfig(delta=delta, search_window=4)
+
+        class Measured(OnlineDispatcher):
+            peak_bytes = 0
+
+            def run_unit(self, *args):
+                out = super().run_unit(*args)
+                held = sum(r.map.nbytes + r.output.nbytes
+                           for ring in self.rings.values() for _, r in ring)
+                self.peak_bytes = max(self.peak_bytes, held)
+                return out
+
+        online = Measured(tiny_model, sched)
+        denoise_run(tiny_cfg, online)
+        entry_bytes = sum(ring[-1][1].map.nbytes + ring[-1][1].output.nbytes
+                          for ring in online.rings.values())
+        assert len(online.rings) == 2 * tiny_cfg.num_blocks
+        assert 0 < online.peak_bytes <= sched.search_window * entry_bytes
+
+
 class TestCacheMapDocument:
     def test_round_trip_byte_identical(self, tiny_calibration):
         _, calib = tiny_calibration

@@ -185,9 +185,10 @@ class TestInvariants:
             assert decision.window == window
 
     def test_no_history_recorded_while_consuming(self, tiny_cfg, tiny_model):
-        # Served O cells add no ring entry; the ring keeps K + 1 entries.
+        # Served O cells add no ring entry; after each decide the ring keeps
+        # only the entries the unit's next decide can read.
         online = OnlineDispatcher(tiny_model, SchedulerConfig(delta=1e9, search_window=3))
         _, _, rings = drive_unit(online, tiny_cfg, 8)
-        assert rings[3] == rings[2] == [0, 1, 2]
-        assert rings[6] == rings[5] == rings[4] == [0, 1, 2, 4]
-        assert rings[7] == [1, 2, 4, 7]
+        assert rings[3] == rings[2] == [1, 2]
+        assert rings[6] == rings[5] == rings[4] == [4]
+        assert rings[7] == [7]
