@@ -1,6 +1,6 @@
 """Dynamic weight shift: calibration, the cache map, and dispatch.
 
-Calibration runs one captured baseline pass up to the last calibration
+Calibration runs one all-F capture pass up to the last calibration
 step, fits a PCA basis per (block, attention-kind) unit from the captured
 inputs, sweeps the pruned fraction upward until the unit's sliced output
 drifts past the error threshold, then replays the whole schedule online
@@ -40,7 +40,6 @@ from .runner import (
     LETTER_MAP,
     LETTER_OUTPUT,
     LETTER_PRUNED,
-    BaselineExecutor,
     CellExecutor,
     MissingArtifactError,
     denoise_run,
@@ -245,8 +244,11 @@ class ReplayDispatcher(CellExecutor):
 # Calibration.
 # ---------------------------------------------------------------------------
 
-class _CaptureExecutor(BaselineExecutor):
-    """Baseline pass that stashes unit inputs/outputs at the calibration steps."""
+class _CaptureExecutor(CellExecutor):
+    """All-F pass that stashes unit inputs/outputs at the calibration steps.
+
+    Its trace rows carry no drifts; calibration reads only the captures.
+    """
 
     def __init__(self, model, calib_steps):
         super().__init__(model)
@@ -254,9 +256,11 @@ class _CaptureExecutor(BaselineExecutor):
         self.captured = {}
 
     def run_unit(self, block_idx, kind, x_stack, step):
-        o_stack, row = super().run_unit(block_idx, kind, x_stack, step)
+        o_stack, macs = self.execute_cell(LETTER_FULL, block_idx, kind, x_stack, step)
         if step in self.calib_steps:
             self.captured.setdefault((block_idx, kind), {})[step] = (x_stack, o_stack)
+        row = TraceRow(step=step, block=block_idx, kind=kind, decision="full",
+                       window=None, drift_output=None, drift_map=None, macs=macs)
         return o_stack, row
 
 
