@@ -26,7 +26,7 @@ from .dws import (
 from .edcw import SchedulerConfig
 from .harness import profile_parse, run_scheduler_on_profile, u_profile
 from .metrics import quality_report, report_export, trace_export, trace_parse
-from .model import ModelConfig, NumericError, init_model, load_state, save_state
+from .model import ModelConfig, NumericError, as_number, init_model, load_state, save_state
 from .pcas import load_sliced_weights, save_sliced_weights
 from .runner import LETTER_PRUNED, baseline_run, denoise_run
 
@@ -123,15 +123,7 @@ def build_spec(args) -> RunSpec:
     if values["aggregation"] not in ("conservative", "smallest"):
         raise ConfigError(f"aggregation must be conservative or smallest, got {values['aggregation']!r}")
     for key, cast in NUMBER_KEYS.items():
-        value = values[key]
-        if isinstance(value, bool):
-            raise ConfigError(f"{key} must be a number, got {value!r}")
-        try:
-            values[key] = cast(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{key} must be a number, got {value!r}") from exc
-        if cast is int and isinstance(value, float) and values[key] != value:
-            raise ConfigError(f"{key} must be a whole number, got {value!r}")
+        values[key] = as_number(values[key], key, cast)
     if not 0.0 <= values["ratio_lo"] <= values["ratio_hi"] < 1.0:
         raise ConfigError(
             f"ratio bounds must satisfy 0 <= lo <= hi < 1, got [{values['ratio_lo']}, {values['ratio_hi']}]")

@@ -11,6 +11,7 @@ reused value and the true value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,14 +183,20 @@ def profile_parse(text: str):
         window = int(header["K"])
     except KeyError as exc:
         raise ValueError(f"profile header is missing {exc}") from exc
+    if num_steps < 1:
+        raise ValueError(f"profile needs T >= 1, got T={num_steps}")
     drifts = []
     spikes = []
     for ln in lines[1:]:
         if ln.startswith("@"):
             step_str, magnitude_str = ln[1:].split()
             spikes.append((int(step_str), float(magnitude_str)))
+            value = spikes[-1][1]
         else:
             drifts.append(float(ln))
+            value = drifts[-1]
+        if not math.isfinite(value):
+            raise ValueError(f"profile line {ln!r} holds a non-finite value")
     if len(drifts) != num_steps:
         raise ValueError(f"profile declares T={num_steps} but lists {len(drifts)} drift values")
     return DriftProfile(drifts=tuple(drifts), spikes=tuple(spikes)), delta, window

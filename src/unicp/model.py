@@ -73,17 +73,14 @@ class ModelConfig:
     @staticmethod
     def from_header(h: dict) -> "ModelConfig":
         require_keys(h, ("blocks", "dim", "tokens", "frames", "steps", "seed"), "model header")
-        try:
-            return ModelConfig(
-                num_blocks=int(h["blocks"]),
-                model_dim=int(h["dim"]),
-                tokens_per_frame=int(h["tokens"]),
-                num_frames=int(h["frames"]),
-                num_steps=int(h["steps"]),
-                seed=int(h["seed"]),
-            )
-        except TypeError as exc:
-            raise ValueError(f"model header holds a non-integer value: {exc}") from exc
+        return ModelConfig(
+            num_blocks=as_number(h["blocks"], "blocks"),
+            model_dim=as_number(h["dim"], "dim"),
+            tokens_per_frame=as_number(h["tokens"], "tokens"),
+            num_frames=as_number(h["frames"], "frames"),
+            num_steps=as_number(h["steps"], "steps"),
+            seed=as_number(h["seed"], "seed"),
+        )
 
 
 @dataclass(frozen=True)
@@ -270,6 +267,23 @@ def require_keys(h, keys, what: str):
     missing = [k for k in keys if k not in h]
     if missing:
         raise ValueError(f"{what} lacks {', '.join(missing)}")
+
+
+def as_number(value, name: str, cast=int):
+    """Read a config or header field as `cast` (int or float).
+
+    Raise ValueError naming the field for a boolean, a non-number, and, when
+    `cast` is int, a fraction or a non-finite value.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        out = cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must be a number, got {value!r}") from exc
+    if cast is int and isinstance(value, float) and out != value:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return out
 
 
 def write_container(path, magic: bytes, header: dict, arrays: list[np.ndarray]):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ShapeError, as_matrix, sym_eig
-from .model import AttentionWeights, read_container, require_keys, write_container
+from .model import AttentionWeights, as_number, read_container, require_keys, write_container
 
 SLICED_MAGIC = b"UNICPSW1\n"
 
@@ -106,8 +106,9 @@ def load_sliced_weights(path, model_dim: int):
     for unit in header["units"]:
         require_keys(unit, ("block", "kind", "n", "calib_steps"), f"{path}: unit entry")
         try:
-            units.append((int(unit["block"]), str(unit["kind"]), int(unit["n"]),
-                          tuple(int(s) for s in unit["calib_steps"])))
+            units.append((as_number(unit["block"], "block"), str(unit["kind"]),
+                          as_number(unit["n"], "n"),
+                          tuple(as_number(s, "calib_steps") for s in unit["calib_steps"])))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed unit entry {unit!r}: {exc}") from exc
     for _, _, n, _ in units:

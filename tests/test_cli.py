@@ -29,6 +29,7 @@ def text_doc(lines):
 
 
 SLICED_UNIT = {"block": 0, "kind": "spatial", "n": 4, "calib_steps": [0]}
+STATE_HEADER = {"blocks": 2, "dim": 16, "tokens": 16, "frames": 2, "steps": 8, "seed": 7}
 # The header and grid of a valid cache map for TINY_FLAGS (default delta).
 CACHE_MAP_LINES = [
     "unicp-cache-map v1",
@@ -280,8 +281,23 @@ class TestExitCodes:
          text_doc([*CACHE_MAP_LINES[:2], CACHE_MAP_LINES[2].replace(" mode=online", ""),
                    *CACHE_MAP_LINES[3:]]),
          "cache map run line lacks mode"),
+        ("state.bin",
+         container(b"UNICPST1\n", dict(STATE_HEADER, dim=float("inf"))).replace(b"Infinity",
+                                                                               b"1e999"),
+         "dim must be a number, got inf"),
+        ("state.bin", container(b"UNICPST1\n", dict(STATE_HEADER, dim=8.5), values=2 * 16 * 8),
+         "dim must be a whole number, got 8.5"),
+        ("sliced_weights.bin",
+         container(b"UNICPSW1\n", {"units": [dict(SLICED_UNIT, n=float("inf"))]}).replace(
+             b"Infinity", b"1e999"),
+         "n must be a number, got inf"),
+        ("sliced_weights.bin",
+         container(b"UNICPSW1\n", {"units": [dict(SLICED_UNIT, n=7.5)]}, values=2 * 16 * 7),
+         "n must be a whole number, got 7.5"),
     ], ids=["state-missing-keys", "sliced-no-units", "sliced-unit-no-n", "sliced-unit-null-n",
-            "sliced-short-payload", "map-truncated", "map-dims-no-seed", "map-run-no-mode"])
+            "sliced-short-payload", "map-truncated", "map-dims-no-seed", "map-run-no-mode",
+            "state-infinite-dim", "state-fractional-dim", "sliced-infinite-n",
+            "sliced-fractional-n"])
     def test_malformed_artifact_exits_2(self, tmp_path, capsys, name, content, expected):
         path = tmp_path / name
         path.write_bytes(content)
@@ -310,6 +326,14 @@ class TestHarnessCommand:
         profile.write_text("T=6 delta=0.1 K=3\n0.0\n0.05\n0.05\n0.05\n0.05\n0.05\n")
         out = tmp_path / "h"
         assert run_cli("harness", "--out", str(out), "--profile", str(profile)) == 0
+
+    def test_non_finite_profile_exits_2(self, tmp_path, capsys):
+        profile = tmp_path / "p.txt"
+        profile.write_text("T=2 delta=0.1 K=2\n0.0\nnan\n")
+        out = tmp_path / "h"
+        assert run_cli("harness", "--out", str(out), "--profile", str(profile)) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (out / "harness_report.txt").exists()
 
     def test_missing_profile_exits_3(self, tmp_path):
         assert run_cli("harness", "--out", str(tmp_path / "h"),

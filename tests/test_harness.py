@@ -174,3 +174,15 @@ class TestProfileFiles:
     def test_missing_header_rejected(self):
         with pytest.raises(ValueError):
             profile_parse("0.1\n0.2\n")
+
+    def test_non_finite_drift_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            profile_parse("T=2 delta=0.1 K=2\n0.2\nnan\n")
+
+    def test_non_finite_spike_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            profile_parse("T=2 delta=0.1 K=2\n0.2\n0.3\n@1 inf\n")
+
+    def test_empty_profile_rejected(self):
+        with pytest.raises(ValueError, match="T >= 1"):
+            profile_parse("T=0 delta=0.1 K=2\n")
