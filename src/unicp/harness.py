@@ -191,12 +191,10 @@ def profile_parse(text: str):
         if ln.startswith("@"):
             step_str, magnitude_str = ln[1:].split()
             spikes.append((int(step_str), float(magnitude_str)))
-            value = spikes[-1][1]
         else:
             drifts.append(float(ln))
-            value = drifts[-1]
-        if not math.isfinite(value):
-            raise ValueError(f"profile line {ln!r} holds a non-finite value")
+    if not all(math.isfinite(v) for v in [*drifts, *(m for _, m in spikes)]):
+        raise ValueError("profile holds a non-finite drift or spike value")
     if len(drifts) != num_steps:
         raise ValueError(f"profile declares T={num_steps} but lists {len(drifts)} drift values")
     return DriftProfile(drifts=tuple(drifts), spikes=tuple(spikes)), delta, window

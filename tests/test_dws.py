@@ -347,7 +347,6 @@ class TestOnlineRing:
         for step in (1, 2):
             assert np.array_equal(out[step][0], attention(xs[step], w, amap=a_armed)[0])
 
-
     def test_ring_keeps_exactly_the_entries_a_later_decide_can_read(self, tiny_cfg, tiny_model,
                                                                     monkeypatch):
         import unicp.dws
