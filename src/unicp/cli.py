@@ -10,6 +10,7 @@ spec beside its artifacts.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from dataclasses import dataclass
@@ -21,12 +22,21 @@ from .dws import (
     ReplayDispatcher,
     cache_map_export,
     cache_map_parse,
+    check_cache_map_units,
     dws_calibrate,
 )
 from .edcw import SchedulerConfig
 from .harness import profile_parse, run_scheduler_on_profile, u_profile
 from .metrics import quality_report, report_export, trace_export, trace_parse
-from .model import ModelConfig, NumericError, as_number, init_model, load_state, save_state
+from .model import (
+    ATTENTION_KINDS,
+    ModelConfig,
+    NumericError,
+    as_number,
+    init_model,
+    load_state,
+    save_state,
+)
 from .pcas import load_sliced_weights, save_sliced_weights
 from .runner import LETTER_PRUNED, baseline_run, denoise_run
 
@@ -58,6 +68,13 @@ RUN_TRACE = "run_trace.csv"
 RUN_CACHE_MAP = "run_cache_map.txt"
 HARNESS_REPORT = "harness_report.txt"
 QUALITY_REPORT = "quality_report.txt"
+
+# glibc mallopt parameters and the values its adaptive rule ends at on
+# 64-bit: the mmap threshold caps at 32 MiB, the trim threshold is twice it.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_BYTES = 32 << 20
+TRIM_THRESHOLD_BYTES = 64 << 20
 
 # Spec keys that hold numbers, with the type each is read as.
 NUMBER_KEYS = {"blocks": int, "dim": int, "tokens": int, "frames": int, "steps": int,
@@ -220,6 +237,11 @@ def cmd_run(args) -> int:
         if header.get("model") != spec.model.header():
             raise ConfigError("sliced weights were calibrated for a different model config")
         _check_spec(spec, header, SLICED_WEIGHTS_FILE)
+        foreign = sorted(set(sliced) - {(b, kind) for b in range(spec.model.num_blocks)
+                                        for kind in ATTENTION_KINDS})
+        if foreign:
+            raise ConfigError(f"{SLICED_WEIGHTS_FILE} holds " + ", ".join(
+                f"block {b} {kind}" for b, kind in foreign) + ", which the model lacks")
 
     if spec.mode == "replay":
         map_path = out_dir / CACHE_MAP_FILE
@@ -230,6 +252,7 @@ def cmd_run(args) -> int:
         if cmap.model_header != spec.model.header():
             raise ConfigError("cache map was calibrated for a different model config")
         _check_spec(spec, vars(cmap), CACHE_MAP_FILE)
+        check_cache_map_units(cmap, spec.model)
         if any(LETTER_PRUNED in row for row in cmap.grid.values()) and sliced is None:
             raise MissingArtifactError(
                 f"replay map contains pruned cells but {SLICED_WEIGHTS_FILE} is missing")
@@ -374,7 +397,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def keep_freed_heap_pages():
+    """Fix glibc's mmap and trim thresholds at the caps its adaptive rule reaches.
+
+    Left adaptive, glibc serves an attention map's temporaries by mmap or
+    trims them off the heap when freed, and every later call faults the
+    pages in again. Fixed, freed pages stay in the heap for the next call.
+    Does nothing where glibc's mallopt is absent.
+    """
+    try:
+        libc = ctypes.CDLL("libc.so.6")
+    except OSError:
+        return
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+
+
 def main(argv=None) -> int:
+    keep_freed_heap_pages()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -135,6 +135,8 @@ def cache_map_parse(text: str) -> CacheMap:
         block, kind, letters = lines[i].split()
         if any(ch not in DECISION_BY_LETTER for ch in letters):
             raise ValueError(f"cache map row has letters outside F/O/M/P: {lines[i]!r}")
+        if (int(block), kind) in cmap.grid:
+            raise ValueError(f"cache map lists a grid row twice: {lines[i]!r}")
         cmap.grid[(int(block), kind)] = list(letters)
         i += 1
     if i >= len(lines):
@@ -142,11 +144,35 @@ def cache_map_parse(text: str) -> CacheMap:
     i += 1
     while i < len(lines) and lines[i] != "end":
         block, kind, n = lines[i].split()
+        if (int(block), kind) in cmap.final_n:
+            raise ValueError(f"cache map lists a final_n row twice: {lines[i]!r}")
         cmap.final_n[(int(block), kind)] = int(n)
         i += 1
     if i >= len(lines):
         raise ValueError("cache map is missing its end marker")
     return cmap
+
+
+def check_cache_map_units(cmap: CacheMap, cfg: ModelConfig):
+    """Raise ValueError, naming the row, unless the grid has one row of
+    `cfg.num_steps` letters for each unit of the model and every final_n
+    row names a unit of the model."""
+    units = {(b, kind) for b in range(cfg.num_blocks) for kind in ATTENTION_KINDS}
+    for (block, kind), letters in sorted(cmap.grid.items()):
+        row = f"{block} {kind} {''.join(letters)}"
+        if (block, kind) not in units:
+            raise ValueError(f"cache map grid row {row!r} names a unit the model lacks")
+        if len(letters) != cfg.num_steps:
+            raise ValueError(f"cache map grid row {row!r} has {len(letters)} letters, "
+                             f"but the model runs {cfg.num_steps} steps")
+    missing = sorted(units - set(cmap.grid))
+    if missing:
+        block, kind = missing[0]
+        raise ValueError(f"cache map has no grid row for block {block} {kind}")
+    for (block, kind), n in sorted(cmap.final_n.items()):
+        if (block, kind) not in units:
+            raise ValueError(f"cache map final_n row '{block} {kind} {n}' "
+                             f"names a unit the model lacks")
 
 
 # ---------------------------------------------------------------------------

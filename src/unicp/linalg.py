@@ -1,4 +1,4 @@
-"""Dense real linear algebra: row softmax, symmetric eigensolver, norms.
+"""Dense real linear algebra: symmetric eigensolver and norms.
 
 Matrices are plain float64 numpy arrays (row-major, 2-D). Everything here is
 a pure function over immutable inputs.
@@ -25,16 +25,6 @@ def as_matrix(x) -> np.ndarray:
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got shape {a.shape}")
     return a
-
-
-def softmax_rows(m) -> np.ndarray:
-    """Softmax over the last axis, stabilized by subtracting each row's max."""
-    a = np.asarray(m, dtype=np.float64)
-    if a.size == 0:
-        raise ShapeError("softmax_rows requires a nonempty array")
-    shifted = a - a.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def frob(a) -> float:

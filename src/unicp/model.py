@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import softmax_rows
 from .metrics import macs_mlp
 
 STATE_MAGIC = b"UNICPST1\n"
@@ -185,8 +184,14 @@ def attention(x_stack: np.ndarray, w: AttentionWeights, qk=None, amap=None):
     """
     if amap is None:
         wq, wk = qk if qk is not None else (w.w_q, w.w_k)
-        scores = (x_stack @ wq) @ (x_stack @ wk).swapaxes(-1, -2) / np.sqrt(w.w_q.shape[0])
-        amap = softmax_rows(scores)
+        # Scale and softmax (stabilized by the row max) in the score
+        # product's buffer: the ufuncs of an out-of-place softmax in the
+        # same order, so the same bits from a single L x L allocation.
+        amap = (x_stack @ wq) @ (x_stack @ wk).swapaxes(-1, -2)
+        amap /= np.sqrt(w.w_q.shape[0])
+        amap -= amap.max(axis=-1, keepdims=True)
+        np.exp(amap, out=amap)
+        amap /= amap.sum(axis=-1, keepdims=True)
     return (amap @ (x_stack @ w.w_v)) @ w.w_o, amap
 
 

@@ -125,6 +125,8 @@ def load_sliced_weights(path, model_dim: int):
         cursor += size
         wk = payload[cursor:cursor + size].reshape(model_dim, n).astype(np.float64)
         cursor += size
+        if (block, kind) in out:
+            raise ValueError(f"{path}: lists block {block} {kind} twice")
         out[(block, kind)] = SlicedWeights(n=n, wq_sliced=wq, wk_sliced=wk,
                                            calib_steps=calib_steps)
     return out, header

@@ -1,4 +1,6 @@
 import json
+import re
+import types
 
 import numpy as np
 import pytest
@@ -30,6 +32,9 @@ def text_doc(lines):
 
 SLICED_UNIT = {"block": 0, "kind": "spatial", "n": 4, "calib_steps": [0]}
 STATE_HEADER = {"blocks": 2, "dim": 16, "tokens": 16, "frames": 2, "steps": 8, "seed": 7}
+# The run parameters of a sliced-weight header that TINY_FLAGS accepts.
+SLICED_RUN_HEADER = {"model": STATE_HEADER, "delta": 0.05, "window": 4, "ratio_lo": 0.1,
+                     "ratio_hi": 0.4, "aggregation": "conservative"}
 # The header and grid of a valid cache map for TINY_FLAGS (default delta).
 CACHE_MAP_LINES = [
     "unicp-cache-map v1",
@@ -234,6 +239,36 @@ class TestRun:
         assert "cache_map.txt" in err and "ratio_hi=0.4" in err
         assert not (out / "run_spec.json").exists()
 
+    @pytest.mark.parametrize("pattern, replacement, expected", [
+        (r"\nfinal_n\n", r"\n7 bogus FFFFFF\nfinal_n\n",
+         "grid row '7 bogus FFFFFF' names a unit the model lacks"),
+        (r"\n0 spatial [FOMP]+\n", r"\n0 spatial F\n",
+         "grid row '0 spatial F' has 1 letters, but the model runs 6 steps"),
+        (r"\n1 temporal [FOMP]+\n", r"\n", "cache map has no grid row for block 1 temporal"),
+        (r"\n(0 spatial [FOMP]+)\n", r"\n\1\n\1\n", "cache map lists a grid row twice: '0 spatial "),
+        (r"\nend\n", r"\n7 bogus 6\nend\n", "final_n row '7 bogus 6' names a unit the model lacks"),
+    ], ids=["extra-row", "short-row", "missing-row", "duplicate-row", "foreign-final-n"])
+    def test_map_must_match_the_model_before_any_step(self, tmp_path, capsys, monkeypatch,
+                                                       pattern, replacement, expected):
+        from unicp import cli as cli_module
+        flags = ["--blocks", "2", "--dim", "8", "--tokens", "16", "--frames", "2",
+                 "--steps", "6", "--preset", "E3"]
+        out = tmp_path / "o"
+        assert run_cli("calibrate", "--out", str(out), *flags) == 0
+        text = (out / "cache_map.txt").read_text()
+        edited = re.sub(pattern, replacement, text, count=1)
+        assert edited != text
+        (out / "cache_map.txt").write_text(edited)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(cli_module, "denoise_run", no_step)
+        capsys.readouterr()
+        assert run_cli("run", "--out", str(out), *flags, "--mode", "replay") == 2
+        assert expected in capsys.readouterr().err
+        assert not (out / "run_cache_map.txt").exists()
+
     def test_decision_counts_match_map_tallies_in_replay(self, tmp_path):
         from collections import Counter
         from unicp.dws import cache_map_parse
@@ -294,10 +329,18 @@ class TestExitCodes:
         ("sliced_weights.bin",
          container(b"UNICPSW1\n", {"units": [dict(SLICED_UNIT, n=7.5)]}, values=2 * 16 * 7),
          "n must be a whole number, got 7.5"),
+        ("sliced_weights.bin",
+         container(b"UNICPSW1\n", dict(SLICED_RUN_HEADER, units=[
+             dict(SLICED_UNIT, block=99), dict(SLICED_UNIT, kind="bogus")]), values=2 * 2 * 16 * 4),
+         "sliced_weights.bin holds block 0 bogus, block 99 spatial, which the model lacks"),
+        ("sliced_weights.bin",
+         container(b"UNICPSW1\n", dict(SLICED_RUN_HEADER, units=[SLICED_UNIT, SLICED_UNIT]),
+                   values=2 * 2 * 16 * 4),
+         "lists block 0 spatial twice"),
     ], ids=["state-missing-keys", "sliced-no-units", "sliced-unit-no-n", "sliced-unit-null-n",
             "sliced-short-payload", "map-truncated", "map-dims-no-seed", "map-run-no-mode",
             "state-infinite-dim", "state-fractional-dim", "sliced-infinite-n",
-            "sliced-fractional-n"])
+            "sliced-fractional-n", "sliced-foreign-units", "sliced-duplicate-unit"])
     def test_malformed_artifact_exits_2(self, tmp_path, capsys, name, content, expected):
         path = tmp_path / name
         path.write_bytes(content)
@@ -309,6 +352,35 @@ class TestExitCodes:
             argv = ["run", "--out", str(tmp_path), *TINY_FLAGS]
         assert run_cli(*argv) == 2
         assert expected in capsys.readouterr().err
+
+
+class TestAllocatorSetting:
+    def test_sets_both_thresholds(self, monkeypatch):
+        import ctypes
+        from unicp import cli as cli_module
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        cli_module.keep_freed_heap_pages()
+        assert sorted(calls) == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    def test_missing_libc_still_runs(self, tmp_path, monkeypatch):
+        import ctypes
+
+        def no_library(name):
+            raise OSError(f"{name}: cannot open shared object file")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_library)
+        assert run_cli("baseline", "--out", str(tmp_path / "o"), *TINY_FLAGS) == 0
+
+    def test_libc_without_mallopt_still_runs(self, tmp_path, monkeypatch):
+        import ctypes
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        assert run_cli("baseline", "--out", str(tmp_path / "o"), *TINY_FLAGS) == 0
 
 
 class TestHarnessCommand:

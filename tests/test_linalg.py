@@ -8,36 +8,58 @@ from unicp.linalg import (
     ShapeError,
     frob,
     rel_l2,
-    softmax_rows,
     sym_eig,
 )
+from unicp.model import AttentionWeights, attention
+
+
+def attention_map(scores):
+    """`model.attention`'s map for a square score matrix.
+
+    With x = I, W_k = I and W_q = scores * sqrt(L), the kernel's scaled
+    scores are `scores` up to the last bit of the scaling.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    eye = np.eye(scores.shape[-1])
+    w = AttentionWeights(w_q=scores * np.sqrt(scores.shape[-1]), w_k=eye, w_v=eye, w_o=eye)
+    _, amap = attention(eye, w)
+    return amap
 
 
 class TestSoftmaxRows:
+    """The row softmax `model.attention` builds its map with."""
+
     def test_uniform_under_equal_logits(self):
-        out = softmax_rows(np.zeros((1, 3)))
-        assert np.allclose(out, np.full((1, 3), 1.0 / 3.0), atol=1e-15)
+        out = attention_map(np.zeros((3, 3)))
+        assert np.allclose(out, np.full((3, 3), 1.0 / 3.0), atol=1e-15)
 
     def test_single_column_gives_ones(self):
-        out = softmax_rows(np.array([[3.0], [-7.0], [0.0]]))
-        assert np.array_equal(out, np.ones((3, 1)))
+        for score in (3.0, -7.0, 0.0):
+            assert np.array_equal(attention_map([[score]]), np.ones((1, 1)))
 
     def test_log_weights_closed_form(self):
-        out = softmax_rows(np.log(np.array([[1.0, 2.0, 3.0]])))
-        assert np.allclose(out, np.array([[1 / 6, 2 / 6, 3 / 6]]), atol=1e-12)
+        out = attention_map(np.log(np.array([[1.0, 2.0, 3.0]] * 3)))
+        assert np.allclose(out, np.array([[1 / 6, 2 / 6, 3 / 6]] * 3), atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
-        m = rng.standard_normal((9, 13)) * 20
-        out = softmax_rows(m)
+        out = attention_map(rng.standard_normal((13, 13)) * 20)
         assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-12
         assert out.min() > 0.0
 
+    def test_large_scores_stay_finite(self):
+        rng = np.random.default_rng(7)
+        scores = rng.standard_normal((9, 9)) * 1e4
+        out = attention_map(scores)
+        assert np.all(np.isfinite(out))
+        assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-12
+        assert np.array_equal(out.argmax(axis=1), scores.argmax(axis=1))
+
     def test_shift_invariance(self):
         rng = np.random.default_rng(4)
-        m = rng.standard_normal((6, 8))
-        shifted = m + rng.standard_normal((6, 1))
-        assert np.abs(softmax_rows(m) - softmax_rows(shifted)).max() < 1e-12
+        m = rng.standard_normal((8, 8))
+        shifted = m + rng.standard_normal((8, 1))
+        assert np.abs(attention_map(m) - attention_map(shifted)).max() < 1e-12
 
 
 class TestRelL2:

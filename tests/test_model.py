@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,61 @@ class TestAttentionForward:
         w = init_model(cfg)[0].spatial
         _, a = attention(rng.standard_normal((6, cfg.model_dim)) * 5, w)
         assert np.abs(a.sum(axis=1) - 1.0).max() < 1e-10
+
+
+def out_of_place_attention(x, w, qk=None):
+    """The kernel as it was before it built the map in place: the reference
+    for bit-equality."""
+    wq, wk = qk if qk is not None else (w.w_q, w.w_k)
+    scores = (x @ wq) @ (x @ wk).swapaxes(-1, -2) / np.sqrt(w.w_q.shape[0])
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    amap = e / e.sum(axis=-1, keepdims=True)
+    return (amap @ (x @ w.w_v)) @ w.w_o, amap
+
+
+class TestInPlaceMap:
+    @pytest.mark.parametrize("shape", [(24, 12), (3, 24, 12)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("sliced", [False, True], ids=["full", "qk"])
+    def test_bitwise_equal_to_out_of_place_formula(self, shape, sliced):
+        rng = np.random.default_rng(11)
+        m = shape[-1]
+        w = AttentionWeights(*(rng.standard_normal((m, m)) / np.sqrt(m) for _ in range(4)))
+        x = rng.standard_normal(shape) * 3
+        qk = (w.w_q[:, :5], w.w_k[:, :5]) if sliced else None
+        o, a = attention(x, w, qk=qk)
+        ref_o, ref_a = out_of_place_attention(x, w, qk=qk)
+        assert a.shape == shape[:-1] + shape[-2:-1]
+        assert np.array_equal(a, ref_a)
+        assert np.array_equal(o, ref_o)
+
+    def test_map_reuse_leaves_inputs_unchanged(self):
+        rng = np.random.default_rng(12)
+        m = 8
+        w = AttentionWeights(*(rng.standard_normal((m, m)) for _ in range(4)))
+        x = rng.standard_normal((2, 6, m))
+        _, a = attention(rng.standard_normal((2, 6, m)), w)
+        x_before, a_before = x.copy(), a.copy()
+        _, got = attention(x, w, amap=a)
+        assert got is a
+        assert np.array_equal(x, x_before)
+        assert np.array_equal(a, a_before)
+
+    def test_peak_allocation_stays_near_one_map(self):
+        # One (4, 256, 256) map is 2 MiB. The out-of-place softmax peaked at
+        # about 4x that; building the map in one buffer peaks at about 1.25x.
+        rng = np.random.default_rng(13)
+        m = 32
+        w = AttentionWeights(*(rng.standard_normal((m, m)) / np.sqrt(m) for _ in range(4)))
+        x = rng.standard_normal((4, 256, m))
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            _, a = attention(x, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 1.5 * a.nbytes
 
 
 class TestStackedAttention:
