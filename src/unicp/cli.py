@@ -1,10 +1,10 @@
 """Command-line front end: baseline runs, calibration, dispatched runs,
 scheduler harness, and output comparison.
 
-Exit codes: 0 success, 2 configuration/validation problem, 3 missing
-dependency artifact, 4 numeric failure. All commands are deterministic given
-the same spec (seed included); every command writes a JSON echo of its full
-spec beside its artifacts.
+Exit codes: 0 success, 2 configuration/validation problem or a path the
+OS cannot read or write, 3 missing dependency artifact, 4 numeric failure.
+All commands are deterministic given the same spec (seed included); every
+command writes a JSON echo of its full spec beside its artifacts.
 """
 
 from __future__ import annotations
@@ -200,7 +200,6 @@ def cmd_calibrate(args) -> int:
     result = dws_calibrate(model, spec.model, spec.scheduler,
                            ratio_bounds=(spec.ratio_lo, spec.ratio_hi),
                            aggregation=spec.aggregation)
-    _write_text(out_dir / CACHE_MAP_FILE, cache_map_export(result.cache_map))
     save_sliced_weights(out_dir / SLICED_WEIGHTS_FILE, result.sliced, {
         "model": spec.model.header(),
         "delta": spec.scheduler.delta,
@@ -247,10 +246,11 @@ def cmd_run(args) -> int:
         map_path = out_dir / CACHE_MAP_FILE
         if not map_path.exists():
             raise MissingArtifactError(
-                f"replay mode needs {CACHE_MAP_FILE} in {out_dir}; run calibrate first")
+                f"replay mode needs {CACHE_MAP_FILE} in {out_dir}; "
+                f"run `run --mode online --out {out_dir}` first")
         cmap = cache_map_parse(map_path.read_text())
         if cmap.model_header != spec.model.header():
-            raise ConfigError("cache map was calibrated for a different model config")
+            raise ConfigError("cache map was made for a different model config")
         _check_spec(spec, vars(cmap), CACHE_MAP_FILE)
         check_cache_map_units(cmap, spec.model)
         if any(LETTER_PRUNED in row for row in cmap.grid.values()) and sliced is None:
@@ -275,7 +275,10 @@ def cmd_run(args) -> int:
 
     save_state(out_dir / RUN_STATE, state, spec.model)
     _write_text(out_dir / RUN_TRACE, trace_export(trace))
-    _write_text(out_dir / RUN_CACHE_MAP, cache_map_export(run_map))
+    map_text = cache_map_export(run_map)
+    _write_text(out_dir / RUN_CACHE_MAP, map_text)
+    if spec.mode == "online":
+        _write_text(out_dir / CACHE_MAP_FILE, map_text)
     _write_spec(out_dir, "run_spec.json", spec)
 
     counts = trace.decision_counts()
@@ -370,12 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_baseline)
 
-    p = sub.add_parser("calibrate", help="calibrate pruning dims and build the cache map")
+    p = sub.add_parser("calibrate", help="calibrate pruning dims; writes the sliced weights")
     _add_spec_flags(p, include_mode=False)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("run", help="dispatched run (online or replay)")
+    p = sub.add_parser("run", help="dispatched run: online writes the cache map, "
+                                   "replay executes it")
     _add_spec_flags(p)
     p.add_argument("--out", required=True)
     p.add_argument("--baseline-trace", dest="baseline_trace",
@@ -424,7 +428,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MissingArtifactError as exc:

@@ -2,19 +2,18 @@
 
 Calibration runs one all-F capture pass up to the last calibration
 step, fits a PCA basis per (block, attention-kind) unit from the captured
-inputs, sweeps the pruned fraction upward until the unit's sliced output
-drifts past the error threshold, then replays the whole schedule online
-(caching first, slicing as the fallback tier) to populate the block x step
-cache map.
+inputs, and sweeps the pruned fraction upward until the unit's sliced output
+drifts past the error threshold. It yields the sliced weights only.
 
 Dispatch holds both the original and the sliced weights. Online mode decides
-live per the cache-window scheduler; replay mode executes a precomputed grid
-cell by cell. Both run every cell through `runner.CellExecutor`, the
-executor the baseline runs on too, so a replay of an online run's map
-reproduces it by construction. Cells where the retained dimension equals
-the full width execute the unsliced math (bitwise identical to full
-attention) while the accounting uses the sliced formula, which is equal
-there.
+live per the cache-window scheduler (caching first, slicing as the fallback
+tier) and records the block x step cache map of what it executed; replay
+mode executes such a map cell by cell. Both run every cell through
+`runner.CellExecutor`, the executor the baseline runs on too, so a replay
+of an online run's map reproduces it by construction. Cells where the
+retained dimension equals the full width execute the unsliced math
+(bitwise identical to full attention) while the accounting uses the sliced
+formula, which is equal there.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import numpy as np
 
 from .edcw import DecisionKind, SchedulerConfig, edcw_decide
 from .linalg import rel_l2
-from .metrics import RunTrace, TraceRow
+from .metrics import TraceRow
 from .model import (
     ATTENTION_KINDS,
     ModelConfig,
@@ -309,11 +308,8 @@ def fraction_grid(lo: float, hi: float) -> list[float]:
 
 @dataclass
 class CalibrationResult:
-    cache_map: CacheMap
     sliced: dict  # (block, kind) -> SlicedWeights
     records: list  # CalibrationRecord, in (block, kind, step, n) order
-    population_state: np.ndarray
-    population_trace: RunTrace
 
 
 def _calibrate_unit(model, cfg, sched, captured, unit, fracs, calib_steps, aggregation):
@@ -358,11 +354,11 @@ def _calibrate_unit(model, cfg, sched, captured, unit, fracs, calib_steps, aggre
 
 def dws_calibrate(model, cfg: ModelConfig, sched: SchedulerConfig,
                   ratio_bounds=(0.1, 0.4), aggregation: str = "conservative") -> CalibrationResult:
-    """Calibrate per-unit pruning dimensions and build the cache map.
+    """Calibrate per-unit pruning dimensions.
 
-    Returns the populated cache map (from an online pass with the calibrated
-    sliced weights), the sliced weights themselves, and the per-candidate
-    calibration records.
+    Returns the sliced weights of each unit and the per-candidate
+    calibration records. The cache map comes from an online run with these
+    weights (`OnlineDispatcher`).
     """
     lo, hi = ratio_bounds
     if not 0.0 <= lo <= hi < 1.0:
@@ -384,14 +380,4 @@ def dws_calibrate(model, cfg: ModelConfig, sched: SchedulerConfig,
         sliced[unit], unit_records = _calibrate_unit(model, cfg, sched, capture.captured, unit,
                                                      fracs, calib_steps, aggregation)
         records.extend(unit_records)
-    # The captured stacks and the capture pass's rings would otherwise stay
-    # alive through the online pass, which sets calibrate's peak memory.
-    del capture
-
-    dispatcher = OnlineDispatcher(model, sched, sliced)
-    population_state, population_trace = denoise_run(cfg, dispatcher)
-    cache_map = dispatcher.build_cache_map(cfg, lo, hi, aggregation)
-
-    return CalibrationResult(cache_map=cache_map, sliced=sliced, records=records,
-                             population_state=population_state,
-                             population_trace=population_trace)
+    return CalibrationResult(sliced=sliced, records=records)

@@ -1,12 +1,13 @@
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 import unicp.dws
-from unicp.dws import dws_calibrate
+from unicp.dws import OnlineDispatcher, dws_calibrate
 from unicp.edcw import SchedulerConfig, edcw_decide
 from unicp.model import ModelConfig, init_model
 from unicp.runner import BaselineExecutor, denoise_run
@@ -17,6 +18,15 @@ DESK = dict(num_blocks=6, model_dim=64, tokens_per_frame=64, num_frames=8,
             num_steps=30, seed=42)
 TINY = dict(num_blocks=2, model_dim=16, tokens_per_frame=16, num_frames=2,
             num_steps=8, seed=7)
+
+
+def online_pass(model, cfg, sched, calib):
+    """What `run --mode online` does with a calibration's sliced weights (at
+    the default ratio bounds and aggregation): its state, trace and map."""
+    dispatcher = OnlineDispatcher(model, sched, calib.sliced)
+    state, trace = denoise_run(cfg, dispatcher)
+    cache_map = dispatcher.build_cache_map(cfg, 0.1, 0.4, "conservative")
+    return SimpleNamespace(state=state, trace=trace, cache_map=cache_map)
 
 
 @pytest.fixture(scope="session")
@@ -48,13 +58,14 @@ def desk_baseline(desk_cfg, desk_model):
 @pytest.fixture(scope="session")
 def desk_decide_events():
     """preset -> [(step, history, current, decision)], one entry per live
-    decide of that preset's calibration; filled by `desk_calibrations`."""
+    decide of that preset's online pass; filled by `desk_calibrations`."""
     return {}
 
 
 @pytest.fixture(scope="session")
 def desk_calibrations(desk_cfg, desk_model, desk_decide_events):
-    """One calibration per threshold preset; the expensive shared fixture."""
+    """preset -> (sched, calibration, online pass); the expensive shared
+    fixture."""
     out = {}
     for preset, delta in PRESETS.items():
         sched = SchedulerConfig(delta=delta, search_window=4)
@@ -68,11 +79,13 @@ def desk_calibrations(desk_cfg, desk_model, desk_decide_events):
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(unicp.dws, "edcw_decide", recording_decide)
-            out[preset] = (sched, dws_calibrate(desk_model, desk_cfg, sched))
+            calib = dws_calibrate(desk_model, desk_cfg, sched)
+            out[preset] = (sched, calib, online_pass(desk_model, desk_cfg, sched, calib))
     return out
 
 
 @pytest.fixture(scope="session")
 def tiny_calibration(tiny_cfg, tiny_model):
     sched = SchedulerConfig(delta=0.075, search_window=4)
-    return sched, dws_calibrate(tiny_model, tiny_cfg, sched)
+    calib = dws_calibrate(tiny_model, tiny_cfg, sched)
+    return sched, calib, online_pass(tiny_model, tiny_cfg, sched, calib)

@@ -106,7 +106,7 @@ def test_04_algorithm_conformance(desk_calibrations, desk_decide_events):
     with criterion(4, "scheduler conformance vs brute-force oracle (E1-E5)"):
         total = 0
         for preset in PRESET_ORDER:
-            sched, _ = desk_calibrations[preset]
+            sched, _, _ = desk_calibrations[preset]
             events = desk_decide_events[preset]
             assert events, f"no decide events captured for {preset}"
             for i, (step, history, current, decision) in enumerate(events):
@@ -148,8 +148,8 @@ def test_06_mac_reduction(desk_baseline, desk_calibrations):
                           if float(np.mean(drifts)) < 0.175)
         assert quiet_steps >= 15, f"only {quiet_steps} quiet steps"
 
-        _, calib = desk_calibrations["E5"]
-        ratio = calib.population_trace.macs_total / base_trace.macs_total
+        _, _, online = desk_calibrations["E5"]
+        ratio = online.trace.macs_total / base_trace.macs_total
         assert ratio <= 0.75, f"MAC ratio {ratio:.4f} exceeds 0.75"
 
 
@@ -160,7 +160,7 @@ def test_07_calibration_soundness(desk_cfg, desk_model, desk_calibrations):
         cap = _CaptureExecutor(desk_model, default_calib_steps(desk_cfg.num_steps))
         denoise_run(desk_cfg, cap)
         for preset in PRESET_ORDER:
-            sched, calib = desk_calibrations[preset]
+            sched, calib, _ = desk_calibrations[preset]
             for (block, kind), sw in calib.sliced.items():
                 fraction = 1 - sw.n / desk_cfg.model_dim
                 assert 0.0 <= fraction <= 0.4 + 1e-12
@@ -179,9 +179,9 @@ def test_08_threshold_monotonicity(desk_baseline, desk_calibrations):
         macs = []
         errs = []
         for preset in PRESET_ORDER:
-            _, calib = desk_calibrations[preset]
-            macs.append(calib.population_trace.macs_total)
-            errs.append(rel_l2(calib.population_state, base_state))
+            _, _, online = desk_calibrations[preset]
+            macs.append(online.trace.macs_total)
+            errs.append(rel_l2(online.state, base_state))
         assert all(a >= b for a, b in zip(macs, macs[1:])), macs
         assert all(a <= b for a, b in zip(errs, errs[1:])), errs
         assert all(m <= base_trace.macs_total for m in macs)

@@ -132,10 +132,10 @@ class TestConfigFile:
 
 
 class TestCalibrate:
-    def test_writes_map_and_weights_and_echoes_table(self, tmp_path, capsys):
+    def test_writes_weights_not_map_and_echoes_table(self, tmp_path, capsys):
         out = tmp_path / "c"
         assert run_cli("calibrate", "--out", str(out), *TINY_FLAGS, "--preset", "E5") == 0
-        assert (out / "cache_map.txt").exists()
+        assert not (out / "cache_map.txt").exists()
         assert (out / "sliced_weights.bin").exists()
         stdout = capsys.readouterr().out
         assert stdout.count("final_n") == 4  # 2 blocks x 2 kinds
@@ -145,8 +145,9 @@ class TestCalibrate:
         b = tmp_path / "b"
         for out in (a, b):
             run_cli("calibrate", "--out", str(out), *TINY_FLAGS, "--preset", "E5")
-        for name in ("cache_map.txt", "sliced_weights.bin", "calibrate_spec.json"):
+        for name in ("sliced_weights.bin", "calibrate_spec.json"):
             assert read(a / name) == read(b / name)
+        assert not (a / "cache_map.txt").exists() and not (b / "cache_map.txt").exists()
 
 
 class TestRun:
@@ -160,9 +161,50 @@ class TestRun:
         run_state = read(run_out / "run_state.bin")
         assert base_state == run_state
 
-    def test_replay_without_artifacts_exits_3(self, tmp_path):
-        assert run_cli("run", "--out", str(tmp_path / "r"), *TINY_FLAGS,
-                       "--mode", "replay") == 3
+    def test_replay_without_artifacts_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert run_cli("run", "--out", str(out), *TINY_FLAGS, "--mode", "replay") == 3
+        assert "run --mode online" in capsys.readouterr().err
+        # Calibrate writes the sliced weights only; the map comes from online.
+        assert run_cli("calibrate", "--out", str(out), *TINY_FLAGS) == 0
+        capsys.readouterr()
+        assert run_cli("run", "--out", str(out), *TINY_FLAGS, "--mode", "replay") == 3
+        err = capsys.readouterr().err
+        assert "cache_map.txt" in err and "run --mode online" in err
+
+    def test_online_writes_the_cache_map(self, tmp_path):
+        out = tmp_path / "o"
+        run_cli("calibrate", "--out", str(out), *TINY_FLAGS, "--preset", "E5")
+        maps = []
+        for _ in range(2):
+            assert run_cli("run", "--out", str(out), *TINY_FLAGS, "--preset", "E5",
+                           "--mode", "online") == 0
+            maps.append(read(out / "cache_map.txt"))
+            assert maps[-1] == read(out / "run_cache_map.txt")
+            (out / "cache_map.txt").write_text("stale\n")
+        assert maps[0] == maps[1]
+
+    def test_later_sweep_order_reruns_on_existing_artifacts(self, tmp_path):
+        # A full sweep, then the order the benchmark's later sweeps run in,
+        # each command rewriting what the sweep before left in the directory.
+        out = tmp_path / "o"
+        spec = ["--out", str(out), *TINY_FLAGS, "--preset", "E5"]
+        commands = {
+            "baseline": ["baseline", *spec],
+            "calibrate": ["calibrate", *spec],
+            "online": ["run", "--mode", "online", *spec],
+            "replay": ["run", "--mode", "replay", *spec],
+            "compare": ["compare", str(out / "baseline_state.bin"), str(out / "run_state.bin"),
+                        "--out", str(out)],
+        }
+        for order in (("baseline", "calibrate", "online", "replay", "compare"),
+                      ("calibrate", "online", "replay", "compare", "baseline")):
+            states = {}
+            for name in order:
+                assert run_cli(*commands[name]) == 0, name
+                if name in ("online", "replay"):
+                    states[name] = read(out / "run_state.bin")
+            assert states["replay"] == states["online"]
 
     def test_replay_reproduces_online_run(self, tmp_path):
         out = tmp_path / "o"
@@ -219,6 +261,10 @@ class TestRun:
     def test_spec_mismatch_with_artifacts_exits_2(self, tmp_path, capsys):
         out = tmp_path / "o"
         run_cli("calibrate", "--out", str(out), *TINY_FLAGS, "--preset", "E5")
+        assert run_cli("run", "--out", str(out), *TINY_FLAGS, "--preset", "E5",
+                       "--mode", "online") == 0
+        # The rejected runs below must write no run spec of their own.
+        (out / "run_spec.json").unlink()
         capsys.readouterr()
         for mode in ("online", "replay"):
             assert run_cli("run", "--out", str(out), *TINY_FLAGS, "--preset", "E1",
@@ -255,6 +301,9 @@ class TestRun:
                  "--steps", "6", "--preset", "E3"]
         out = tmp_path / "o"
         assert run_cli("calibrate", "--out", str(out), *flags) == 0
+        assert run_cli("run", "--out", str(out), *flags, "--mode", "online") == 0
+        # The rejected replay below must write no run map of its own.
+        (out / "run_cache_map.txt").unlink()
         text = (out / "cache_map.txt").read_text()
         edited = re.sub(pattern, replacement, text, count=1)
         assert edited != text
@@ -275,6 +324,8 @@ class TestRun:
         out = tmp_path / "o"
         run_cli("calibrate", "--out", str(out), *TINY_FLAGS, "--preset", "E4")
         run_cli("run", "--out", str(out), *TINY_FLAGS, "--preset", "E4",
+                "--mode", "online")
+        run_cli("run", "--out", str(out), *TINY_FLAGS, "--preset", "E4",
                 "--mode", "replay")
         cmap = cache_map_parse((out / "run_cache_map.txt").read_text())
         trace = trace_parse((out / "run_trace.csv").read_text())
@@ -294,6 +345,24 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli_module, "baseline_run", explode)
         assert run_cli("baseline", "--out", str(tmp_path / "o"), *TINY_FLAGS) == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--out", "{out}", *TINY_FLAGS, "--baseline-trace", "{dir}"],
+        ["baseline", "--out", "{out}", "--config", "{dir}"],
+        ["compare", "{dir}", "{state}"],
+        ["baseline", "--out", "{file}", *TINY_FLAGS],
+    ], ids=["run-baseline-trace-dir", "baseline-config-dir", "compare-dir",
+            "baseline-out-file"])
+    def test_path_the_os_refuses_exits_2(self, tmp_path, capsys, argv):
+        paths = {"out": tmp_path / "o", "dir": tmp_path / "d", "file": tmp_path / "f",
+                 "state": tmp_path / "state.bin"}
+        paths["dir"].mkdir()
+        paths["file"].write_text("")
+        paths["state"].write_bytes(container(b"UNICPST1\n", STATE_HEADER, values=2 * 16 * 16))
+        argv = [arg.format(**paths) for arg in argv]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
 
     @pytest.mark.parametrize("name, content, expected", [
         ("state.bin", container(b"UNICPST1\n", {"dim": 4}), "model header lacks blocks"),

@@ -61,11 +61,14 @@ class TestCalibrate:
         for sw in calib.sliced.values():
             assert sw.n == cfg.model_dim
         # With nothing accepted, pruned cells fall back to full compute.
-        letters = {l for row in calib.cache_map.grid.values() for l in row}
+        online = OnlineDispatcher(model, sched, calib.sliced)
+        denoise_run(cfg, online)
+        cmap = online.build_cache_map(cfg, 0.1, 0.4, "conservative")
+        letters = {l for row in cmap.grid.values() for l in row}
         assert "P" not in letters
 
     def test_final_n_matches_exhaustive_oracle(self, tiny_calibration, tiny_cfg, tiny_model):
-        sched, calib = tiny_calibration
+        sched, calib, _ = tiny_calibration
         m = tiny_cfg.model_dim
         fracs = fraction_grid(0.1, 0.4)
         n_candidates = sorted({math.ceil(m * (1 - f)) for f in fracs})
@@ -114,7 +117,7 @@ class TestCalibrate:
                 assert np.array_equal(got_x, x_stack) and np.array_equal(got_o, o_stack)
 
     def test_records_mark_acceptance_against_threshold(self, tiny_calibration):
-        sched, calib = tiny_calibration
+        sched, calib, _ = tiny_calibration
         assert calib.records
         for rec in calib.records:
             assert rec.accepted == (rec.measured_error <= sched.delta)
@@ -124,7 +127,7 @@ class TestCalibrate:
         # of full compute at every calibration step.
         from unicp.dws import _CaptureExecutor
         from unicp.model import attention
-        sched, calib = tiny_calibration
+        sched, calib, _ = tiny_calibration
         cap = _CaptureExecutor(tiny_model, default_calib_steps(tiny_cfg.num_steps))
         denoise_run(tiny_cfg, cap)
         for (block, kind), sw in calib.sliced.items():
@@ -140,7 +143,7 @@ class TestCalibrate:
         # A conservative final_n < m was itself measured within delta at every
         # calibration step, so no re-verification of the slice is needed.
         runs = [(tiny_cfg, tiny_calibration[1])]
-        runs += [(desk_cfg, calib) for _, calib in desk_calibrations.values()]
+        runs += [(desk_cfg, calib) for _, calib, _ in desk_calibrations.values()]
         sliced_units = 0
         for cfg, calib in runs:
             steps = default_calib_steps(cfg.num_steps)
@@ -155,7 +158,7 @@ class TestCalibrate:
         assert sliced_units > 0
 
     def test_pruned_fraction_bounds(self, tiny_calibration, tiny_cfg):
-        _, calib = tiny_calibration
+        _, calib, _ = tiny_calibration
         m = tiny_cfg.model_dim
         for sw in calib.sliced.values():
             fraction = 1 - sw.n / m
@@ -168,7 +171,12 @@ class TestCalibrate:
         a = dws_calibrate(model, cfg, sched)
         b = dws_calibrate(model, cfg, sched)
         assert {k: sw.n for k, sw in a.sliced.items()} == {k: sw.n for k, sw in b.sliced.items()}
-        assert cache_map_export(a.cache_map) == cache_map_export(b.cache_map)
+        maps = []
+        for calib in (a, b):
+            online = OnlineDispatcher(model, sched, calib.sliced)
+            denoise_run(cfg, online)
+            maps.append(cache_map_export(online.build_cache_map(cfg, 0.1, 0.4, "conservative")))
+        assert maps[0] == maps[1]
         for unit in a.sliced:
             assert np.array_equal(a.sliced[unit].wq_sliced, b.sliced[unit].wq_sliced)
 
@@ -259,12 +267,12 @@ class TestDispatch:
         assert any(r.decision == "reuse_map" for r in attention_rows(trace))
 
     def test_online_replay_equivalence(self, tiny_calibration, tiny_cfg, tiny_model):
-        sched, calib = tiny_calibration
+        sched, calib, population = tiny_calibration
         online = OnlineDispatcher(tiny_model, sched, calib.sliced)
         state_online, trace_online = denoise_run(tiny_cfg, online)
-        assert np.array_equal(state_online, calib.population_state)
+        assert np.array_equal(state_online, population.state)
 
-        replay = ReplayDispatcher(tiny_model, calib.cache_map, calib.sliced)
+        replay = ReplayDispatcher(tiny_model, population.cache_map, calib.sliced)
         state_replay, trace_replay = denoise_run(tiny_cfg, replay)
         assert np.array_equal(state_replay, state_online)
         assert trace_replay.macs_total == trace_online.macs_total
@@ -275,7 +283,7 @@ class TestDispatch:
     def test_mac_recount_from_trace(self, tiny_calibration, tiny_cfg):
         # Independent recount: every row's MACs match the executing path's
         # formula for its unit geometry.
-        _, calib = tiny_calibration
+        _, calib, online = tiny_calibration
         f, s, m = tiny_cfg.num_frames, tiny_cfg.tokens_per_frame, tiny_cfg.model_dim
         per_kind = {
             "spatial": (f, s),
@@ -283,7 +291,7 @@ class TestDispatch:
         }
         final_n = {unit: sw.n for unit, sw in calib.sliced.items()}
         total = 0
-        for row in calib.population_trace.rows:
+        for row in online.trace.rows:
             if row.kind == "mlp":
                 expected = macs_mlp(f * s, m)
             else:
@@ -298,28 +306,28 @@ class TestDispatch:
                     expected = inst * macs_sliced(seq, m, final_n[(row.block, row.kind)])
             assert row.macs == expected, row
             total += expected
-        assert total == calib.population_trace.macs_total
+        assert total == online.trace.macs_total
 
     def test_grid_tallies_match_trace_decisions(self, tiny_calibration):
-        _, calib = tiny_calibration
+        _, _, online = tiny_calibration
         from collections import Counter
         letter_for = {"full": "F", "reuse_output": "O", "reuse_map": "M", "pruned": "P"}
         trace_tally = Counter(letter_for[r.decision]
-                              for r in attention_rows(calib.population_trace))
-        grid_tally = Counter(l for row in calib.cache_map.grid.values() for l in row)
+                              for r in attention_rows(online.trace))
+        grid_tally = Counter(l for row in online.cache_map.grid.values() for l in row)
         assert trace_tally == grid_tally
 
     def test_grid_covers_every_unit_and_step(self, tiny_calibration, tiny_cfg):
-        _, calib = tiny_calibration
-        assert set(calib.cache_map.grid) == {(b, k) for b in range(tiny_cfg.num_blocks)
-                                             for k in ATTENTION_KINDS}
-        for letters in calib.cache_map.grid.values():
+        _, _, online = tiny_calibration
+        assert set(online.cache_map.grid) == {(b, k) for b in range(tiny_cfg.num_blocks)
+                                              for k in ATTENTION_KINDS}
+        for letters in online.cache_map.grid.values():
             assert len(letters) == tiny_cfg.num_steps
 
     def test_conservative_priority_no_cell_both_cached_and_pruned(self, tiny_calibration):
         # Grid letters form a partition; a cell is exactly one of F/O/M/P.
-        _, calib = tiny_calibration
-        for letters in calib.cache_map.grid.values():
+        _, _, online = tiny_calibration
+        for letters in online.cache_map.grid.values():
             assert all(l in "FOMP" for l in letters)
 
 
@@ -394,13 +402,13 @@ class TestOnlineRing:
 
 class TestCacheMapDocument:
     def test_round_trip_byte_identical(self, tiny_calibration):
-        _, calib = tiny_calibration
-        text = cache_map_export(calib.cache_map)
+        _, _, online = tiny_calibration
+        text = cache_map_export(online.cache_map)
         parsed = cache_map_parse(text)
         assert cache_map_export(parsed) == text
-        assert parsed.grid == calib.cache_map.grid
-        assert parsed.final_n == calib.cache_map.final_n
-        assert parsed.delta == calib.cache_map.delta
+        assert parsed.grid == online.cache_map.grid
+        assert parsed.final_n == online.cache_map.final_n
+        assert parsed.delta == online.cache_map.delta
 
     def test_all_full_map_document(self, tiny_cfg):
         cmap = CacheMap(model_header=tiny_cfg.header(), delta=0.0, window=4,
