@@ -35,6 +35,7 @@ from .model import (
     as_number,
     init_model,
     load_state,
+    require_keys,
     save_state,
 )
 from .pcas import load_sliced_weights, save_sliced_weights
@@ -96,17 +97,21 @@ class RunSpec:
     aggregation: str
     preset: str | None
 
-    def as_dict(self) -> dict:
-        d = dict(self.model.header())
-        d.update({
+    def key(self) -> dict:
+        """The fields an artifact records to bind it to a run: the sliced
+        weights and the cache map are valid only where all of them match."""
+        return {
+            "model": self.model.header(),
             "delta": self.scheduler.delta,
             "window": self.scheduler.search_window,
             "ratio_lo": self.ratio_lo,
             "ratio_hi": self.ratio_hi,
-            "mode": self.mode,
             "aggregation": self.aggregation,
-            "preset": self.preset,
-        })
+        }
+
+    def as_dict(self) -> dict:
+        d = self.key()
+        d.update(d.pop("model"), mode=self.mode, preset=self.preset)
         return d
 
 
@@ -170,13 +175,14 @@ def _write_spec(out_dir: Path, name: str, spec: RunSpec):
     _write_text(out_dir / name, json.dumps(spec.as_dict(), sort_keys=True) + "\n")
 
 
-def _check_spec(spec: RunSpec, recorded: dict, artifact: str):
-    """Reject an artifact made under other calibration parameters than `spec`."""
-    wanted = spec.as_dict()
-    for field in ("delta", "window", "ratio_lo", "ratio_hi", "aggregation"):
-        if recorded.get(field) != wanted[field]:
-            raise ConfigError(f"{artifact} was made with {field}={recorded.get(field)!r}, "
-                              f"but this run has {field}={wanted[field]!r}")
+def _check_key(spec: RunSpec, recorded: dict, artifact: str):
+    """Reject an artifact made under another run key than `spec`'s, naming
+    the first field that differs."""
+    require_keys(recorded, spec.key(), f"{artifact} run key")
+    for field, wanted in spec.key().items():
+        if recorded[field] != wanted:
+            raise ConfigError(f"{artifact} was made with {field}={recorded[field]!r}, "
+                              f"but this run has {field}={wanted!r}")
 
 
 def cmd_baseline(args) -> int:
@@ -200,14 +206,7 @@ def cmd_calibrate(args) -> int:
     result = dws_calibrate(model, spec.model, spec.scheduler,
                            ratio_bounds=(spec.ratio_lo, spec.ratio_hi),
                            aggregation=spec.aggregation)
-    save_sliced_weights(out_dir / SLICED_WEIGHTS_FILE, result.sliced, {
-        "model": spec.model.header(),
-        "delta": spec.scheduler.delta,
-        "window": spec.scheduler.search_window,
-        "ratio_lo": spec.ratio_lo,
-        "ratio_hi": spec.ratio_hi,
-        "aggregation": spec.aggregation,
-    })
+    save_sliced_weights(out_dir / SLICED_WEIGHTS_FILE, result.sliced, spec.key())
     _write_spec(out_dir, "calibrate_spec.json", spec)
     for (block, kind) in sorted(result.sliced):
         print(f"final_n block={block} kind={kind} n={result.sliced[(block, kind)].n}")
@@ -233,9 +232,7 @@ def cmd_run(args) -> int:
     sliced_path = out_dir / SLICED_WEIGHTS_FILE
     if sliced_path.exists():
         sliced, header = load_sliced_weights(sliced_path, spec.model.model_dim)
-        if header.get("model") != spec.model.header():
-            raise ConfigError("sliced weights were calibrated for a different model config")
-        _check_spec(spec, header, SLICED_WEIGHTS_FILE)
+        _check_key(spec, header, SLICED_WEIGHTS_FILE)
         foreign = sorted(set(sliced) - {(b, kind) for b in range(spec.model.num_blocks)
                                         for kind in ATTENTION_KINDS})
         if foreign:
@@ -249,9 +246,7 @@ def cmd_run(args) -> int:
                 f"replay mode needs {CACHE_MAP_FILE} in {out_dir}; "
                 f"run `run --mode online --out {out_dir}` first")
         cmap = cache_map_parse(map_path.read_text())
-        if cmap.model_header != spec.model.header():
-            raise ConfigError("cache map was made for a different model config")
-        _check_spec(spec, vars(cmap), CACHE_MAP_FILE)
+        _check_key(spec, cmap.key, CACHE_MAP_FILE)
         check_cache_map_units(cmap, spec.model)
         if any(LETTER_PRUNED in row for row in cmap.grid.values()) and sliced is None:
             raise MissingArtifactError(
@@ -270,8 +265,7 @@ def cmd_run(args) -> int:
     else:
         dispatcher = OnlineDispatcher(model, spec.scheduler, sliced)
         state, trace = denoise_run(spec.model, dispatcher)
-        run_map = dispatcher.build_cache_map(spec.model, spec.ratio_lo, spec.ratio_hi,
-                                             spec.aggregation)
+        run_map = dispatcher.build_cache_map(spec.key())
 
     save_state(out_dir / RUN_STATE, state, spec.model)
     _write_text(out_dir / RUN_TRACE, trace_export(trace))

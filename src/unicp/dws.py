@@ -18,6 +18,7 @@ formula, which is equal there.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -31,7 +32,6 @@ from .model import (
     ModelConfig,
     attention,
     attention_weights_for,
-    require_keys,
 )
 from .pcas import compute_basis, slice_weights
 from .runner import (
@@ -44,7 +44,7 @@ from .runner import (
     denoise_run,
 )
 
-CACHE_MAP_MAGIC = "unicp-cache-map v1"
+CACHE_MAP_MAGIC = "unicp-cache-map v2"
 
 DECISION_BY_LETTER = {
     LETTER_FULL: "full",
@@ -68,29 +68,16 @@ class CalibrationRecord:
 
 @dataclass
 class CacheMap:
-    """Block x attention-kind x step grid of executed strategies."""
+    """Block x attention-kind x step grid of executed strategies, with the
+    run key (a JSON value, checked by the caller) of the run that executed it."""
 
-    model_header: dict
-    delta: float
-    window: int
-    ratio_lo: float
-    ratio_hi: float
-    mode: str
-    aggregation: str
+    key: dict
     grid: dict = field(default_factory=dict)  # (block, kind) -> list of letters
     final_n: dict = field(default_factory=dict)  # (block, kind) -> retained dim
 
 
 def cache_map_export(cmap: CacheMap) -> str:
-    h = cmap.model_header
-    lines = [
-        CACHE_MAP_MAGIC,
-        f"blocks={h['blocks']} dim={h['dim']} tokens={h['tokens']} "
-        f"frames={h['frames']} steps={h['steps']} seed={h['seed']}",
-        f"delta={cmap.delta!r} window={cmap.window} ratio_lo={cmap.ratio_lo!r} "
-        f"ratio_hi={cmap.ratio_hi!r} mode={cmap.mode} aggregation={cmap.aggregation}",
-        "grid",
-    ]
+    lines = [CACHE_MAP_MAGIC, json.dumps(cmap.key, sort_keys=True), "grid"]
     for (block, kind) in sorted(cmap.grid.keys()):
         lines.append(f"{block} {kind} {''.join(cmap.grid[(block, kind)])}")
     lines.append("final_n")
@@ -100,36 +87,17 @@ def cache_map_export(cmap: CacheMap) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_kv_line(line: str) -> dict:
-    out = {}
-    for token in line.split():
-        key, _, value = token.partition("=")
-        out[key] = value
-    return out
-
-
 def cache_map_parse(text: str) -> CacheMap:
-    lines = text.splitlines()
-    if not lines or lines[0] != CACHE_MAP_MAGIC:
-        raise ValueError("not a cache map document")
-    if len(lines) < 4 or lines[3] != "grid":
+    lines = text.splitlines() or [""]
+    if lines[0] != CACHE_MAP_MAGIC:
+        raise ValueError(f"cache map starts with {lines[0]!r}, not {CACHE_MAP_MAGIC!r}")
+    if len(lines) < 3 or lines[2] != "grid":
         raise ValueError("cache map is missing its grid section")
-    dims = _parse_kv_line(lines[1])
-    run = _parse_kv_line(lines[2])
-    dim_keys = ("blocks", "dim", "tokens", "frames", "steps", "seed")
-    require_keys(dims, dim_keys, "cache map dims line")
-    require_keys(run, ("delta", "window", "ratio_lo", "ratio_hi", "mode", "aggregation"),
-                 "cache map run line")
-    cmap = CacheMap(
-        model_header={k: int(dims[k]) for k in dim_keys},
-        delta=float(run["delta"]),
-        window=int(run["window"]),
-        ratio_lo=float(run["ratio_lo"]),
-        ratio_hi=float(run["ratio_hi"]),
-        mode=run["mode"],
-        aggregation=run["aggregation"],
-    )
-    i = 4
+    try:
+        cmap = CacheMap(key=json.loads(lines[1]))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"cache map key line is not JSON: {exc}") from exc
+    i = 3
     while i < len(lines) and lines[i] != "final_n":
         block, kind, letters = lines[i].split()
         if any(ch not in DECISION_BY_LETTER for ch in letters):
@@ -230,16 +198,9 @@ class OnlineDispatcher(CellExecutor):
                        drift_output=drift_o, drift_map=drift_m, macs=macs)
         return o_stack, row
 
-    def build_cache_map(self, cfg: ModelConfig, ratio_lo: float, ratio_hi: float,
-                        aggregation: str) -> CacheMap:
+    def build_cache_map(self, key: dict) -> CacheMap:
         return CacheMap(
-            model_header=cfg.header(),
-            delta=self.sched.delta,
-            window=self.sched.search_window,
-            ratio_lo=ratio_lo,
-            ratio_hi=ratio_hi,
-            mode="online",
-            aggregation=aggregation,
+            key=key,
             grid={unit: list(letters) for unit, letters in self.grid.items()},
             final_n={unit: sw.n for unit, sw in self.sliced.items()},
         )

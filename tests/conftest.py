@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import unicp.dws
+from unicp.cli import RunSpec
 from unicp.dws import OnlineDispatcher, dws_calibrate
 from unicp.edcw import SchedulerConfig, edcw_decide
 from unicp.model import ModelConfig, init_model
@@ -25,7 +26,9 @@ def online_pass(model, cfg, sched, calib):
     the default ratio bounds and aggregation): its state, trace and map."""
     dispatcher = OnlineDispatcher(model, sched, calib.sliced)
     state, trace = denoise_run(cfg, dispatcher)
-    cache_map = dispatcher.build_cache_map(cfg, 0.1, 0.4, "conservative")
+    key = RunSpec(model=cfg, scheduler=sched, ratio_lo=0.1, ratio_hi=0.4, mode="online",
+                  aggregation="conservative", preset=None).key()
+    cache_map = dispatcher.build_cache_map(key)
     return SimpleNamespace(state=state, trace=trace, cache_map=cache_map)
 
 

@@ -35,13 +35,9 @@ STATE_HEADER = {"blocks": 2, "dim": 16, "tokens": 16, "frames": 2, "steps": 8, "
 # The run parameters of a sliced-weight header that TINY_FLAGS accepts.
 SLICED_RUN_HEADER = {"model": STATE_HEADER, "delta": 0.05, "window": 4, "ratio_lo": 0.1,
                      "ratio_hi": 0.4, "aggregation": "conservative"}
-# The header and grid of a valid cache map for TINY_FLAGS (default delta).
-CACHE_MAP_LINES = [
-    "unicp-cache-map v1",
-    "blocks=2 dim=16 tokens=16 frames=2 steps=8 seed=7",
-    "delta=0.05 window=4 ratio_lo=0.1 ratio_hi=0.4 mode=online aggregation=conservative",
-    "grid",
-]
+# A cache map with an empty grid whose run key TINY_FLAGS (default delta) accepts.
+CACHE_MAP_LINES = ["unicp-cache-map v2", json.dumps(SLICED_RUN_HEADER, sort_keys=True), "grid",
+                   "final_n", "end"]
 
 
 class TestBaseline:
@@ -378,13 +374,9 @@ class TestExitCodes:
          "payload holds 127 values, its units need 128"),
         ("cache_map.txt", text_doc(CACHE_MAP_LINES[:2]), "cache map is missing its grid section"),
         ("cache_map.txt",
-         text_doc([CACHE_MAP_LINES[0], CACHE_MAP_LINES[1].replace(" seed=7", ""),
-                   *CACHE_MAP_LINES[2:]]),
-         "cache map dims line lacks seed"),
-        ("cache_map.txt",
-         text_doc([*CACHE_MAP_LINES[:2], CACHE_MAP_LINES[2].replace(" mode=online", ""),
-                   *CACHE_MAP_LINES[3:]]),
-         "cache map run line lacks mode"),
+         text_doc([CACHE_MAP_LINES[0], json.dumps({k: v for k, v in SLICED_RUN_HEADER.items()
+                                                   if k != "window"}), *CACHE_MAP_LINES[2:]]),
+         "cache_map.txt run key lacks window"),
         ("state.bin",
          container(b"UNICPST1\n", dict(STATE_HEADER, dim=float("inf"))).replace(b"Infinity",
                                                                                b"1e999"),
@@ -407,7 +399,7 @@ class TestExitCodes:
                    values=2 * 2 * 16 * 4),
          "lists block 0 spatial twice"),
     ], ids=["state-missing-keys", "sliced-no-units", "sliced-unit-no-n", "sliced-unit-null-n",
-            "sliced-short-payload", "map-truncated", "map-dims-no-seed", "map-run-no-mode",
+            "sliced-short-payload", "map-truncated", "map-key-lacks-field",
             "state-infinite-dim", "state-fractional-dim", "sliced-infinite-n",
             "sliced-fractional-n", "sliced-foreign-units", "sliced-duplicate-unit"])
     def test_malformed_artifact_exits_2(self, tmp_path, capsys, name, content, expected):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import attention_rows, drive_unit, exhaustive_n_sweep
 from unicp.dws import (
@@ -63,7 +63,7 @@ class TestCalibrate:
         # With nothing accepted, pruned cells fall back to full compute.
         online = OnlineDispatcher(model, sched, calib.sliced)
         denoise_run(cfg, online)
-        cmap = online.build_cache_map(cfg, 0.1, 0.4, "conservative")
+        cmap = online.build_cache_map({})
         letters = {l for row in cmap.grid.values() for l in row}
         assert "P" not in letters
 
@@ -175,7 +175,7 @@ class TestCalibrate:
         for calib in (a, b):
             online = OnlineDispatcher(model, sched, calib.sliced)
             denoise_run(cfg, online)
-            maps.append(cache_map_export(online.build_cache_map(cfg, 0.1, 0.4, "conservative")))
+            maps.append(cache_map_export(online.build_cache_map({})))
         assert maps[0] == maps[1]
         for unit in a.sliced:
             assert np.array_equal(a.sliced[unit].wq_sliced, b.sliced[unit].wq_sliced)
@@ -201,10 +201,8 @@ class TestCalibrate:
 
 class TestDispatch:
     def test_all_full_grid_step_equals_baseline_step(self, tiny_cfg, tiny_model):
-        cmap = CacheMap(model_header=tiny_cfg.header(), delta=0.0, window=4,
-                        ratio_lo=0.1, ratio_hi=0.4, mode="replay", aggregation="conservative",
-                        grid={(b, k): ["F"] * tiny_cfg.num_steps
-                              for b in range(tiny_cfg.num_blocks) for k in ATTENTION_KINDS})
+        cmap = CacheMap(key={}, grid={(b, k): ["F"] * tiny_cfg.num_steps
+                                      for b in range(tiny_cfg.num_blocks) for k in ATTENTION_KINDS})
         replay = ReplayDispatcher(tiny_model, cmap, None)
         baseline = BaselineExecutor(tiny_model)
         rng = np.random.default_rng(0)
@@ -221,9 +219,7 @@ class TestDispatch:
         basis = compute_basis([rng.standard_normal((m + 4, m))])
         sliced = {(b, k): slice_weights(attention_weights_for(tiny_model[b], k), basis, m)
                   for b in range(tiny_cfg.num_blocks) for k in ATTENTION_KINDS}
-        cmap = CacheMap(model_header=tiny_cfg.header(), delta=0.0, window=4,
-                        ratio_lo=0.0, ratio_hi=0.0, mode="replay", aggregation="conservative",
-                        grid={unit: ["P"] * tiny_cfg.num_steps for unit in sliced},
+        cmap = CacheMap(key={}, grid={unit: ["P"] * tiny_cfg.num_steps for unit in sliced},
                         final_n={unit: m for unit in sliced})
         state_replay, trace_replay = denoise_run(tiny_cfg, ReplayDispatcher(tiny_model, cmap, sliced))
         state_base, trace_base = denoise_run(tiny_cfg, BaselineExecutor(tiny_model))
@@ -232,10 +228,8 @@ class TestDispatch:
         assert trace_replay.macs_total == trace_base.macs_total
 
     def test_pruned_cell_without_sliced_weights_errors(self, tiny_cfg, tiny_model):
-        cmap = CacheMap(model_header=tiny_cfg.header(), delta=0.0, window=4,
-                        ratio_lo=0.1, ratio_hi=0.4, mode="replay", aggregation="conservative",
-                        grid={(b, k): ["P"] * tiny_cfg.num_steps
-                              for b in range(tiny_cfg.num_blocks) for k in ATTENTION_KINDS})
+        cmap = CacheMap(key={}, grid={(b, k): ["P"] * tiny_cfg.num_steps
+                                      for b in range(tiny_cfg.num_blocks) for k in ATTENTION_KINDS})
         with pytest.raises(MissingArtifactError):
             denoise_run(tiny_cfg, ReplayDispatcher(tiny_model, cmap, None))
 
@@ -243,9 +237,7 @@ class TestDispatch:
         grid = {(b, k): ["F"] * tiny_cfg.num_steps
                 for b in range(tiny_cfg.num_blocks) for k in ATTENTION_KINDS}
         grid[(0, "spatial")] = ["O"] + ["F"] * (tiny_cfg.num_steps - 1)
-        cmap = CacheMap(model_header=tiny_cfg.header(), delta=0.0, window=4,
-                        ratio_lo=0.1, ratio_hi=0.4, mode="replay", aggregation="conservative",
-                        grid=grid)
+        cmap = CacheMap(key={}, grid=grid)
         with pytest.raises(MissingArtifactError):
             denoise_run(tiny_cfg, ReplayDispatcher(tiny_model, cmap, None))
 
@@ -255,9 +247,7 @@ class TestDispatch:
         # current input; MACs follow the map-reuse formula.
         grid = {(b, k): ["F"] + ["M"] * (tiny_cfg.num_steps - 1)
                 for b in range(tiny_cfg.num_blocks) for k in ATTENTION_KINDS}
-        cmap = CacheMap(model_header=tiny_cfg.header(), delta=0.0, window=4,
-                        ratio_lo=0.1, ratio_hi=0.4, mode="replay", aggregation="conservative",
-                        grid=grid)
+        cmap = CacheMap(key={}, grid=grid)
         state, trace = denoise_run(tiny_cfg, ReplayDispatcher(tiny_model, cmap, None))
         f, s, m = tiny_cfg.num_frames, tiny_cfg.tokens_per_frame, tiny_cfg.model_dim
         for row in attention_rows(trace):
@@ -408,21 +398,17 @@ class TestCacheMapDocument:
         assert cache_map_export(parsed) == text
         assert parsed.grid == online.cache_map.grid
         assert parsed.final_n == online.cache_map.final_n
-        assert parsed.delta == online.cache_map.delta
+        assert parsed.key == online.cache_map.key
 
     def test_all_full_map_document(self, tiny_cfg):
-        cmap = CacheMap(model_header=tiny_cfg.header(), delta=0.0, window=4,
-                        ratio_lo=0.1, ratio_hi=0.4, mode="online", aggregation="conservative",
-                        grid={(0, "spatial"): ["F"] * 4})
+        cmap = CacheMap(key={}, grid={(0, "spatial"): ["F"] * 4})
         text = cache_map_export(cmap)
         assert "FFFF" in text
         parsed = cache_map_parse(text)
         assert parsed.final_n == {}
 
     def test_rejects_unknown_letters(self, tiny_cfg):
-        cmap = CacheMap(model_header=tiny_cfg.header(), delta=0.0, window=4,
-                        ratio_lo=0.1, ratio_hi=0.4, mode="online", aggregation="conservative",
-                        grid={(0, "spatial"): ["F", "X"]})
+        cmap = CacheMap(key={}, grid={(0, "spatial"): ["F", "X"]})
         text = cache_map_export(cmap)
         with pytest.raises(ValueError):
             cache_map_parse(text)
@@ -434,19 +420,23 @@ class TestCacheMapDocument:
     @settings(max_examples=200, deadline=None)
     @given(st.builds(
         CacheMap,
-        model_header=st.fixed_dictionaries({key: st.integers(0, 10 ** 6) for key in (
-            "blocks", "dim", "tokens", "frames", "steps", "seed")}),
-        delta=st.floats(min_value=0.0, allow_nan=False),
-        window=st.integers(1, 64),
-        ratio_lo=st.floats(0.0, 1.0),
-        ratio_hi=st.floats(0.0, 1.0),
-        mode=st.sampled_from(["online", "replay"]),
-        aggregation=st.sampled_from(["conservative", "smallest"]),
+        key=st.fixed_dictionaries({
+            "model": st.fixed_dictionaries({name: st.integers(0, 10 ** 6) for name in (
+                "blocks", "dim", "tokens", "frames", "steps", "seed")}),
+            "delta": st.floats(min_value=0.0, allow_nan=False),
+            "window": st.integers(1, 64),
+            "ratio_lo": st.floats(0.0, 1.0),
+            "ratio_hi": st.floats(0.0, 1.0),
+            "aggregation": st.sampled_from(["conservative", "smallest"]),
+        }),
         grid=st.dictionaries(st.tuples(st.integers(0, 99), st.sampled_from(ATTENTION_KINDS)),
                              st.lists(st.sampled_from("FOMP"), min_size=1, max_size=40)),
         final_n=st.dictionaries(st.tuples(st.integers(0, 99), st.sampled_from(ATTENTION_KINDS)),
                                 st.integers(1, 4096)),
     ))
+    @example(CacheMap(key={"model": {}, "delta": math.inf, "window": 1, "ratio_lo": 0.0,
+                           "ratio_hi": 0.0, "aggregation": "smallest"},
+                      grid={(0, "spatial"): ["F"]}, final_n={(0, "spatial"): 1}))
     def test_export_parse_round_trip(self, cmap):
         text = cache_map_export(cmap)
         parsed = cache_map_parse(text)

@@ -142,9 +142,7 @@ class TestSlicedAttention:
         basis = compute_basis([x])
         sw = slice_weights(w, basis, n)
         # The kernel returns no MACs; the trace row of a pruned cell carries them.
-        cmap = CacheMap(model_header={"dim": m}, delta=0.0, window=4, ratio_lo=0.1,
-                        ratio_hi=0.4, mode="replay", aggregation="conservative",
-                        grid={(0, "spatial"): ["P"]})
+        cmap = CacheMap(key={}, grid={(0, "spatial"): ["P"]})
         replay = ReplayDispatcher([BlockWeights(w, w, None)], cmap, {(0, "spatial"): sw})
         _, r = replay.run_unit(0, "spatial", x[None], 0)
         assert r.macs == macs_sliced(s, m, n)
