@@ -185,10 +185,20 @@ def _check_key(spec: RunSpec, recorded: dict, artifact: str):
                               f"but this run has {field}={wanted!r}")
 
 
+def _out_dir(path: str, names) -> Path:
+    """Make the output directory, then raise ConfigError naming the first of
+    `names` that exists there as a directory, before any step runs."""
+    out_dir = Path(path)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name in names:
+        if (out_dir / name).is_dir():
+            raise ConfigError(f"{out_dir / name} is a directory, not a file")
+    return out_dir
+
+
 def cmd_baseline(args) -> int:
     spec = build_spec(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out, (BASELINE_STATE, BASELINE_TRACE, "baseline_spec.json"))
     model = init_model(spec.model)
     state, trace = baseline_run(model, spec.model)
     save_state(out_dir / BASELINE_STATE, state, spec.model)
@@ -200,8 +210,7 @@ def cmd_baseline(args) -> int:
 
 def cmd_calibrate(args) -> int:
     spec = build_spec(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out, (SLICED_WEIGHTS_FILE, "calibrate_spec.json"))
     model = init_model(spec.model)
     result = dws_calibrate(model, spec.model, spec.scheduler,
                            ratio_bounds=(spec.ratio_lo, spec.ratio_hi),
@@ -224,8 +233,8 @@ def cmd_run(args) -> int:
         if base_total <= 0:
             raise ConfigError(f"baseline trace {base_path} has a MAC total of {base_total}; "
                               f"the MAC ratio needs a positive one")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out, (RUN_STATE, RUN_TRACE, RUN_CACHE_MAP, CACHE_MAP_FILE,
+                                  "run_spec.json"))
     model = init_model(spec.model)
 
     sliced = None
@@ -258,7 +267,8 @@ def cmd_run(args) -> int:
                     raise ConfigError(
                         f"{CACHE_MAP_FILE} gives block {unit[0]} {unit[1]} "
                         f"final_n={cmap.final_n.get(unit)}, but {SLICED_WEIGHTS_FILE} "
-                        f"holds n={weights_n.get(unit)}")
+                        f"holds n={weights_n.get(unit)}: the map was made with other sliced "
+                        f"weights; run `run --mode online --out {out_dir}` again")
         dispatcher = ReplayDispatcher(model, cmap, sliced)
         state, trace = denoise_run(spec.model, dispatcher)
         run_map = cmap

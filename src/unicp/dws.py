@@ -87,6 +87,16 @@ def cache_map_export(cmap: CacheMap) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _map_row(line: str, section: str, cast=str):
+    """Split a grid or final_n row into (block, kind, cast(value)), naming
+    the row when it is malformed."""
+    try:
+        block, kind, value = line.split()
+        return int(block), kind, cast(value)
+    except ValueError as exc:
+        raise ValueError(f"cache map {section} row {line!r} is malformed: {exc}") from exc
+
+
 def cache_map_parse(text: str) -> CacheMap:
     lines = text.splitlines() or [""]
     if lines[0] != CACHE_MAP_MAGIC:
@@ -99,21 +109,21 @@ def cache_map_parse(text: str) -> CacheMap:
         raise ValueError(f"cache map key line is not JSON: {exc}") from exc
     i = 3
     while i < len(lines) and lines[i] != "final_n":
-        block, kind, letters = lines[i].split()
+        block, kind, letters = _map_row(lines[i], "grid")
         if any(ch not in DECISION_BY_LETTER for ch in letters):
             raise ValueError(f"cache map row has letters outside F/O/M/P: {lines[i]!r}")
-        if (int(block), kind) in cmap.grid:
+        if (block, kind) in cmap.grid:
             raise ValueError(f"cache map lists a grid row twice: {lines[i]!r}")
-        cmap.grid[(int(block), kind)] = list(letters)
+        cmap.grid[(block, kind)] = list(letters)
         i += 1
     if i >= len(lines):
         raise ValueError("cache map is missing its final_n section")
     i += 1
     while i < len(lines) and lines[i] != "end":
-        block, kind, n = lines[i].split()
-        if (int(block), kind) in cmap.final_n:
+        block, kind, n = _map_row(lines[i], "final_n", int)
+        if (block, kind) in cmap.final_n:
             raise ValueError(f"cache map lists a final_n row twice: {lines[i]!r}")
-        cmap.final_n[(int(block), kind)] = int(n)
+        cmap.final_n[(block, kind)] = n
         i += 1
     if i >= len(lines):
         raise ValueError("cache map is missing its end marker")

@@ -183,16 +183,21 @@ def profile_parse(text: str):
         window = int(header["K"])
     except KeyError as exc:
         raise ValueError(f"profile header is missing {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"profile header {lines[0]!r} is malformed: {exc}") from exc
     if num_steps < 1:
         raise ValueError(f"profile needs T >= 1, got T={num_steps}")
     drifts = []
     spikes = []
     for ln in lines[1:]:
-        if ln.startswith("@"):
-            step_str, magnitude_str = ln[1:].split()
-            spikes.append((int(step_str), float(magnitude_str)))
-        else:
-            drifts.append(float(ln))
+        try:
+            if ln.startswith("@"):
+                step_str, magnitude_str = ln[1:].split()
+                spikes.append((int(step_str), float(magnitude_str)))
+            else:
+                drifts.append(float(ln))
+        except ValueError as exc:
+            raise ValueError(f"profile line {ln!r} is malformed: {exc}") from exc
     if not all(math.isfinite(v) for v in [*drifts, *(m for _, m in spikes)]):
         raise ValueError("profile holds a non-finite drift or spike value")
     if len(drifts) != num_steps:

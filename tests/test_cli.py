@@ -180,6 +180,29 @@ class TestRun:
             (out / "cache_map.txt").write_text("stale\n")
         assert maps[0] == maps[1]
 
+    def test_weights_header_and_map_record_one_run_key(self, tmp_path):
+        from unicp.model import read_container
+        out = tmp_path / "o"
+        spec = ["--out", str(out), *TINY_FLAGS, "--preset", "E5"]
+        assert run_cli("calibrate", *spec) == 0
+        assert run_cli("run", "--mode", "online", *spec) == 0
+        header, _ = read_container(out / "sliced_weights.bin", b"UNICPSW1\n")
+        del header["units"]
+        key_line = (out / "cache_map.txt").read_text().splitlines()[1]
+        assert key_line == json.dumps(header, sort_keys=True)
+
+    def test_map_from_before_calibrate_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        spec = ["--out", str(out), *TINY_FLAGS, "--preset", "E5"]
+        assert run_cli("run", "--mode", "online", *spec) == 0
+        assert run_cli("calibrate", *spec) == 0
+        capsys.readouterr()
+        assert run_cli("run", "--mode", "replay", *spec) == 2
+        err = capsys.readouterr().err
+        assert ("cache_map.txt gives block 0 spatial final_n=None, but sliced_weights.bin "
+                "holds n=16: the map was made with other sliced weights; "
+                f"run `run --mode online --out {out}` again") in err
+
     def test_later_sweep_order_reruns_on_existing_artifacts(self, tmp_path):
         # A full sweep, then the order the benchmark's later sweeps run in,
         # each command rewriting what the sweep before left in the directory.
@@ -347,18 +370,29 @@ class TestExitCodes:
         ["baseline", "--out", "{out}", "--config", "{dir}"],
         ["compare", "{dir}", "{state}"],
         ["baseline", "--out", "{file}", *TINY_FLAGS],
+        ["run", "--out", "{busy}", *TINY_FLAGS, "--mode", "online"],
     ], ids=["run-baseline-trace-dir", "baseline-config-dir", "compare-dir",
-            "baseline-out-file"])
-    def test_path_the_os_refuses_exits_2(self, tmp_path, capsys, argv):
+            "baseline-out-file", "run-trace-is-dir"])
+    def test_path_the_os_refuses_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        from unicp import cli as cli_module
         paths = {"out": tmp_path / "o", "dir": tmp_path / "d", "file": tmp_path / "f",
-                 "state": tmp_path / "state.bin"}
+                 "state": tmp_path / "state.bin", "busy": tmp_path / "busy"}
         paths["dir"].mkdir()
         paths["file"].write_text("")
         paths["state"].write_bytes(container(b"UNICPST1\n", STATE_HEADER, values=2 * 16 * 16))
+        (paths["busy"] / "run_trace.csv").mkdir(parents=True)
         argv = [arg.format(**paths) for arg in argv]
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(cli_module, "denoise_run", no_step)
+        monkeypatch.setattr(cli_module, "baseline_run", no_step)
         assert run_cli(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(tmp_path) in err
+        # Nothing is written beside the directory that stands in for an output.
+        assert [p.name for p in paths["busy"].iterdir()] == ["run_trace.csv"]
 
     @pytest.mark.parametrize("name, content, expected", [
         ("state.bin", container(b"UNICPST1\n", {"dim": 4}), "model header lacks blocks"),
@@ -377,6 +411,23 @@ class TestExitCodes:
          text_doc([CACHE_MAP_LINES[0], json.dumps({k: v for k, v in SLICED_RUN_HEADER.items()
                                                    if k != "window"}), *CACHE_MAP_LINES[2:]]),
          "cache_map.txt run key lacks window"),
+        ("cache_map.txt", text_doc([CACHE_MAP_LINES[0], "{blocks=2", *CACHE_MAP_LINES[2:]]),
+         "cache map key line is not JSON: "),
+        ("cache_map.txt", text_doc([CACHE_MAP_LINES[0], "[2, 16]", *CACHE_MAP_LINES[2:]]),
+         "cache_map.txt run key is not a JSON object"),
+        ("cache_map.txt",
+         text_doc(["unicp-cache-map v1", "blocks=2 dim=16 tokens=16 frames=2 steps=8 seed=7",
+                   "delta=0.05 window=4 ratio_lo=0.1 ratio_hi=0.4 mode=online "
+                   "aggregation=conservative", "grid", "final_n", "end"]),
+         "cache map starts with 'unicp-cache-map v1', not 'unicp-cache-map v2'"),
+        ("cache_map.txt", text_doc([*CACHE_MAP_LINES[:3], "0 spatial", *CACHE_MAP_LINES[3:]]),
+         "cache map grid row '0 spatial' is malformed: not enough values to unpack"),
+        ("cache_map.txt", text_doc([*CACHE_MAP_LINES[:3], "x spatial FF", *CACHE_MAP_LINES[3:]]),
+         "cache map grid row 'x spatial FF' is malformed: invalid literal for int()"),
+        ("cache_map.txt", text_doc([*CACHE_MAP_LINES[:4], "0 spatial 4 5", "end"]),
+         "cache map final_n row '0 spatial 4 5' is malformed: too many values to unpack"),
+        ("cache_map.txt", text_doc([*CACHE_MAP_LINES[:4], "0 spatial n", "end"]),
+         "cache map final_n row '0 spatial n' is malformed: invalid literal for int()"),
         ("state.bin",
          container(b"UNICPST1\n", dict(STATE_HEADER, dim=float("inf"))).replace(b"Infinity",
                                                                                b"1e999"),
@@ -400,6 +451,8 @@ class TestExitCodes:
          "lists block 0 spatial twice"),
     ], ids=["state-missing-keys", "sliced-no-units", "sliced-unit-no-n", "sliced-unit-null-n",
             "sliced-short-payload", "map-truncated", "map-key-lacks-field",
+            "map-key-not-json", "map-key-not-object", "map-v1", "map-grid-row-two-fields",
+            "map-grid-row-text-block", "map-final-n-row-four-fields", "map-final-n-row-text-n",
             "state-infinite-dim", "state-fractional-dim", "sliced-infinite-n",
             "sliced-fractional-n", "sliced-foreign-units", "sliced-duplicate-unit"])
     def test_malformed_artifact_exits_2(self, tmp_path, capsys, name, content, expected):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,16 @@ class TestProfileFiles:
     def test_non_finite_spike_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             profile_parse("T=2 delta=0.1 K=2\n0.2\n0.3\n@1 inf\n")
+
+    @pytest.mark.parametrize("text, expected", [
+        ("T=2 delta=0.1 K=2\n0.2\n0.3\n@1\n", "profile line '@1' is malformed: not enough"),
+        ("T=2 delta=0.1 K=2\n0.2\n0.3\n@x 0.5\n", "profile line '@x 0.5' is malformed"),
+        ("T=2 delta=0.1 K=2\n0.2\nabc\n", "profile line 'abc' is malformed"),
+        ("T=x delta=0.1 K=2\n0.2\n", "profile header 'T=x delta=0.1 K=2' is malformed"),
+    ], ids=["spike-one-token", "spike-text-step", "text-drift", "text-header"])
+    def test_malformed_line_is_named(self, text, expected):
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            profile_parse(text)
 
     def test_empty_profile_rejected(self):
         with pytest.raises(ValueError, match="T >= 1"):
