@@ -178,16 +178,18 @@ def _write_spec(out_dir: Path, name: str, spec: RunSpec):
 def _check_key(spec: RunSpec, recorded: dict, artifact: str):
     """Reject an artifact made under another run key than `spec`'s, naming
     the first field that differs."""
-    require_keys(recorded, spec.key(), f"{artifact} run key")
-    for field, wanted in spec.key().items():
+    key = spec.key()
+    require_keys(recorded, key, f"{artifact} run key")
+    for field, wanted in key.items():
         if recorded[field] != wanted:
             raise ConfigError(f"{artifact} was made with {field}={recorded[field]!r}, "
                               f"but this run has {field}={wanted!r}")
 
 
 def _out_dir(path: str, names) -> Path:
-    """Make the output directory, then raise ConfigError naming the first of
-    `names` that exists there as a directory, before any step runs."""
+    """Make a command's output directory, then raise ConfigError naming the
+    first of `names` that exists there as a directory. Commands call it
+    before they compute anything, so such a command writes nothing."""
     out_dir = Path(path)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in names:
@@ -305,6 +307,7 @@ def cmd_harness(args) -> int:
         num_steps = spec.model.num_steps
         profile = u_profile(num_steps, spike_step=num_steps // 2)
         sched = spec.scheduler
+    out_dir = _out_dir(args.out, (HARNESS_REPORT,))
     result = run_scheduler_on_profile(profile, sched, seed=spec.model.seed)
 
     lines = ["unicp-harness-report v1",
@@ -321,9 +324,6 @@ def cmd_harness(args) -> int:
     for w in sorted(result.fixed_window_errors):
         lines.append(f"fixed_window_{w}_error={result.fixed_window_errors[w]!r}")
     report = "\n".join(lines) + "\n"
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_text(out_dir / HARNESS_REPORT, report)
     print(f"harness complete: edcw_error={result.accumulated_error!r} "
           f"fixed={ {w: result.fixed_window_errors[w] for w in sorted(result.fixed_window_errors)} }")
@@ -334,6 +334,7 @@ def cmd_compare(args) -> int:
     for path in (args.reference, args.candidate):
         if not Path(path).exists():
             raise MissingArtifactError(f"state file not found: {path}")
+    out_dir = _out_dir(args.out, (QUALITY_REPORT,)) if args.out else None
     reference, _ = load_state(args.reference)
     candidate, _ = load_state(args.candidate)
     if reference.shape != candidate.shape:
@@ -342,9 +343,7 @@ def cmd_compare(args) -> int:
     report = quality_report(reference, candidate)
     text = report_export(report)
     sys.stdout.write(text)
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir is not None:
         _write_text(out_dir / QUALITY_REPORT, text)
     return 0
 

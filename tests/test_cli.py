@@ -371,8 +371,11 @@ class TestExitCodes:
         ["compare", "{dir}", "{state}"],
         ["baseline", "--out", "{file}", *TINY_FLAGS],
         ["run", "--out", "{busy}", *TINY_FLAGS, "--mode", "online"],
+        ["compare", "{state}", "{state}", "--out", "{busy}"],
+        ["harness", "--out", "{busy}", "--steps", "8"],
     ], ids=["run-baseline-trace-dir", "baseline-config-dir", "compare-dir",
-            "baseline-out-file", "run-trace-is-dir"])
+            "baseline-out-file", "run-trace-is-dir", "compare-report-is-dir",
+            "harness-report-is-dir"])
     def test_path_the_os_refuses_exits_2(self, tmp_path, capsys, monkeypatch, argv):
         from unicp import cli as cli_module
         paths = {"out": tmp_path / "o", "dir": tmp_path / "d", "file": tmp_path / "f",
@@ -380,7 +383,9 @@ class TestExitCodes:
         paths["dir"].mkdir()
         paths["file"].write_text("")
         paths["state"].write_bytes(container(b"UNICPST1\n", STATE_HEADER, values=2 * 16 * 16))
-        (paths["busy"] / "run_trace.csv").mkdir(parents=True)
+        outputs = ["harness_report.txt", "quality_report.txt", "run_trace.csv"]
+        for name in outputs:
+            (paths["busy"] / name).mkdir(parents=True)
         argv = [arg.format(**paths) for arg in argv]
 
         def no_step(*args, **kwargs):
@@ -388,11 +393,13 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli_module, "denoise_run", no_step)
         monkeypatch.setattr(cli_module, "baseline_run", no_step)
+        monkeypatch.setattr(cli_module, "run_scheduler_on_profile", no_step)
         assert run_cli(*argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(tmp_path) in err
-        # Nothing is written beside the directory that stands in for an output.
-        assert [p.name for p in paths["busy"].iterdir()] == ["run_trace.csv"]
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+        # Nothing is printed or written beside the directories that stand in for outputs.
+        assert captured.out == ""
+        assert sorted(p.name for p in paths["busy"].iterdir()) == outputs
 
     @pytest.mark.parametrize("name, content, expected", [
         ("state.bin", container(b"UNICPST1\n", {"dim": 4}), "model header lacks blocks"),
