@@ -19,11 +19,11 @@ from pathlib import Path
 from .dws import (
     MissingArtifactError,
     OnlineDispatcher,
-    ReplayDispatcher,
     cache_map_export,
     cache_map_parse,
     check_cache_map_units,
     dws_calibrate,
+    run_cache_map,
 )
 from .edcw import SchedulerConfig
 from .harness import profile_parse, run_scheduler_on_profile, u_profile
@@ -39,7 +39,7 @@ from .model import (
     save_state,
 )
 from .pcas import load_sliced_weights, save_sliced_weights
-from .runner import LETTER_PRUNED, baseline_run, denoise_run
+from .runner import LETTER_PRUNED, CellExecutor, baseline_run, denoise_run
 
 PRESETS = {"E1": 0.025, "E2": 0.05, "E3": 0.075, "E4": 0.125, "E5": 0.175}
 
@@ -262,26 +262,22 @@ def cmd_run(args) -> int:
         if any(LETTER_PRUNED in row for row in cmap.grid.values()) and sliced is None:
             raise MissingArtifactError(
                 f"replay map contains pruned cells but {SLICED_WEIGHTS_FILE} is missing")
-        if sliced is not None:
-            weights_n = {unit: sw.n for unit, sw in sliced.items()}
-            for unit in sorted(set(cmap.final_n) | set(weights_n)):
-                if cmap.final_n.get(unit) != weights_n.get(unit):
-                    raise ConfigError(
-                        f"{CACHE_MAP_FILE} gives block {unit[0]} {unit[1]} "
-                        f"final_n={cmap.final_n.get(unit)}, but {SLICED_WEIGHTS_FILE} "
-                        f"holds n={weights_n.get(unit)}: the map was made with other sliced "
-                        f"weights; run `run --mode online --out {out_dir}` again")
-        dispatcher = ReplayDispatcher(model, cmap, sliced)
-        state, trace = denoise_run(spec.model, dispatcher)
-        run_map = cmap
+        weights_n = {unit: sw.n for unit, sw in (sliced or {}).items()}
+        for unit in sorted(set(cmap.final_n) | set(weights_n)):
+            if cmap.final_n.get(unit) != weights_n.get(unit):
+                raise ConfigError(
+                    f"{CACHE_MAP_FILE} gives block {unit[0]} {unit[1]} "
+                    f"final_n={cmap.final_n.get(unit)}, but {SLICED_WEIGHTS_FILE} "
+                    f"holds n={weights_n.get(unit)}: the map was made with other sliced "
+                    f"weights; run `run --mode online --out {out_dir}` again")
+        executor = CellExecutor(model, sliced, grid=cmap.grid)
     else:
-        dispatcher = OnlineDispatcher(model, spec.scheduler, sliced)
-        state, trace = denoise_run(spec.model, dispatcher)
-        run_map = dispatcher.build_cache_map(spec.key())
+        executor = OnlineDispatcher(model, spec.scheduler, sliced)
+    state, trace = denoise_run(spec.model, executor)
 
     save_state(out_dir / RUN_STATE, state, spec.model)
     _write_text(out_dir / RUN_TRACE, trace_export(trace))
-    map_text = cache_map_export(run_map)
+    map_text = cache_map_export(run_cache_map(trace, spec.key(), sliced))
     _write_text(out_dir / RUN_CACHE_MAP, map_text)
     if spec.mode == "online":
         _write_text(out_dir / CACHE_MAP_FILE, map_text)

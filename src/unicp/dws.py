@@ -1,19 +1,18 @@
-"""Dynamic weight shift: calibration, the cache map, and dispatch.
+"""Dynamic weight shift: calibration, the cache map, and online dispatch.
 
 Calibration runs one all-F capture pass up to the last calibration
 step, fits a PCA basis per (block, attention-kind) unit from the captured
 inputs, and sweeps the pruned fraction upward until the unit's sliced output
 drifts past the error threshold. It yields the sliced weights only.
 
-Dispatch holds both the original and the sliced weights. Online mode decides
-live per the cache-window scheduler (caching first, slicing as the fallback
-tier) and records the block x step cache map of what it executed; replay
-mode executes such a map cell by cell. Both run every cell through
-`runner.CellExecutor`, the executor the baseline runs on too, so a replay
-of an online run's map reproduces it by construction. Cells where the
-retained dimension equals the full width execute the unsliced math
-(bitwise identical to full attention) while the accounting uses the sliced
-formula, which is equal there.
+Online dispatch decides live per the cache-window scheduler (caching first,
+slicing as the fallback tier); replay is `runner.CellExecutor` reading a
+cache map's grid. Both run every cell through that one executor, which
+writes the trace, and a run's cache map is built from the letters of its
+trace (`run_cache_map`), so a replay of an online run's map reproduces it
+by construction. Cells where the retained dimension equals the full width
+execute the unsliced math (bitwise identical to full attention) while the
+accounting uses the sliced formula, which is equal there.
 """
 
 from __future__ import annotations
@@ -22,11 +21,9 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .edcw import DecisionKind, SchedulerConfig, edcw_decide
 from .linalg import rel_l2
-from .metrics import TraceRow
+from .metrics import RunTrace
 from .model import (
     ATTENTION_KINDS,
     ModelConfig,
@@ -35,6 +32,7 @@ from .model import (
 )
 from .pcas import compute_basis, slice_weights
 from .runner import (
+    DECISION_BY_LETTER,
     LETTER_FULL,
     LETTER_MAP,
     LETTER_OUTPUT,
@@ -45,13 +43,6 @@ from .runner import (
 )
 
 CACHE_MAP_MAGIC = "unicp-cache-map v2"
-
-DECISION_BY_LETTER = {
-    LETTER_FULL: "full",
-    LETTER_OUTPUT: "reuse_output",
-    LETTER_MAP: "reuse_map",
-    LETTER_PRUNED: "pruned",
-}
 
 FRACTION_STEP = 0.05
 
@@ -153,7 +144,7 @@ def check_cache_map_units(cmap: CacheMap, cfg: ModelConfig):
 
 
 # ---------------------------------------------------------------------------
-# Dispatchers (executors for runner.denoise_run / runner.forward_blocks).
+# Online dispatch and the run's map.
 # ---------------------------------------------------------------------------
 
 class OnlineDispatcher(CellExecutor):
@@ -168,97 +159,50 @@ class OnlineDispatcher(CellExecutor):
     the unit's next decide (at step + k, k the armed window or 1), since
     no later decide can read it. The arming F, the newest entry, always
     stays for the O and M cells it serves. `armed` maps a unit to the
-    letter, window and last step of the cache its latest hit armed; the
-    executed letters build the cache map record.
+    letter, window and last step of the cache its latest hit armed.
     """
 
     def __init__(self, model, sched: SchedulerConfig, sliced_weights: dict | None = None):
-        super().__init__(model, sliced_weights, depth=sched.search_window + 1)
+        super().__init__(model, sliced_weights, depth=sched.search_window + 1, drift=True)
         self.sched = sched
         self.armed = {}  # (block, kind) -> (letter, window, last step served)
-        self.grid = {(b, kind): [] for b in range(len(model)) for kind in ATTENTION_KINDS}
 
-    def run_unit(self, block_idx: int, kind: str, x_stack: np.ndarray, step: int):
-        unit = (block_idx, kind)
+    def letter(self, unit, step: int):
         armed = self.armed.get(unit)
         if armed is not None and step <= armed[2]:
-            letter, window, _ = armed
-            o_stack, macs = self.execute_cell(letter, block_idx, kind, x_stack, step)
-            drift_o, drift_m = None, None
-        else:
-            o_stack, macs, drift_o, drift_m = self.full_with_drift(block_idx, kind, x_stack, step)
-            ring = self.rings[unit]
-            decision = edcw_decide(ring, ring[-1][1], step, self.sched)
-            letter, window = LETTER_FULL, decision.window
-            if window is not None:
-                served = LETTER_OUTPUT if decision.kind is DecisionKind.REUSE_OUTPUT else LETTER_MAP
-                self.armed[unit] = (served, window, step + window - 1)
-            horizon = step + (window or 1) - self.sched.search_window
-            while ring[0][0] < horizon:
-                ring.popleft()
-            sw = self.sliced.get(unit)
-            if (decision.kind is DecisionKind.PRUNED and sw is not None
-                    and sw.n < x_stack.shape[-1]):
-                letter = LETTER_PRUNED
-                o_stack, macs = self.execute_cell(letter, block_idx, kind, x_stack, step)
+            return armed[0], armed[1]
+        return LETTER_FULL, None
 
-        self.grid[unit].append(letter)
-        row = TraceRow(step=step, block=block_idx, kind=kind,
-                       decision=DECISION_BY_LETTER[letter], window=window,
-                       drift_output=drift_o, drift_map=drift_m, macs=macs)
-        return o_stack, row
-
-    def build_cache_map(self, key: dict) -> CacheMap:
-        return CacheMap(
-            key=key,
-            grid={unit: list(letters) for unit, letters in self.grid.items()},
-            final_n={unit: sw.n for unit, sw in self.sliced.items()},
-        )
+    def decide(self, unit, step: int, width: int):
+        ring = self.rings[unit]
+        decision = edcw_decide(ring, ring[-1][1], step, self.sched)
+        window = decision.window
+        if window is not None:
+            served = LETTER_OUTPUT if decision.kind is DecisionKind.REUSE_OUTPUT else LETTER_MAP
+            self.armed[unit] = (served, window, step + window - 1)
+        horizon = step + (window or 1) - self.sched.search_window
+        while ring[0][0] < horizon:
+            ring.popleft()
+        sw = self.sliced.get(unit)
+        if decision.kind is DecisionKind.PRUNED and sw is not None and sw.n < width:
+            return LETTER_PRUNED, window
+        return LETTER_FULL, window
 
 
-class ReplayDispatcher(CellExecutor):
-    """Execute a precomputed cache map cell by cell."""
-
-    def __init__(self, model, cache_map: CacheMap, sliced_weights: dict | None = None):
-        super().__init__(model, sliced_weights)
-        self.map = cache_map
-
-    def run_unit(self, block_idx: int, kind: str, x_stack: np.ndarray, step: int):
-        letters = self.map.grid.get((block_idx, kind))
-        if letters is None or step >= len(letters):
-            raise MissingArtifactError(
-                f"cache map has no cell for block {block_idx} {kind} step {step}")
-        letter = letters[step]
-        o_stack, macs = self.execute_cell(letter, block_idx, kind, x_stack, step)
-        row = TraceRow(step=step, block=block_idx, kind=kind,
-                       decision=DECISION_BY_LETTER[letter], window=None,
-                       drift_output=None, drift_map=None, macs=macs)
-        return o_stack, row
+def run_cache_map(trace: RunTrace, key: dict, sliced: dict | None) -> CacheMap:
+    """The cache map of a finished run: each attention unit's letters from
+    its trace rows in step order, and final_n from the sliced weights."""
+    letter_of = {decision: letter for letter, decision in DECISION_BY_LETTER.items()}
+    cmap = CacheMap(key=key, final_n={unit: sw.n for unit, sw in (sliced or {}).items()})
+    for row in trace.rows:
+        if row.kind in ATTENTION_KINDS:
+            cmap.grid.setdefault((row.block, row.kind), []).append(letter_of[row.decision])
+    return cmap
 
 
 # ---------------------------------------------------------------------------
 # Calibration.
 # ---------------------------------------------------------------------------
-
-class _CaptureExecutor(CellExecutor):
-    """All-F pass that stashes unit inputs/outputs at the calibration steps.
-
-    Its trace rows carry no drifts; calibration reads only the captures.
-    """
-
-    def __init__(self, model, calib_steps):
-        super().__init__(model)
-        self.calib_steps = set(calib_steps)
-        self.captured = {}
-
-    def run_unit(self, block_idx, kind, x_stack, step):
-        o_stack, macs = self.execute_cell(LETTER_FULL, block_idx, kind, x_stack, step)
-        if step in self.calib_steps:
-            self.captured.setdefault((block_idx, kind), {})[step] = (x_stack, o_stack)
-        row = TraceRow(step=step, block=block_idx, kind=kind, decision="full",
-                       window=None, drift_output=None, drift_map=None, macs=macs)
-        return o_stack, row
-
 
 def default_calib_steps(num_steps: int) -> list[int]:
     """First step of each third of the schedule."""
@@ -338,7 +282,7 @@ def dws_calibrate(model, cfg: ModelConfig, sched: SchedulerConfig,
         raise ValueError(f"unknown aggregation {aggregation!r}")
 
     calib_steps = default_calib_steps(cfg.num_steps)
-    capture = _CaptureExecutor(model, calib_steps)
+    capture = CellExecutor(model, capture_steps=calib_steps)
     # Only the calibration steps' captures are read, so the pass stops there.
     denoise_run(cfg, capture, last_step=max(calib_steps))
     if not capture.captured:

@@ -2,12 +2,11 @@
 
 Walks execution steps 0..T-1 (physical step t = T..1), conditioning the
 latent with a sinusoidal embedding of t, running every block through a
-pluggable per-unit executor, and applying x <- x - eta(t) * residual. The
-executor decides how each attention unit is evaluated (full, cached,
-sliced) and reports one trace row per unit; the driver appends one MLP row
-per block. Every executor runs its attention through `CellExecutor`, the
-only code that evaluates a cell; the baseline is the executor that runs F
-everywhere.
+`CellExecutor`, and applying x <- x - eta(t) * residual. The executor is
+the only code that evaluates an attention cell, and it writes one trace
+row per unit; the driver appends one MLP row per block. The executor takes
+each cell's letter from a source: a cache map grid, F everywhere, or a
+subclass's online decide. The baseline is F everywhere with drifts.
 """
 
 from __future__ import annotations
@@ -47,13 +46,20 @@ LETTER_OUTPUT = "O"
 LETTER_MAP = "M"
 LETTER_PRUNED = "P"
 
+DECISION_BY_LETTER = {
+    LETTER_FULL: "full",
+    LETTER_OUTPUT: "reuse_output",
+    LETTER_MAP: "reuse_map",
+    LETTER_PRUNED: "pruned",
+}
+
 
 class MissingArtifactError(RuntimeError):
     """A dispatch or replay step needed an artifact that is not available."""
 
 
 class CellExecutor:
-    """Runs one cache-map cell of a unit; every executor runs its cells here.
+    """Runs every attention cell of a run and writes its trace row.
 
     Each unit owns a ring of its last `depth` F results as (step,
     AttentionResult) pairs, oldest first; nothing else holds them. F runs
@@ -63,13 +69,61 @@ class CellExecutor:
     with the sliced formula, which is equal there). O, M and P leave the
     ring alone, so its newest entry is the F result that armed any cache an
     O or M cell serves from.
+
+    `letter` gives each cell its letter and window: the cell of `grid`, a
+    (block, kind) -> letters map, or F everywhere when `grid` is None. After
+    an F, `decide` may turn the cell into P. With `drift`, an F cell records
+    the relative distance of its output and map from the unit's previous F.
+    At `capture_steps` the cell's (x_stack, o_stack) goes into
+    `captured[unit][step]`.
     """
 
-    def __init__(self, model, sliced_weights: dict | None = None, depth: int = 1):
+    def __init__(self, model, sliced_weights: dict | None = None, depth: int = 1,
+                 grid: dict | None = None, drift: bool = False, capture_steps=()):
         self.model = model
         self.sliced = dict(sliced_weights) if sliced_weights else {}
         self.depth = depth
+        self.grid = grid
+        self.drift = drift
+        self.capture_steps = set(capture_steps)
+        self.captured = {}  # (block, kind) -> {step: (x_stack, o_stack)}
         self.rings = {}  # (block, kind) -> deque of (step, AttentionResult)
+
+    def letter(self, unit, step: int):
+        """(letter, window) of a cell before it runs."""
+        if self.grid is None:
+            return LETTER_FULL, None
+        letters = self.grid.get(unit)
+        if letters is None or step >= len(letters):
+            raise MissingArtifactError(
+                f"cache map has no cell for block {unit[0]} {unit[1]} step {step}")
+        return letters[step], None
+
+    def decide(self, unit, step: int, width: int):
+        """(letter, window) of a cell whose fresh F result is the ring's newest."""
+        return LETTER_FULL, None
+
+    def run_unit(self, block_idx: int, kind: str, x_stack: np.ndarray, step: int):
+        """Run one cell and return (o_stack, its trace row)."""
+        unit = (block_idx, kind)
+        letter, window = self.letter(unit, step)
+        drift_o, drift_m = None, None
+        if letter == LETTER_FULL:
+            ring = self.rings.get(unit)
+            prev = ring[-1][1] if self.drift and ring else None
+            o_stack, macs = self.execute_cell(letter, block_idx, kind, x_stack, step)
+            if prev is not None:
+                fresh = self.rings[unit][-1][1]
+                drift_o, drift_m = rel_l2(fresh.output, prev.output), rel_l2(fresh.map, prev.map)
+            letter, window = self.decide(unit, step, x_stack.shape[-1])
+        if letter != LETTER_FULL:
+            o_stack, macs = self.execute_cell(letter, block_idx, kind, x_stack, step)
+        if step in self.capture_steps:
+            self.captured.setdefault(unit, {})[step] = (x_stack, o_stack)
+        row = TraceRow(step=step, block=block_idx, kind=kind,
+                       decision=DECISION_BY_LETTER[letter], window=window,
+                       drift_output=drift_o, drift_map=drift_m, macs=macs)
+        return o_stack, row
 
     def execute_cell(self, letter: str, block_idx: int, kind: str,
                      x_stack: np.ndarray, step: int):
@@ -100,31 +154,6 @@ class CellExecutor:
             o_stack, _ = attention(x_stack, w, qk=qk)
             return o_stack, inst * macs_sliced(seq, m, sw.n)
         raise ValueError(f"unknown cache map letter {letter!r}")
-
-    def full_with_drift(self, block_idx: int, kind: str, x_stack: np.ndarray, step: int):
-        """Execute an F cell; return (o_stack, macs, drift_output, drift_map).
-
-        The drifts are the relative distances of the fresh output and map
-        from the unit's previous F result, or None on the unit's first F.
-        """
-        ring = self.rings.get((block_idx, kind))
-        prev = ring[-1][1] if ring else None
-        o_stack, macs = self.execute_cell(LETTER_FULL, block_idx, kind, x_stack, step)
-        if prev is None:
-            return o_stack, macs, None, None
-        fresh = self.rings[(block_idx, kind)][-1][1]
-        return o_stack, macs, rel_l2(fresh.output, prev.output), rel_l2(fresh.map, prev.map)
-
-
-class BaselineExecutor(CellExecutor):
-    """Full attention everywhere; records adjacent-step drifts for the trace."""
-
-    def run_unit(self, block_idx: int, kind: str, x_stack: np.ndarray, step: int):
-        o_stack, macs, drift_o, drift_m = self.full_with_drift(block_idx, kind, x_stack, step)
-        row = TraceRow(step=step, block=block_idx, kind=kind, decision="full",
-                       window=None, drift_output=drift_o, drift_map=drift_m,
-                       macs=macs)
-        return o_stack, row
 
 
 def forward_blocks(executor, h: np.ndarray, step: int, trace: RunTrace) -> np.ndarray:
@@ -177,4 +206,4 @@ def denoise_run(cfg: ModelConfig, executor, eta_fn=None, last_step: int | None =
 
 
 def baseline_run(model, cfg: ModelConfig, eta_fn=None):
-    return denoise_run(cfg, BaselineExecutor(model), eta_fn=eta_fn)
+    return denoise_run(cfg, CellExecutor(model, drift=True), eta_fn=eta_fn)

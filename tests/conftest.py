@@ -8,10 +8,10 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import unicp.dws
 from unicp.cli import RunSpec
-from unicp.dws import OnlineDispatcher, dws_calibrate
+from unicp.dws import OnlineDispatcher, dws_calibrate, run_cache_map
 from unicp.edcw import SchedulerConfig, edcw_decide
 from unicp.model import ModelConfig, init_model
-from unicp.runner import BaselineExecutor, denoise_run
+from unicp.runner import CellExecutor, denoise_run
 
 PRESETS = {"E1": 0.025, "E2": 0.05, "E3": 0.075, "E4": 0.125, "E5": 0.175}
 
@@ -28,7 +28,7 @@ def online_pass(model, cfg, sched, calib):
     state, trace = denoise_run(cfg, dispatcher)
     key = RunSpec(model=cfg, scheduler=sched, ratio_lo=0.1, ratio_hi=0.4, mode="online",
                   aggregation="conservative", preset=None).key()
-    cache_map = dispatcher.build_cache_map(key)
+    cache_map = run_cache_map(trace, key, calib.sliced)
     return SimpleNamespace(state=state, trace=trace, cache_map=cache_map)
 
 
@@ -54,7 +54,7 @@ def tiny_model(tiny_cfg):
 
 @pytest.fixture(scope="session")
 def desk_baseline(desk_cfg, desk_model):
-    state, trace = denoise_run(desk_cfg, BaselineExecutor(desk_model))
+    state, trace = denoise_run(desk_cfg, CellExecutor(desk_model, drift=True))
     return state, trace
 
 

@@ -244,6 +244,12 @@ def report_parse(text):
     )
 
 
+def unit_letters(out):
+    """The cell letters of the (o_stack, row) pairs `drive_unit` returns."""
+    letter_of = {"full": "F", "reuse_output": "O", "reuse_map": "M", "pruned": "P"}
+    return [letter_of[row.decision] for _, row in out]
+
+
 def drive_unit(dispatcher, cfg, steps, seed=0):
     """Run unit (0, spatial) of `dispatcher` on fresh random inputs per step.
 

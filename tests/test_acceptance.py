@@ -155,9 +155,10 @@ def test_06_mac_reduction(desk_baseline, desk_calibrations):
 
 def test_07_calibration_soundness(desk_cfg, desk_model, desk_calibrations):
     with criterion(7, "calibration soundness at every preset"):
-        from unicp.dws import _CaptureExecutor, default_calib_steps
+        from unicp.dws import default_calib_steps
         from unicp.model import attention_weights_for
-        cap = _CaptureExecutor(desk_model, default_calib_steps(desk_cfg.num_steps))
+        from unicp.runner import CellExecutor
+        cap = CellExecutor(desk_model, capture_steps=default_calib_steps(desk_cfg.num_steps))
         denoise_run(desk_cfg, cap)
         for preset in PRESET_ORDER:
             sched, calib, _ = desk_calibrations[preset]

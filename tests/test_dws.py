@@ -4,23 +4,23 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import attention_rows, drive_unit, exhaustive_n_sweep
+from oracles import attention_rows, drive_unit, exhaustive_n_sweep, unit_letters
 from unicp.dws import (
     CacheMap,
     MissingArtifactError,
     OnlineDispatcher,
-    ReplayDispatcher,
     cache_map_export,
     cache_map_parse,
     default_calib_steps,
     dws_calibrate,
     fraction_grid,
+    run_cache_map,
 )
 from unicp.edcw import SchedulerConfig
 from unicp.linalg import rel_l2
 from unicp.metrics import RunTrace, macs_full_attention, macs_map_reuse, macs_sliced, macs_mlp
 from unicp.model import ATTENTION_KINDS, ModelConfig, attention_weights_for, init_model
-from unicp.runner import BaselineExecutor, denoise_run, forward_blocks
+from unicp.runner import CellExecutor, denoise_run, forward_blocks
 
 
 def tiny(**overrides):
@@ -62,8 +62,8 @@ class TestCalibrate:
             assert sw.n == cfg.model_dim
         # With nothing accepted, pruned cells fall back to full compute.
         online = OnlineDispatcher(model, sched, calib.sliced)
-        denoise_run(cfg, online)
-        cmap = online.build_cache_map({})
+        _, trace = denoise_run(cfg, online)
+        cmap = run_cache_map(trace, {}, calib.sliced)
         letters = {l for row in cmap.grid.values() for l in row}
         assert "P" not in letters
 
@@ -73,8 +73,7 @@ class TestCalibrate:
         fracs = fraction_grid(0.1, 0.4)
         n_candidates = sorted({math.ceil(m * (1 - f)) for f in fracs})
         # Re-capture the baseline inputs independently of the calibration.
-        from unicp.dws import _CaptureExecutor
-        cap = _CaptureExecutor(tiny_model, default_calib_steps(tiny_cfg.num_steps))
+        cap = CellExecutor(tiny_model, capture_steps=default_calib_steps(tiny_cfg.num_steps))
         denoise_run(tiny_cfg, cap)
         for (block, kind), sw in calib.sliced.items():
             w = attention_weights_for(tiny_model[block], kind)
@@ -87,13 +86,12 @@ class TestCalibrate:
 
     def test_capture_pass_stops_at_last_calibration_step(self, tiny_cfg, tiny_model, monkeypatch):
         import unicp.dws
-        from unicp.dws import _CaptureExecutor
         calib_steps = default_calib_steps(tiny_cfg.num_steps)
         made = []
 
-        class StepCountingCapture(_CaptureExecutor):
-            def __init__(self, *args):
-                super().__init__(*args)
+        class StepCountingCapture(CellExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
                 self.steps_run = set()
                 made.append(self)
 
@@ -101,13 +99,13 @@ class TestCalibrate:
                 self.steps_run.add(step)
                 return super().run_unit(block_idx, kind, x_stack, step)
 
-        monkeypatch.setattr(unicp.dws, "_CaptureExecutor", StepCountingCapture)
+        monkeypatch.setattr(unicp.dws, "CellExecutor", StepCountingCapture)
         dws_calibrate(tiny_model, tiny_cfg, SchedulerConfig(delta=0.075, search_window=4))
         (capture,) = made
         assert capture.steps_run == set(range(max(calib_steps) + 1))
         assert max(calib_steps) + 1 < tiny_cfg.num_steps
         # A full-length capture run sees the same inputs and outputs, bit for bit.
-        full = _CaptureExecutor(tiny_model, calib_steps)
+        full = CellExecutor(tiny_model, capture_steps=calib_steps)
         denoise_run(tiny_cfg, full)
         assert capture.captured.keys() == full.captured.keys()
         for unit, per_step in full.captured.items():
@@ -125,10 +123,9 @@ class TestCalibrate:
     def test_threshold_soundness_at_calibration_steps(self, tiny_calibration, tiny_cfg, tiny_model):
         # Post-hoc recomputation: the final sliced weights stay within delta
         # of full compute at every calibration step.
-        from unicp.dws import _CaptureExecutor
         from unicp.model import attention
         sched, calib, _ = tiny_calibration
-        cap = _CaptureExecutor(tiny_model, default_calib_steps(tiny_cfg.num_steps))
+        cap = CellExecutor(tiny_model, capture_steps=default_calib_steps(tiny_cfg.num_steps))
         denoise_run(tiny_cfg, cap)
         for (block, kind), sw in calib.sliced.items():
             if sw.n == tiny_cfg.model_dim:
@@ -174,8 +171,8 @@ class TestCalibrate:
         maps = []
         for calib in (a, b):
             online = OnlineDispatcher(model, sched, calib.sliced)
-            denoise_run(cfg, online)
-            maps.append(cache_map_export(online.build_cache_map({})))
+            _, trace = denoise_run(cfg, online)
+            maps.append(cache_map_export(run_cache_map(trace, {}, calib.sliced)))
         assert maps[0] == maps[1]
         for unit in a.sliced:
             assert np.array_equal(a.sliced[unit].wq_sliced, b.sliced[unit].wq_sliced)
@@ -203,8 +200,8 @@ class TestDispatch:
     def test_all_full_grid_step_equals_baseline_step(self, tiny_cfg, tiny_model):
         cmap = CacheMap(key={}, grid={(b, k): ["F"] * tiny_cfg.num_steps
                                       for b in range(tiny_cfg.num_blocks) for k in ATTENTION_KINDS})
-        replay = ReplayDispatcher(tiny_model, cmap, None)
-        baseline = BaselineExecutor(tiny_model)
+        replay = CellExecutor(tiny_model, grid=cmap.grid)
+        baseline = CellExecutor(tiny_model, drift=True)
         rng = np.random.default_rng(0)
         h = rng.standard_normal((tiny_cfg.num_frames, tiny_cfg.tokens_per_frame,
                                  tiny_cfg.model_dim))
@@ -221,8 +218,8 @@ class TestDispatch:
                   for b in range(tiny_cfg.num_blocks) for k in ATTENTION_KINDS}
         cmap = CacheMap(key={}, grid={unit: ["P"] * tiny_cfg.num_steps for unit in sliced},
                         final_n={unit: m for unit in sliced})
-        state_replay, trace_replay = denoise_run(tiny_cfg, ReplayDispatcher(tiny_model, cmap, sliced))
-        state_base, trace_base = denoise_run(tiny_cfg, BaselineExecutor(tiny_model))
+        state_replay, trace_replay = denoise_run(tiny_cfg, CellExecutor(tiny_model, sliced, grid=cmap.grid))
+        state_base, trace_base = denoise_run(tiny_cfg, CellExecutor(tiny_model, drift=True))
         assert np.array_equal(state_replay, state_base)
         # Nominal accounting via the sliced formula equals full at n = m.
         assert trace_replay.macs_total == trace_base.macs_total
@@ -231,7 +228,7 @@ class TestDispatch:
         cmap = CacheMap(key={}, grid={(b, k): ["P"] * tiny_cfg.num_steps
                                       for b in range(tiny_cfg.num_blocks) for k in ATTENTION_KINDS})
         with pytest.raises(MissingArtifactError):
-            denoise_run(tiny_cfg, ReplayDispatcher(tiny_model, cmap, None))
+            denoise_run(tiny_cfg, CellExecutor(tiny_model, grid=cmap.grid))
 
     def test_reuse_before_full_compute_errors(self, tiny_cfg, tiny_model):
         grid = {(b, k): ["F"] * tiny_cfg.num_steps
@@ -239,7 +236,7 @@ class TestDispatch:
         grid[(0, "spatial")] = ["O"] + ["F"] * (tiny_cfg.num_steps - 1)
         cmap = CacheMap(key={}, grid=grid)
         with pytest.raises(MissingArtifactError):
-            denoise_run(tiny_cfg, ReplayDispatcher(tiny_model, cmap, None))
+            denoise_run(tiny_cfg, CellExecutor(tiny_model, grid=cmap.grid))
 
     def test_map_reuse_cells_recompute_value_path(self, tiny_cfg, tiny_model):
         # Hand-built grid: full compute at step 0, map reuse afterwards. The
@@ -248,7 +245,7 @@ class TestDispatch:
         grid = {(b, k): ["F"] + ["M"] * (tiny_cfg.num_steps - 1)
                 for b in range(tiny_cfg.num_blocks) for k in ATTENTION_KINDS}
         cmap = CacheMap(key={}, grid=grid)
-        state, trace = denoise_run(tiny_cfg, ReplayDispatcher(tiny_model, cmap, None))
+        state, trace = denoise_run(tiny_cfg, CellExecutor(tiny_model, grid=cmap.grid))
         f, s, m = tiny_cfg.num_frames, tiny_cfg.tokens_per_frame, tiny_cfg.model_dim
         for row in attention_rows(trace):
             if row.decision == "reuse_map":
@@ -262,7 +259,7 @@ class TestDispatch:
         state_online, trace_online = denoise_run(tiny_cfg, online)
         assert np.array_equal(state_online, population.state)
 
-        replay = ReplayDispatcher(tiny_model, population.cache_map, calib.sliced)
+        replay = CellExecutor(tiny_model, calib.sliced, grid=population.cache_map.grid)
         state_replay, trace_replay = denoise_run(tiny_cfg, replay)
         assert np.array_equal(state_replay, state_online)
         assert trace_replay.macs_total == trace_online.macs_total
@@ -328,7 +325,7 @@ class TestOnlineRing:
         # have evicted it and pruned instead.
         online = OnlineDispatcher(tiny_model, SchedulerConfig(delta=1e9, search_window=1))
         _, out, _ = drive_unit(online, tiny_cfg, 6)
-        assert online.grid[(0, "spatial")] == ["F"] * 6
+        assert unit_letters(out) == ["F"] * 6
         assert [row.window for _, row in out] == [None] + [1] * 5
 
     def test_map_hit_serves_the_arming_map(self, tiny_cfg, tiny_model, monkeypatch):
@@ -339,7 +336,7 @@ class TestOnlineRing:
         monkeypatch.setattr(unicp.dws, "edcw_decide", lambda history, current, step, cfg: hit)
         online = OnlineDispatcher(tiny_model, SchedulerConfig(delta=0.0, search_window=3))
         xs, out, _ = drive_unit(online, tiny_cfg, 4)
-        assert online.grid[(0, "spatial")] == ["F", "M", "M", "F"]
+        assert unit_letters(out) == ["F", "M", "M", "F"]
         w = attention_weights_for(tiny_model[0], "spatial")
         _, a_armed = attention(xs[0], w)
         for step in (1, 2):
@@ -360,8 +357,8 @@ class TestOnlineRing:
 
         monkeypatch.setattr(unicp.dws, "edcw_decide", scripted)
         online = OnlineDispatcher(tiny_model, SchedulerConfig(delta=0.0, search_window=K))
-        _, _, rings = drive_unit(online, tiny_cfg, 14)
-        letters = online.grid[(0, "spatial")]
+        _, out, rings = drive_unit(online, tiny_cfg, 14)
+        letters = unit_letters(out)
         assert [s for s, letter in enumerate(letters) if letter == "F"] == list(script)
         for step, window in script.items():
             horizon = step + (window or 1) - K

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import brute_force_cache_decision_at, drive_unit
+from oracles import brute_force_cache_decision_at, drive_unit, unit_letters
 from unicp.dws import OnlineDispatcher
 from unicp.edcw import DecisionKind, SchedulerConfig, edcw_decide
 from unicp.model import AttentionResult
@@ -128,7 +128,7 @@ class TestConsume:
         # The k=3 hit at step 4 serves steps 5 and 6; step 7 computes F again.
         online = OnlineDispatcher(tiny_model, SchedulerConfig(delta=1e9, search_window=3))
         _, out, _ = drive_unit(online, tiny_cfg, 11)
-        assert "".join(online.grid[(0, "spatial")]) == "FFFOFOOFOOF"
+        assert "".join(unit_letters(out)) == "FFFOFOOFOOF"
         assert [row.window for _, row in out] == [None, 1, 2, 2, 3, 3, 3, 3, 3, 3, 3]
         o_armed = out[4][0]
         assert out[5][0] is o_armed and out[6][0] is o_armed

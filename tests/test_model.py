@@ -27,7 +27,7 @@ from unicp.model import (
     unit_input_stack,
 )
 from unicp.pcas import compute_basis, slice_weights
-from unicp.runner import BaselineExecutor, denoise_run
+from unicp.runner import CellExecutor, denoise_run
 
 
 def matrices(weights):
@@ -122,7 +122,7 @@ class TestAttentionForward:
         cfg = small_cfg()
         model = init_model(cfg)
         s, m = 5, cfg.model_dim
-        _, r = BaselineExecutor(model).run_unit(0, "spatial", np.ones((1, s, m)), 0)
+        _, r = CellExecutor(model, drift=True).run_unit(0, "spatial", np.ones((1, s, m)), 0)
         assert r.macs == 4 * s * m * m + 2 * s * s * m == macs_full_attention(s, m)
 
     def test_maps_are_row_stochastic(self):
@@ -295,39 +295,39 @@ class TestDenoiseRun:
     def test_trace_row_counts(self):
         cfg = small_cfg(num_steps=2)
         model = init_model(cfg)
-        _, trace = denoise_run(cfg, BaselineExecutor(model))
+        _, trace = denoise_run(cfg, CellExecutor(model, drift=True))
         assert len(attention_rows(trace)) == 2 * cfg.num_blocks * 2
         assert len(trace.rows) == 2 * cfg.num_blocks * 3  # + one MLP row per block
 
     def test_zero_eta_is_fixed_point(self):
         cfg = small_cfg()
         model = init_model(cfg)
-        state, _ = denoise_run(cfg, BaselineExecutor(model), eta_fn=lambda t: 0.0)
+        state, _ = denoise_run(cfg, CellExecutor(model, drift=True), eta_fn=lambda t: 0.0)
         assert np.array_equal(state, init_latent(cfg))
 
     def test_determinism(self):
         cfg = small_cfg()
         model = init_model(cfg)
-        s1, t1 = denoise_run(cfg, BaselineExecutor(model))
-        s2, t2 = denoise_run(cfg, BaselineExecutor(model))
+        s1, t1 = denoise_run(cfg, CellExecutor(model, drift=True))
+        s2, t2 = denoise_run(cfg, CellExecutor(model, drift=True))
         assert np.array_equal(s1, s2)
         assert t1.rows == t2.rows
 
     def test_last_step_stops_the_loop(self):
         cfg = small_cfg()
         model = init_model(cfg)
-        _, full = denoise_run(cfg, BaselineExecutor(model))
-        _, part = denoise_run(cfg, BaselineExecutor(model), last_step=1)
+        _, full = denoise_run(cfg, CellExecutor(model, drift=True))
+        _, part = denoise_run(cfg, CellExecutor(model, drift=True), last_step=1)
         assert {r.step for r in part.rows} == {0, 1}
         assert part.rows == [r for r in full.rows if r.step <= 1]
         for bad in (-1, cfg.num_steps):
             with pytest.raises(ValueError, match="last_step"):
-                denoise_run(cfg, BaselineExecutor(model), last_step=bad)
+                denoise_run(cfg, CellExecutor(model, drift=True), last_step=bad)
 
     def test_mac_total_closed_form(self):
         cfg = small_cfg(num_steps=3)
         model = init_model(cfg)
-        _, trace = denoise_run(cfg, BaselineExecutor(model))
+        _, trace = denoise_run(cfg, CellExecutor(model, drift=True))
         s, m, f = cfg.tokens_per_frame, cfg.model_dim, cfg.num_frames
         per_block = (f * macs_full_attention(s, m) + s * macs_full_attention(f, m)
                      + macs_mlp(f * s, m))
@@ -340,7 +340,7 @@ class TestDenoiseRun:
         from unicp.model import TEMB_AMP, eta_schedule
         cfg = small_cfg()
         model = init_model(cfg)
-        via_executor, _ = denoise_run(cfg, BaselineExecutor(model))
+        via_executor, _ = denoise_run(cfg, CellExecutor(model, drift=True))
 
         state = init_latent(cfg)
         for step in range(cfg.num_steps):

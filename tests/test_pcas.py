@@ -3,7 +3,6 @@ import pytest
 
 from oracles import reconstruction_error, ref_sliced_attention_via_reconstruction
 from unicp.linalg import frob, rel_l2
-from unicp.dws import CacheMap, ReplayDispatcher
 from unicp.metrics import macs_full_attention, macs_sliced
 from unicp.model import AttentionWeights, BlockWeights, attention
 from unicp.pcas import (
@@ -12,6 +11,7 @@ from unicp.pcas import (
     save_sliced_weights,
     slice_weights,
 )
+from unicp.runner import CellExecutor
 
 
 def random_weights(rng, m):
@@ -142,8 +142,8 @@ class TestSlicedAttention:
         basis = compute_basis([x])
         sw = slice_weights(w, basis, n)
         # The kernel returns no MACs; the trace row of a pruned cell carries them.
-        cmap = CacheMap(key={}, grid={(0, "spatial"): ["P"]})
-        replay = ReplayDispatcher([BlockWeights(w, w, None)], cmap, {(0, "spatial"): sw})
+        replay = CellExecutor([BlockWeights(w, w, None)], {(0, "spatial"): sw},
+                              grid={(0, "spatial"): ["P"]})
         _, r = replay.run_unit(0, "spatial", x[None], 0)
         assert r.macs == macs_sliced(s, m, n)
         assert r.macs == 2 * s * m * n + 2 * s * m * m + s * s * n + s * s * m

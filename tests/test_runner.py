@@ -16,38 +16,36 @@ CFG = ModelConfig(num_blocks=1, model_dim=8, tokens_per_frame=6, num_frames=3,
 UNIT = (0, "spatial")
 
 
-def executor_and_stacks(count, depth=1):
+def executor_and_stacks(count, **options):
     model = init_model(CFG)
     w = attention_weights_for(model[0], "spatial")
     rng = np.random.default_rng(5)
     m = CFG.model_dim
     basis = compute_basis([rng.standard_normal((2 * m, m))])
-    executor = CellExecutor(model, {UNIT: slice_weights(w, basis, m // 2)}, depth=depth)
+    executor = CellExecutor(model, {UNIT: slice_weights(w, basis, m // 2)}, **options)
     shape = (CFG.num_frames, CFG.tokens_per_frame, m)
     return executor, w, [rng.standard_normal(shape) for _ in range(count)]
 
 
 class TestFullWithDrift:
     def test_first_full_has_no_drift(self):
-        executor, w, (x,) = executor_and_stacks(1)
-        o_stack, macs, drift_o, drift_m = executor.full_with_drift(*UNIT, x, 0)
-        assert (drift_o, drift_m) == (None, None)
+        executor, w, (x,) = executor_and_stacks(1, drift=True)
+        o_stack, row = executor.run_unit(*UNIT, x, 0)
+        assert (row.drift_output, row.drift_map) == (None, None)
         assert np.array_equal(o_stack, attention(x, w)[0])
-        assert macs > 0
+        assert row.macs > 0
 
     def test_drift_is_against_the_last_full_result(self):
         # O, M and P cells between two F cells leave the ring alone, so the
         # second F measures its drift against the first one.
-        executor, w, xs = executor_and_stacks(5)
-        executor.full_with_drift(*UNIT, xs[0], 0)
+        letters = [LETTER_FULL, LETTER_OUTPUT, LETTER_MAP, LETTER_PRUNED, LETTER_FULL]
+        executor, w, xs = executor_and_stacks(5, drift=True, grid={UNIT: letters})
         o_first, a_first = attention(xs[0], w)
-        for step, letter in enumerate((LETTER_OUTPUT, LETTER_MAP, LETTER_PRUNED), start=1):
-            executor.execute_cell(letter, *UNIT, xs[step], step)
-        o_stack, _, drift_o, drift_m = executor.full_with_drift(*UNIT, xs[4], 4)
+        o_stack, row = [executor.run_unit(*UNIT, x, step) for step, x in enumerate(xs)][4]
         o_fresh, a_fresh = attention(xs[4], w)
         assert np.array_equal(o_stack, o_fresh)
-        assert drift_o == rel_l2(o_fresh, o_first)
-        assert drift_m == rel_l2(a_fresh, a_first)
+        assert row.drift_output == rel_l2(o_fresh, o_first)
+        assert row.drift_map == rel_l2(a_fresh, a_first)
 
 
 class TestRing:
