@@ -2,7 +2,8 @@
 scheduler harness, and output comparison.
 
 Exit codes: 0 success, 2 configuration/validation problem or a path the
-OS cannot read or write, 3 missing dependency artifact, 4 numeric failure.
+OS cannot read or write, 3 missing dependency artifact, 4 numeric failure
+(non-finite latent values, or a float overflow).
 All commands are deterministic given the same spec (seed included); every
 command writes a JSON echo of its full spec beside its artifacts.
 """
@@ -14,6 +15,7 @@ import ctypes
 import json
 import sys
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 from .dws import (
@@ -27,7 +29,8 @@ from .dws import (
 )
 from .edcw import SchedulerConfig
 from .harness import profile_parse, run_scheduler_on_profile, u_profile
-from .metrics import quality_report, report_export, trace_export, trace_parse
+from .metrics import (macs_full_attention, macs_mlp, quality_report, report_export,
+                      trace_export, trace_parse)
 from .model import (
     ATTENTION_KINDS,
     ModelConfig,
@@ -186,6 +189,28 @@ def _check_key(spec: RunSpec, recorded: dict, artifact: str):
                               f"but this run has {field}={wanted!r}")
 
 
+def _check_baseline_trace(trace, cfg: ModelConfig, path: Path):
+    """Raise ConfigError, naming the first row that fails, unless `trace` has
+    one row per (step, block, spatial|temporal|mlp) of the model in the order
+    a baseline writes them, and every full row's MACs equal the closed form."""
+    f, s, m = cfg.num_frames, cfg.tokens_per_frame, cfg.model_dim
+    full_macs = {"spatial": f * macs_full_attention(s, m),
+                 "temporal": s * macs_full_attention(f, m), "mlp": macs_mlp(f * s, m)}
+    units = [(step, block, kind) for step in range(cfg.num_steps)
+             for block in range(cfg.num_blocks) for kind in full_macs]
+    for row, unit in zip_longest(trace.rows, units):
+        if row is None:
+            raise ConfigError(f"baseline trace {path} has no row for step {unit[0]} "
+                              f"block {unit[1]} {unit[2]}")
+        where = f"baseline trace {path} row step={row.step} block={row.block} kind={row.kind}"
+        if (row.step, row.block, row.kind) != unit:
+            raise ConfigError(f"{where} is not the next row of a model with "
+                              f"{cfg.num_steps} steps and {cfg.num_blocks} blocks")
+        if row.decision == "full" and row.macs != full_macs[row.kind]:
+            raise ConfigError(f"{where} has {row.macs} MACs, but a full {row.kind} "
+                              f"cell of this model takes {full_macs[row.kind]}")
+
+
 def _out_dir(path: str, names) -> Path:
     """Make a command's output directory, then raise ConfigError naming the
     first of `names` that exists there as a directory. Commands call it
@@ -231,10 +256,12 @@ def cmd_run(args) -> int:
         base_path = Path(args.baseline_trace)
         if not base_path.exists():
             raise MissingArtifactError(f"baseline trace not found: {base_path}")
-        base_total = trace_parse(base_path.read_text()).macs_total
+        base_trace = trace_parse(base_path.read_text())
+        base_total = base_trace.macs_total
         if base_total <= 0:
             raise ConfigError(f"baseline trace {base_path} has a MAC total of {base_total}; "
                               f"the MAC ratio needs a positive one")
+        _check_baseline_trace(base_trace, spec.model, base_path)
     out_dir = _out_dir(args.out, (RUN_STATE, RUN_TRACE, RUN_CACHE_MAP, CACHE_MAP_FILE,
                                   "run_spec.json"))
     model = init_model(spec.model)
@@ -433,7 +460,7 @@ def main(argv=None) -> int:
     except MissingArtifactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except NumericError as exc:
+    except (NumericError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

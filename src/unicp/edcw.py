@@ -49,13 +49,13 @@ def edcw_decide(history, current: AttentionResult, step: int,
     `history` holds (step, AttentionResult) pairs, oldest first; entries at
     distances outside 1..K, such as `current` itself, are ignored, and
     absent distances are skipped, so the first steps of a run cannot match
-    at the full window. Scans k = K..1 on the output tier, then on the map
-    tier; the first hit (largest k) wins. A miss on both tiers defers to
-    pruning.
+    at the full window. Scans the distances present in 1..K, largest first,
+    on the output tier, then on the map tier; the first hit (largest k)
+    wins. A miss on both tiers defers to pruning.
     """
     by_distance = {step - s: result for s, result in history}
-    candidates = [(k, by_distance[k]) for k in range(cfg.search_window, 0, -1)
-                  if k in by_distance]
+    candidates = [(k, by_distance[k]) for k in sorted(by_distance, reverse=True)
+                  if 1 <= k <= cfg.search_window]
     for k, candidate in candidates:
         if rel_l2(current.output, candidate.output) <= cfg.delta:
             return Decision(kind=DecisionKind.REUSE_OUTPUT, window=k)

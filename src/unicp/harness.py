@@ -104,8 +104,6 @@ class HarnessStep:
 class HarnessResult:
     steps: list[HarnessStep] = field(default_factory=list)
     accumulated_error: float = 0.0
-    # (arming step, window, decision kind) for every armed cache.
-    armings: list[tuple[int, int, DecisionKind]] = field(default_factory=list)
     fixed_window_errors: dict[int, float] = field(default_factory=dict)
 
 
@@ -151,13 +149,12 @@ def run_scheduler_on_profile(profile: DriftProfile, sched: SchedulerConfig,
                                          reuse_error=err, decision=None))
             continue
         lookahead = [(i - k, results[i + k])
-                     for k in range(sched.search_window, 0, -1) if i + k < num_steps]
+                     for k in range(min(sched.search_window, num_steps - 1 - i), 0, -1)]
         decision = edcw_decide(lookahead, results[i], i, sched)
         res.steps.append(HarnessStep(step=i, consumed=None, reuse_error=None,
                                      decision=decision))
         if decision.window is not None:
             armed = (decision.kind, results[i], i + decision.window - 1)
-            res.armings.append((i, decision.window, decision.kind))
     for w in fixed_windows:
         res.fixed_window_errors[w] = run_fixed_window(results, w)
     return res

@@ -28,7 +28,6 @@ class PcaBasis:
     """Orthonormal eigenvectors of pooled input covariance, eigenvalues descending."""
 
     rotation: np.ndarray  # m x m
-    eigenvalues: np.ndarray  # length m
     calib_steps: tuple[int, ...]
 
 
@@ -53,8 +52,7 @@ def compute_basis(calib_inputs: list[np.ndarray], calib_steps=()) -> PcaBasis:
             raise ShapeError(f"calibration inputs disagree on width: {x.shape[1]} vs {m}")
         cov += x.T @ x
     eig = sym_eig(cov)
-    return PcaBasis(rotation=eig.eigenvectors, eigenvalues=eig.eigenvalues,
-                    calib_steps=tuple(int(s) for s in calib_steps))
+    return PcaBasis(rotation=eig.eigenvectors, calib_steps=tuple(int(s) for s in calib_steps))
 
 
 def slice_weights(w: AttentionWeights, basis: PcaBasis, n: int) -> SlicedWeights:

@@ -135,6 +135,14 @@ def ref_pca_basis(instances):
     return vals[order], vecs[:, order]
 
 
+def rayleigh_quotients(basis, inputs):
+    """The eigenvalue each column of `basis.rotation` carries over the pooled
+    covariance sum(X^T X) of `inputs`: diag(R^T C R)."""
+    cov = sum(np.asarray(x).T @ np.asarray(x) for x in inputs)
+    r = basis.rotation
+    return np.einsum("ij,ik,kj->j", r, cov, r)
+
+
 def exhaustive_n_sweep(x_stacks_by_step, o_full_by_step, wq, wk, wv, wo,
                        delta, n_candidates, aggregation="conservative"):
     """Find per-unit final_n by testing every candidate dimension directly.
@@ -213,6 +221,12 @@ def ref_ssim(a, b, dynamic_range, window=8):
 def attention_rows(trace):
     """The rows of a RunTrace for attention units, MLP rows left out."""
     return [r for r in trace.rows if r.kind != "mlp"]
+
+
+def armings(result):
+    """(arming step, window, decision kind) of every cache a harness run armed."""
+    return [(s.step, s.decision.window, s.decision.kind) for s in result.steps
+            if s.decision is not None and s.decision.window is not None]
 
 
 def profile_export(profile, delta, window):

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 import types
 
 import numpy as np
@@ -239,6 +240,17 @@ class TestRun:
         assert replay_state == online_state
         assert replay_trace.macs_total == online_trace.macs_total
 
+    def test_window_past_the_last_step_matches_window_seven(self, tmp_path):
+        # A decide loops over the distances its ring holds, so K = 10**7 runs
+        # as fast as, and decides the same as, K = 7 on an 8-step run.
+        for window in ("7", "10000000"):
+            t0 = time.perf_counter()
+            assert run_cli("run", "--mode", "online", "--out", str(tmp_path / window),
+                           *TINY_FLAGS, "--window", window) == 0
+            assert time.perf_counter() - t0 < 5.0, window
+        for name in ("run_state.bin", "run_trace.csv"):
+            assert read(tmp_path / "7" / name) == read(tmp_path / "10000000" / name)
+
     def test_mac_ratio_printed(self, tmp_path, capsys):
         base = tmp_path / "base"
         run_cli("baseline", "--out", str(base), *TINY_FLAGS)
@@ -268,6 +280,19 @@ class TestRun:
         assert run_cli("run", "--out", str(out), *TINY_FLAGS,
                        "--baseline-trace", str(empty)) == 2
         assert "MAC total of 0" in capsys.readouterr().err
+        other = tmp_path / "other"
+        for flags, expected in [
+            (["--dim", "8"], "row step=0 block=0 kind=spatial has 16384 MACs, but a full "
+                             "spatial cell of this model takes 49152"),
+            (["--steps", "6"], "has no row for step 6 block 0 spatial"),
+            (["--steps", "9"], "row step=8 block=0 kind=spatial is not the next row of a "
+                               "model with 8 steps and 2 blocks"),
+        ]:
+            assert run_cli("baseline", "--out", str(other), *TINY_FLAGS, *flags) == 0
+            capsys.readouterr()
+            assert run_cli("run", "--out", str(out), *TINY_FLAGS,
+                           "--baseline-trace", str(other / "baseline_trace.csv")) == 2
+            assert expected in capsys.readouterr().err
         assert not out.exists()
 
         run_cli("calibrate", "--out", str(out), *TINY_FLAGS)
@@ -608,6 +633,16 @@ class TestCompare:
                 "--tokens", "16", "--frames", "4", "--steps", "8", "--seed", "7")
         assert run_cli("compare", str(a / "baseline_state.bin"),
                        str(b / "baseline_state.bin")) == 2
+
+    def test_state_near_the_float_range_exits_4(self, tmp_path, capsys):
+        # The SSIM constants square the state's value range, which overflows.
+        values = np.zeros(2 * 16 * 16)
+        values[0] = 1e200
+        path = tmp_path / "state.bin"
+        path.write_bytes(container(b"UNICPST1\n", STATE_HEADER)
+                         + values.astype("<f8").tobytes())
+        assert run_cli("compare", str(path), str(path)) == 4
+        assert "error: " in capsys.readouterr().err
 
     def test_missing_file_exits_3(self, tmp_path):
         assert run_cli("compare", str(tmp_path / "x.bin"), str(tmp_path / "y.bin")) == 3

@@ -1,0 +1,72 @@
+"""Seeded mutations of every file a tiny run reads, each run through `cli.main`.
+
+Each case truncates, flips a byte of, deletes a span of or duplicates a span
+of one input: the sliced weights, the cache map, a baseline trace, a state
+file or a drift profile. A mutated file may still be a valid one (a flipped
+payload digit), so exit 0 is allowed; anything else must be a documented
+exit code, and no exception may escape `main`.
+"""
+
+import random
+import shutil
+
+import pytest
+
+from oracles import profile_export
+from unicp.cli import main
+from unicp.harness import u_profile
+
+TINY_FLAGS = ["--blocks", "2", "--dim", "16", "--tokens", "16", "--frames", "2",
+              "--steps", "8", "--seed", "7", "--preset", "E5"]
+MUTATIONS = ("truncate", "flip", "delete", "duplicate")
+CASES_PER_MUTATION = 20
+
+
+def command_reading(name, d):
+    """The command that reads input `name` of the artifact directory `d`."""
+    run = ["run", "--out", str(d), *TINY_FLAGS]
+    return {
+        "sliced_weights.bin": [*run, "--mode", "online"],
+        "cache_map.txt": [*run, "--mode", "replay"],
+        "baseline_trace.csv": [*run, "--mode", "online",
+                               "--baseline-trace", str(d / "baseline_trace.csv")],
+        "baseline_state.bin": ["compare", str(d / "baseline_state.bin"),
+                               str(d / "run_state.bin")],
+        "profile.txt": ["harness", "--profile", str(d / "profile.txt"), "--out", str(d)],
+    }[name]
+
+
+def mutate(data: bytes, how: str, rng: random.Random) -> bytes:
+    i = rng.randrange(len(data))
+    if how == "truncate":
+        return data[:i]
+    if how == "flip":
+        return data[:i] + bytes([data[i] ^ rng.randrange(1, 256)]) + data[i + 1:]
+    j = min(len(data), i + rng.randrange(1, 9))
+    if how == "delete":
+        return data[:i] + data[j:]
+    return data[:j] + data[i:j] + data[j:]
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    d = tmp_path_factory.mktemp("pristine")
+    for argv in (["baseline", "--out", str(d), *TINY_FLAGS],
+                 ["calibrate", "--out", str(d), *TINY_FLAGS],
+                 ["run", "--mode", "online", "--out", str(d), *TINY_FLAGS]):
+        assert main(argv) == 0
+    (d / "profile.txt").write_text(profile_export(u_profile(12, spike_step=6), 0.05, 4))
+    return d
+
+
+@pytest.mark.parametrize("how", MUTATIONS)
+@pytest.mark.parametrize("name", ["sliced_weights.bin", "cache_map.txt", "baseline_trace.csv",
+                                  "baseline_state.bin", "profile.txt"])
+def test_mutated_input_exits_with_a_documented_code(pristine, tmp_path, capsys, name, how):
+    rng = random.Random(f"{name}-{how}")
+    data = (pristine / name).read_bytes()
+    for case in range(CASES_PER_MUTATION):
+        d = tmp_path / str(case)
+        shutil.copytree(pristine, d)
+        (d / name).write_bytes(mutate(data, how, rng))
+        assert main(command_reading(name, d)) in (0, 2, 3, 4), (case, capsys.readouterr().err)

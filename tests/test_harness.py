@@ -3,7 +3,13 @@ import re
 import numpy as np
 import pytest
 
-from oracles import brute_force_cache_decision_at, profile_export, ref_rel_norm, window_spans_step
+from oracles import (
+    armings,
+    brute_force_cache_decision_at,
+    profile_export,
+    ref_rel_norm,
+    window_spans_step,
+)
 from unicp.edcw import DecisionKind, SchedulerConfig
 from unicp.harness import (
     DriftProfile,
@@ -90,7 +96,7 @@ class TestScheduler:
         profile = u_profile(30, spike_step=15)
         sched = SchedulerConfig(delta=0.05, search_window=4)
         res = run_scheduler_on_profile(profile, sched, seed=0, fixed_windows=(2, 3, 4))
-        for arming_step, window, _ in res.armings:
+        for arming_step, window, _ in armings(res):
             assert not window_spans_step(arming_step, window, 15)
         for w, fixed_err in res.fixed_window_errors.items():
             assert res.accumulated_error < fixed_err
@@ -113,7 +119,7 @@ class TestScheduler:
         res = run_scheduler_on_profile(profile, sched, seed=2)
         # After each arming, K-1 steps consume; armings away from the tail
         # (where candidates get clipped by the sequence end) use the full window.
-        assert all(window == 4 for step, window, _ in res.armings if step < 12)
+        assert all(window == 4 for step, window, _ in armings(res) if step < 12)
         consumed = [s.step for s in res.steps if s.consumed]
         assert len(consumed) >= 9
 
@@ -135,6 +141,16 @@ class TestScheduler:
                 sched.delta, sched.search_window)
             assert step_rec.decision.kind.value == kind
             assert step_rec.decision.window == window
+
+    @pytest.mark.parametrize("delta", [0.05, 100.0])
+    def test_window_past_the_sequence_end_matches_t_minus_one(self, delta):
+        # No lookahead reaches past the last step, so K = 10**6 decides what
+        # K = T - 1 does, at the cost of the distances that exist.
+        profile = u_profile(30, spike_step=15)
+        huge = run_scheduler_on_profile(profile, SchedulerConfig(delta=delta,
+                                                                 search_window=10 ** 6))
+        fitted = run_scheduler_on_profile(profile, SchedulerConfig(delta=delta, search_window=29))
+        assert huge.steps == fitted.steps
 
     def test_fixed_window_error_closed_form_on_flat_profile(self):
         # Constant drift d along one direction: reuse error at distance j
