@@ -204,6 +204,18 @@ class TestRun:
                 "holds n=16: the map was made with other sliced weights; "
                 f"run `run --mode online --out {out}` again") in err
 
+    def test_map_with_final_n_and_no_sliced_weights_exits_2(self, tmp_path, capsys):
+        # At delta 0 every unit keeps n = m, so the map has final_n rows and no P cell.
+        out = tmp_path / "o"
+        spec = ["--out", str(out), *TINY_FLAGS, "--delta", "0"]
+        assert run_cli("calibrate", *spec) == 0
+        assert run_cli("run", "--mode", "online", *spec) == 0
+        (out / "sliced_weights.bin").unlink()
+        capsys.readouterr()
+        assert run_cli("run", "--mode", "replay", *spec) == 2
+        assert ("cache_map.txt gives block 0 spatial final_n=16, but sliced_weights.bin "
+                "holds n=None") in capsys.readouterr().err
+
     def test_later_sweep_order_reruns_on_existing_artifacts(self, tmp_path):
         # A full sweep, then the order the benchmark's later sweeps run in,
         # each command rewriting what the sweep before left in the directory.
