@@ -19,7 +19,6 @@ from itertools import zip_longest
 from pathlib import Path
 
 from .dws import (
-    MissingArtifactError,
     OnlineDispatcher,
     cache_map_export,
     cache_map_parse,
@@ -42,7 +41,7 @@ from .model import (
     save_state,
 )
 from .pcas import load_sliced_weights, save_sliced_weights
-from .runner import LETTER_PRUNED, CellExecutor, baseline_run, denoise_run
+from .runner import LETTER_PRUNED, CellExecutor, MissingArtifactError, baseline_run, denoise_run
 
 PRESETS = {"E1": 0.025, "E2": 0.05, "E3": 0.075, "E4": 0.125, "E5": 0.175}
 

@@ -38,7 +38,6 @@ from .runner import (
     LETTER_OUTPUT,
     LETTER_PRUNED,
     CellExecutor,
-    MissingArtifactError,
     denoise_run,
 )
 

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import attention_rows, drive_unit, exhaustive_n_sweep, unit_letters
 from unicp.dws import (
     CacheMap,
-    MissingArtifactError,
     OnlineDispatcher,
     cache_map_export,
     cache_map_parse,
@@ -20,7 +19,7 @@ from unicp.edcw import SchedulerConfig
 from unicp.linalg import rel_l2
 from unicp.metrics import RunTrace, macs_full_attention, macs_map_reuse, macs_sliced, macs_mlp
 from unicp.model import ATTENTION_KINDS, ModelConfig, attention_weights_for, init_model
-from unicp.runner import CellExecutor, denoise_run, forward_blocks
+from unicp.runner import CellExecutor, MissingArtifactError, denoise_run, forward_blocks
 
 
 def tiny(**overrides):
