@@ -23,8 +23,11 @@ from .dws import (
     cache_map_export,
     cache_map_parse,
     check_cache_map_units,
+    default_calib_steps,
     dws_calibrate,
+    load_calib_latents,
     run_cache_map,
+    save_calib_latents,
 )
 from .edcw import SchedulerConfig
 from .harness import profile_parse, run_scheduler_on_profile, u_profile
@@ -64,6 +67,7 @@ DEFAULTS = {
 
 BASELINE_STATE = "baseline_state.bin"
 BASELINE_TRACE = "baseline_trace.csv"
+BASELINE_LATENTS = "baseline_latents.bin"
 CACHE_MAP_FILE = "cache_map.txt"
 SLICED_WEIGHTS_FILE = "sliced_weights.bin"
 RUN_STATE = "run_state.bin"
@@ -224,10 +228,13 @@ def _out_dir(path: str, names) -> Path:
 
 def cmd_baseline(args) -> int:
     spec = build_spec(args)
-    out_dir = _out_dir(args.out, (BASELINE_STATE, BASELINE_TRACE, "baseline_spec.json"))
+    out_dir = _out_dir(args.out, (BASELINE_STATE, BASELINE_TRACE, BASELINE_LATENTS,
+                                  "baseline_spec.json"))
     model = init_model(spec.model)
-    state, trace = baseline_run(model, spec.model)
+    latents = dict.fromkeys(default_calib_steps(spec.model.num_steps))
+    state, trace = baseline_run(model, spec.model, latents=latents)
     save_state(out_dir / BASELINE_STATE, state, spec.model)
+    save_calib_latents(out_dir / BASELINE_LATENTS, spec.model, latents)
     _write_text(out_dir / BASELINE_TRACE, trace_export(trace))
     _write_spec(out_dir, "baseline_spec.json", spec)
     print(f"baseline complete: steps={spec.model.num_steps} macs_total={trace.macs_total}")
@@ -237,10 +244,14 @@ def cmd_baseline(args) -> int:
 def cmd_calibrate(args) -> int:
     spec = build_spec(args)
     out_dir = _out_dir(args.out, (SLICED_WEIGHTS_FILE, "calibrate_spec.json"))
+    # A baseline of this model in --out kept the latents at the calibration
+    # steps, so calibration runs those steps alone.
+    latents_path = out_dir / BASELINE_LATENTS
+    latents = load_calib_latents(latents_path, spec.model) if latents_path.exists() else None
     model = init_model(spec.model)
     result = dws_calibrate(model, spec.model, spec.scheduler,
                            ratio_bounds=(spec.ratio_lo, spec.ratio_hi),
-                           aggregation=spec.aggregation)
+                           aggregation=spec.aggregation, latents=latents)
     save_sliced_weights(out_dir / SLICED_WEIGHTS_FILE, result.sliced, spec.key())
     _write_spec(out_dir, "calibrate_spec.json", spec)
     for (block, kind) in sorted(result.sliced):

@@ -1,9 +1,12 @@
 """Dynamic weight shift: calibration, the cache map, and online dispatch.
 
-Calibration runs one all-F capture pass up to the last calibration
-step, fits a PCA basis per (block, attention-kind) unit from the captured
-inputs, and sweeps the pruned fraction upward until the unit's sliced output
-drifts past the error threshold. It yields the sliced weights only.
+Calibration captures every unit's inputs at the calibration steps with
+all-F cells, fits a PCA basis per (block, attention-kind) unit from them,
+and sweeps the pruned fraction upward until the unit's sliced output
+drifts past the error threshold. It yields the sliced weights only. Given
+the latents a baseline run kept at the calibration steps
+(`baseline_latents.bin`), it runs just those steps; without them, one
+capture pass from step 0 up to the last calibration step.
 
 Online dispatch decides live per the cache-window scheduler (caching first,
 slicing as the fallback tier); replay is `runner.CellExecutor` reading a
@@ -27,8 +30,12 @@ from .metrics import RunTrace
 from .model import (
     ATTENTION_KINDS,
     ModelConfig,
+    as_number,
     attention,
     attention_weights_for,
+    read_container,
+    require_keys,
+    write_container,
 )
 from .pcas import compute_basis, slice_weights
 from .runner import (
@@ -39,9 +46,11 @@ from .runner import (
     LETTER_PRUNED,
     CellExecutor,
     denoise_run,
+    denoise_step,
 )
 
 CACHE_MAP_MAGIC = "unicp-cache-map v2"
+LATENTS_MAGIC = b"UNICPLT1\n"
 
 FRACTION_STEP = 0.05
 
@@ -266,13 +275,47 @@ def _calibrate_unit(model, cfg, sched, captured, unit, fracs, calib_steps, aggre
     return slice_weights(w, basis, final_n), records
 
 
+def save_calib_latents(path, cfg: ModelConfig, latents: dict):
+    """Write the latents entering each calibration step of `cfg`, in step
+    order, under the model header plus `calib_steps`."""
+    steps = default_calib_steps(cfg.num_steps)
+    write_container(path, LATENTS_MAGIC, dict(cfg.header(), calib_steps=steps),
+                    [latents[step] for step in steps])
+
+
+def load_calib_latents(path, cfg: ModelConfig) -> dict | None:
+    """step -> the latent entering it, as read-only views of the file, or
+    None when the file was made for another model or other calibration
+    steps. Raise ValueError naming `path` when it is malformed."""
+    header, payload = read_container(path, LATENTS_MAGIC)
+    require_keys(header, (*cfg.header(), "calib_steps"), f"{path}: header")
+    try:
+        made_for = ModelConfig.from_header(header)
+        if not isinstance(header["calib_steps"], list):
+            raise ValueError(f"calib_steps is {header['calib_steps']!r}, not a list")
+        steps = [as_number(s, "calib_steps") for s in header["calib_steps"]]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if made_for != cfg or steps != default_calib_steps(cfg.num_steps):
+        return None
+    shape = (len(steps), cfg.num_frames, cfg.tokens_per_frame, cfg.model_dim)
+    if payload.size != math.prod(shape):
+        raise ValueError(f"{path}: payload holds {payload.size} values, "
+                         f"expected {math.prod(shape)}")
+    return dict(zip(steps, payload.reshape(shape)))
+
+
 def dws_calibrate(model, cfg: ModelConfig, sched: SchedulerConfig,
-                  ratio_bounds=(0.1, 0.4), aggregation: str = "conservative") -> CalibrationResult:
+                  ratio_bounds=(0.1, 0.4), aggregation: str = "conservative",
+                  latents: dict | None = None) -> CalibrationResult:
     """Calibrate per-unit pruning dimensions.
 
     Returns the sliced weights of each unit and the per-candidate
     calibration records. The cache map comes from an online run with these
-    weights (`OnlineDispatcher`).
+    weights (`OnlineDispatcher`). `latents` maps each calibration step to
+    the latent entering it (as `load_calib_latents` reads them); with it
+    only those steps run, without it a capture pass runs from step 0. Both
+    capture the same bits.
     """
     lo, hi = ratio_bounds
     if not 0.0 <= lo <= hi < 1.0:
@@ -282,8 +325,12 @@ def dws_calibrate(model, cfg: ModelConfig, sched: SchedulerConfig,
 
     calib_steps = default_calib_steps(cfg.num_steps)
     capture = CellExecutor(model, capture_steps=calib_steps)
-    # Only the calibration steps' captures are read, so the pass stops there.
-    denoise_run(cfg, capture, last_step=max(calib_steps))
+    if latents is None:
+        # Only the calibration steps' captures are read, so the pass stops there.
+        denoise_run(cfg, capture, last_step=max(calib_steps))
+    else:
+        for step in calib_steps:
+            denoise_step(cfg, capture, latents[step], step, RunTrace())
     if not capture.captured:
         raise ValueError("calibration captured no block inputs")
 

@@ -300,12 +300,26 @@ def write_container(path, magic: bytes, header: dict, arrays: list[np.ndarray]):
 
 
 def read_container(path, magic: bytes):
+    """(header, payload) of a container; the payload is a read-only view.
+
+    Raise ValueError naming `path` for a bad magic, a header line that is
+    not JSON, a payload that is not whole float64 values, and a payload
+    holding a non-finite value.
+    """
     with open(path, "rb") as fh:
         got = fh.read(len(magic))
         if got != magic:
             raise ValueError(f"{path}: bad magic {got!r}, expected {magic!r}")
-        header = json.loads(fh.readline().decode("utf-8"))
-        payload = np.frombuffer(fh.read(), dtype="<f8")
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: header is not JSON: {exc}") from exc
+        try:
+            payload = np.frombuffer(fh.read(), dtype="<f8")
+        except ValueError as exc:
+            raise ValueError(f"{path}: payload is not whole float64 values: {exc}") from exc
+    if not np.isfinite(payload).all():
+        raise ValueError(f"{path}: payload holds non-finite values")
     return header, payload
 
 

@@ -2,11 +2,13 @@
 
 Walks execution steps 0..T-1 (physical step t = T..1), conditioning the
 latent with a sinusoidal embedding of t, running every block through a
-`CellExecutor`, and applying x <- x - eta(t) * residual. The executor is
-the only code that evaluates an attention cell, and it writes one trace
-row per unit; the driver appends one MLP row per block. The executor takes
-each cell's letter from a source: a cache map grid, F everywhere, or a
-subclass's online decide. The baseline is F everywhere with drifts.
+`CellExecutor`, and applying x <- x - eta(t) * residual. `denoise_step` is
+the loop's one body, so a caller that holds the latent entering a step can
+run that step alone. The executor is the only code that evaluates an
+attention cell, and it writes one trace row per unit; the driver appends
+one MLP row per block. The executor takes each cell's letter from a
+source: a cache map grid, F everywhere, or a subclass's online decide. The
+baseline is F everywhere with drifts.
 """
 
 from __future__ import annotations
@@ -176,13 +178,35 @@ def forward_blocks(executor, h: np.ndarray, step: int, trace: RunTrace) -> np.nd
     return h
 
 
-def denoise_run(cfg: ModelConfig, executor, eta_fn=None, last_step: int | None = None):
+def denoise_step(cfg: ModelConfig, executor, state: np.ndarray, step: int, trace: RunTrace,
+                 eta_fn=None) -> np.ndarray:
+    """Run execution step `step` from the latent entering it; return the next latent.
+
+    Appends the step's trace rows to `trace`. `eta_fn` is as in `denoise_run`.
+    """
+    t = cfg.num_steps - step
+    eta = eta_fn(t) if eta_fn is not None else eta_schedule(t, cfg.num_steps)
+    conditioned = state + TEMB_AMP * time_embedding(t, cfg.model_dim)
+    h = forward_blocks(executor, conditioned, step, trace)
+    # The residual is rescaled to the latent's magnitude so eta(t) sets
+    # the relative step size directly; without this the growing latent
+    # norm would flatten the drift profile toward the end of the run.
+    residual = h - conditioned
+    scale = frob(state) / max(frob(residual), 1e-12)
+    state = state - eta * scale * residual
+    check_finite(state, step)
+    return state
+
+
+def denoise_run(cfg: ModelConfig, executor, eta_fn=None, last_step: int | None = None,
+                latents: dict | None = None):
     """Run the reverse loop and return (final latent, trace).
 
     `eta_fn` overrides the built-in step-size schedule (physical step in,
     step size out); tests use it to pin degenerate schedules. `last_step`
     stops the loop after that execution step, so the returned latent and
-    trace cover steps 0..last_step only.
+    trace cover steps 0..last_step only. Each execution step that is a key
+    of `latents` gets the latent entering it as its value.
     """
     if last_step is None:
         last_step = cfg.num_steps - 1
@@ -191,19 +215,11 @@ def denoise_run(cfg: ModelConfig, executor, eta_fn=None, last_step: int | None =
     state = init_latent(cfg)
     trace = RunTrace()
     for step in range(last_step + 1):
-        t = cfg.num_steps - step
-        eta = eta_fn(t) if eta_fn is not None else eta_schedule(t, cfg.num_steps)
-        conditioned = state + TEMB_AMP * time_embedding(t, cfg.model_dim)
-        h = forward_blocks(executor, conditioned, step, trace)
-        # The residual is rescaled to the latent's magnitude so eta(t) sets
-        # the relative step size directly; without this the growing latent
-        # norm would flatten the drift profile toward the end of the run.
-        residual = h - conditioned
-        scale = frob(state) / max(frob(residual), 1e-12)
-        state = state - eta * scale * residual
-        check_finite(state, step)
+        if latents is not None and step in latents:
+            latents[step] = state
+        state = denoise_step(cfg, executor, state, step, trace, eta_fn)
     return state, trace
 
 
-def baseline_run(model, cfg: ModelConfig, eta_fn=None):
-    return denoise_run(cfg, CellExecutor(model, drift=True), eta_fn=eta_fn)
+def baseline_run(model, cfg: ModelConfig, eta_fn=None, latents: dict | None = None):
+    return denoise_run(cfg, CellExecutor(model, drift=True), eta_fn=eta_fn, latents=latents)

@@ -36,6 +36,10 @@ STATE_HEADER = {"blocks": 2, "dim": 16, "tokens": 16, "frames": 2, "steps": 8, "
 # The run parameters of a sliced-weight header that TINY_FLAGS accepts.
 SLICED_RUN_HEADER = {"model": STATE_HEADER, "delta": 0.05, "window": 4, "ratio_lo": 0.1,
                      "ratio_hi": 0.4, "aggregation": "conservative"}
+# The header of the calibration latents a baseline at TINY_FLAGS writes, and
+# their value count: three latents of 2 frames x 16 tokens x 16 channels.
+LATENTS_HEADER = dict(STATE_HEADER, calib_steps=[0, 2, 5])
+LATENT_VALUES = 3 * 2 * 16 * 16
 # A cache map with an empty grid whose run key TINY_FLAGS (default delta) accepts.
 CACHE_MAP_LINES = ["unicp-cache-map v2", json.dumps(SLICED_RUN_HEADER, sort_keys=True), "grid",
                    "final_n", "end"]
@@ -48,6 +52,7 @@ class TestBaseline:
         assert (out / "baseline_state.bin").exists()
         assert (out / "baseline_trace.csv").exists()
         assert (out / "baseline_spec.json").exists()
+        assert (out / "baseline_latents.bin").exists()
         assert "baseline complete" in capsys.readouterr().out
 
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -55,7 +60,8 @@ class TestBaseline:
         b = tmp_path / "b"
         run_cli("baseline", "--out", str(a), *TINY_FLAGS)
         run_cli("baseline", "--out", str(b), *TINY_FLAGS)
-        for name in ("baseline_state.bin", "baseline_trace.csv", "baseline_spec.json"):
+        for name in ("baseline_state.bin", "baseline_trace.csv", "baseline_latents.bin",
+                     "baseline_spec.json"):
             assert read(a / name) == read(b / name)
 
     def test_trace_macs_match_closed_form(self, tmp_path):
@@ -145,6 +151,68 @@ class TestCalibrate:
         for name in ("sliced_weights.bin", "calibrate_spec.json"):
             assert read(a / name) == read(b / name)
         assert not (a / "cache_map.txt").exists() and not (b / "cache_map.txt").exists()
+
+    @pytest.mark.parametrize("flags", [["--preset", "E1"], ["--preset", "E5"],
+                                       ["--preset", "E5", "--aggregation", "smallest"]],
+                             ids=["E1", "E5", "E5-smallest"])
+    def test_from_baseline_latents_matches_standalone(self, tmp_path, capsys, monkeypatch,
+                                                      flags):
+        import unicp.dws
+
+        def no_capture_pass(*args, **kwargs):
+            raise AssertionError("a capture pass ran from step 0")
+
+        resumed, alone = tmp_path / "resumed", tmp_path / "alone"
+        assert run_cli("baseline", "--out", str(resumed), *TINY_FLAGS) == 0
+        assert (resumed / "baseline_latents.bin").exists()
+        capsys.readouterr()
+        monkeypatch.setattr(unicp.dws, "denoise_run", no_capture_pass)
+        assert run_cli("calibrate", "--out", str(resumed), *TINY_FLAGS, *flags) == 0
+        monkeypatch.undo()
+        resumed_out = capsys.readouterr().out
+        assert run_cli("calibrate", "--out", str(alone), *TINY_FLAGS, *flags) == 0
+        assert capsys.readouterr().out == resumed_out
+        for name in ("sliced_weights.bin", "calibrate_spec.json"):
+            assert read(resumed / name) == read(alone / name)
+
+    def test_latents_of_another_model_are_skipped(self, tmp_path, capsys):
+        out, alone = tmp_path / "out", tmp_path / "alone"
+        assert run_cli("baseline", "--out", str(out), *TINY_FLAGS) == 0  # 8 steps
+        stdout = []
+        for d in (out, alone):
+            capsys.readouterr()
+            assert run_cli("calibrate", "--out", str(d), *TINY_FLAGS, "--steps", "10",
+                           "--preset", "E5") == 0
+            stdout.append(capsys.readouterr().out)
+        assert stdout[0] == stdout[1]
+        for name in ("sliced_weights.bin", "calibrate_spec.json"):
+            assert read(out / name) == read(alone / name)
+
+    @pytest.mark.parametrize("content, expected", [
+        (container(b"UNICPST1\n", LATENTS_HEADER, values=LATENT_VALUES), "bad magic"),
+        (b"UNICPLT1\n{blocks\n", "header is not JSON"),
+        (container(b"UNICPLT1\n", [2, 16], values=LATENT_VALUES), "header is not a JSON object"),
+        (container(b"UNICPLT1\n", {k: v for k, v in LATENTS_HEADER.items() if k != "seed"},
+                   values=LATENT_VALUES), "header lacks seed"),
+        (container(b"UNICPLT1\n", dict(LATENTS_HEADER, calib_steps=0), values=LATENT_VALUES),
+         "calib_steps is 0, not a list"),
+        (container(b"UNICPLT1\n", LATENTS_HEADER, values=LATENT_VALUES - 1),
+         f"payload holds {LATENT_VALUES - 1} values, expected {LATENT_VALUES}"),
+        (container(b"UNICPLT1\n", LATENTS_HEADER, values=LATENT_VALUES)[:-1],
+         "payload is not whole float64 values"),
+        (container(b"UNICPLT1\n", LATENTS_HEADER)
+         + np.full(LATENT_VALUES, np.nan).astype("<f8").tobytes(),
+         "payload holds non-finite values"),
+    ], ids=["bad-magic", "header-not-json", "header-not-object", "header-lacks-key",
+            "calib-steps-not-list", "short-payload", "ragged-payload", "nan-payload"])
+    def test_malformed_latents_exit_2(self, tmp_path, capsys, content, expected):
+        path = tmp_path / "baseline_latents.bin"
+        path.write_bytes(content)
+        assert run_cli("calibrate", "--out", str(tmp_path), *TINY_FLAGS) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: ") and expected in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not (tmp_path / "sliced_weights.bin").exists()
 
 
 class TestRun:
@@ -410,9 +478,10 @@ class TestExitCodes:
         ["run", "--out", "{busy}", *TINY_FLAGS, "--mode", "online"],
         ["compare", "{state}", "{state}", "--out", "{busy}"],
         ["harness", "--out", "{busy}", "--steps", "8"],
+        ["baseline", "--out", "{busy}", *TINY_FLAGS],
     ], ids=["run-baseline-trace-dir", "baseline-config-dir", "compare-dir",
             "baseline-out-file", "run-trace-is-dir", "compare-report-is-dir",
-            "harness-report-is-dir"])
+            "harness-report-is-dir", "baseline-latents-is-dir"])
     def test_path_the_os_refuses_exits_2(self, tmp_path, capsys, monkeypatch, argv):
         from unicp import cli as cli_module
         paths = {"out": tmp_path / "o", "dir": tmp_path / "d", "file": tmp_path / "f",
@@ -420,7 +489,8 @@ class TestExitCodes:
         paths["dir"].mkdir()
         paths["file"].write_text("")
         paths["state"].write_bytes(container(b"UNICPST1\n", STATE_HEADER, values=2 * 16 * 16))
-        outputs = ["harness_report.txt", "quality_report.txt", "run_trace.csv"]
+        outputs = ["baseline_latents.bin", "harness_report.txt", "quality_report.txt",
+                   "run_trace.csv"]
         for name in outputs:
             (paths["busy"] / name).mkdir(parents=True)
         argv = [arg.format(**paths) for arg in argv]
@@ -655,6 +725,22 @@ class TestCompare:
                          + values.astype("<f8").tobytes())
         assert run_cli("compare", str(path), str(path)) == 4
         assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_state_exits_2(self, tmp_path, capsys, bad):
+        values = np.zeros(2 * 16 * 16)
+        values[0] = bad
+        path = tmp_path / "state.bin"
+        path.write_bytes(container(b"UNICPST1\n", STATE_HEADER) + values.astype("<f8").tobytes())
+        assert run_cli("compare", str(path), str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: payload holds non-finite values\n"
+        assert captured.out == ""
+        # The same state made finite, compared with itself, reaches the 99 dB cap.
+        values[0] = 1.0
+        path.write_bytes(container(b"UNICPST1\n", STATE_HEADER) + values.astype("<f8").tobytes())
+        assert run_cli("compare", str(path), str(path)) == 0
+        assert report_parse(capsys.readouterr().out).psnr_db == 99.0
 
     def test_missing_file_exits_3(self, tmp_path):
         assert run_cli("compare", str(tmp_path / "x.bin"), str(tmp_path / "y.bin")) == 3

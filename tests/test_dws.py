@@ -13,13 +13,55 @@ from unicp.dws import (
     default_calib_steps,
     dws_calibrate,
     fraction_grid,
+    load_calib_latents,
     run_cache_map,
+    save_calib_latents,
 )
 from unicp.edcw import SchedulerConfig
 from unicp.linalg import rel_l2
 from unicp.metrics import RunTrace, macs_full_attention, macs_map_reuse, macs_sliced, macs_mlp
 from unicp.model import ATTENTION_KINDS, ModelConfig, attention_weights_for, init_model
 from unicp.runner import CellExecutor, MissingArtifactError, denoise_run, forward_blocks
+
+
+def count_capture_steps(monkeypatch):
+    """Make `dws` build capture executors that record the steps they run;
+    returns the list the executors are appended to as they are made."""
+    import unicp.dws
+    made = []
+
+    class StepCountingCapture(CellExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.steps_run = set()
+            made.append(self)
+
+        def run_unit(self, block_idx, kind, x_stack, step):
+            self.steps_run.add(step)
+            return super().run_unit(block_idx, kind, x_stack, step)
+
+    monkeypatch.setattr(unicp.dws, "CellExecutor", StepCountingCapture)
+    return made
+
+
+def assert_same_captures(got, want, calib_steps):
+    """Both executors captured the same inputs and outputs at exactly the
+    calibration steps, bit for bit."""
+    assert got.captured.keys() == want.captured.keys()
+    for unit, per_step in want.captured.items():
+        assert sorted(got.captured[unit]) == calib_steps == sorted(per_step)
+        for step, (x_stack, o_stack) in per_step.items():
+            got_x, got_o = got.captured[unit][step]
+            assert np.array_equal(got_x, x_stack) and np.array_equal(got_o, o_stack)
+
+
+def write_baseline_latents(cfg, model, path):
+    """Write the latents a baseline run keeps at the calibration steps, as
+    `baseline` does, and return them."""
+    kept = dict.fromkeys(default_calib_steps(cfg.num_steps))
+    denoise_run(cfg, CellExecutor(model, drift=True), latents=kept)
+    save_calib_latents(path, cfg, kept)
+    return kept
 
 
 def tiny(**overrides):
@@ -84,21 +126,8 @@ class TestCalibrate:
             assert sw.n == oracle_n, (block, kind)
 
     def test_capture_pass_stops_at_last_calibration_step(self, tiny_cfg, tiny_model, monkeypatch):
-        import unicp.dws
         calib_steps = default_calib_steps(tiny_cfg.num_steps)
-        made = []
-
-        class StepCountingCapture(CellExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.steps_run = set()
-                made.append(self)
-
-            def run_unit(self, block_idx, kind, x_stack, step):
-                self.steps_run.add(step)
-                return super().run_unit(block_idx, kind, x_stack, step)
-
-        monkeypatch.setattr(unicp.dws, "CellExecutor", StepCountingCapture)
+        made = count_capture_steps(monkeypatch)
         dws_calibrate(tiny_model, tiny_cfg, SchedulerConfig(delta=0.075, search_window=4))
         (capture,) = made
         assert capture.steps_run == set(range(max(calib_steps) + 1))
@@ -106,12 +135,33 @@ class TestCalibrate:
         # A full-length capture run sees the same inputs and outputs, bit for bit.
         full = CellExecutor(tiny_model, capture_steps=calib_steps)
         denoise_run(tiny_cfg, full)
-        assert capture.captured.keys() == full.captured.keys()
-        for unit, per_step in full.captured.items():
-            assert sorted(capture.captured[unit]) == calib_steps == sorted(per_step)
-            for step, (x_stack, o_stack) in per_step.items():
-                got_x, got_o = capture.captured[unit][step]
-                assert np.array_equal(got_x, x_stack) and np.array_equal(got_o, o_stack)
+        assert_same_captures(capture, full, calib_steps)
+
+    def test_resumed_capture_runs_only_the_calibration_steps(self, tiny_cfg, tiny_model,
+                                                             monkeypatch, tmp_path):
+        calib_steps = default_calib_steps(tiny_cfg.num_steps)
+        write_baseline_latents(tiny_cfg, tiny_model, tmp_path / "latents.bin")
+        latents = load_calib_latents(tmp_path / "latents.bin", tiny_cfg)
+        made = count_capture_steps(monkeypatch)
+        sched = SchedulerConfig(delta=0.075, search_window=4)
+        resumed = dws_calibrate(tiny_model, tiny_cfg, sched, latents=latents)
+        standalone = dws_calibrate(tiny_model, tiny_cfg, sched)
+        resumed_capture, standalone_capture = made
+        assert resumed_capture.steps_run == set(calib_steps)
+        assert standalone_capture.steps_run == set(range(max(calib_steps) + 1))
+        assert_same_captures(resumed_capture, standalone_capture, calib_steps)
+        assert resumed.records == standalone.records
+
+    def test_latents_read_back_as_views_for_their_model_only(self, tiny_cfg, tiny_model, tmp_path):
+        path = tmp_path / "latents.bin"
+        kept = write_baseline_latents(tiny_cfg, tiny_model, path)
+        latents = load_calib_latents(path, tiny_cfg)
+        assert sorted(latents) == default_calib_steps(tiny_cfg.num_steps)
+        for step, latent in latents.items():
+            assert np.array_equal(latent, kept[step])
+            assert not latent.flags.owndata and not latent.flags.writeable
+        for other in (tiny(seed=8), tiny(num_steps=10), tiny(num_frames=4)):
+            assert load_calib_latents(path, other) is None
 
     def test_records_mark_acceptance_against_threshold(self, tiny_calibration):
         sched, calib, _ = tiny_calibration

@@ -2,9 +2,9 @@
 
 Each case truncates, flips a byte of, deletes a span of or duplicates a span
 of one input: the sliced weights, the cache map, a baseline trace, a state
-file or a drift profile. A mutated file may still be a valid one (a flipped
-payload digit), so exit 0 is allowed; anything else must be a documented
-exit code, and no exception may escape `main`.
+file, the calibration latents or a drift profile. A mutated file may still
+be a valid one (a flipped payload digit), so exit 0 is allowed; anything
+else must be a documented exit code, and no exception may escape `main`.
 """
 
 import random
@@ -32,6 +32,7 @@ def command_reading(name, d):
                                "--baseline-trace", str(d / "baseline_trace.csv")],
         "baseline_state.bin": ["compare", str(d / "baseline_state.bin"),
                                str(d / "run_state.bin")],
+        "baseline_latents.bin": ["calibrate", "--out", str(d), *TINY_FLAGS],
         "profile.txt": ["harness", "--profile", str(d / "profile.txt"), "--out", str(d)],
     }[name]
 
@@ -61,7 +62,8 @@ def pristine(tmp_path_factory):
 
 @pytest.mark.parametrize("how", MUTATIONS)
 @pytest.mark.parametrize("name", ["sliced_weights.bin", "cache_map.txt", "baseline_trace.csv",
-                                  "baseline_state.bin", "profile.txt"])
+                                  "baseline_state.bin", "baseline_latents.bin",
+                                  "profile.txt"])
 def test_mutated_input_exits_with_a_documented_code(pristine, tmp_path, capsys, name, how):
     rng = random.Random(f"{name}-{how}")
     data = (pristine / name).read_bytes()

@@ -375,6 +375,17 @@ class TestContainers:
         assert np.array_equal(loaded, state)
         assert loaded_cfg == cfg
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_payload_rejected_naming_the_file(self, tmp_path, bad):
+        cfg = small_cfg()
+        state = init_latent(cfg)
+        state[0, 0, 0] = bad
+        path = tmp_path / "state.bin"
+        save_state(path, state, cfg)
+        with pytest.raises(ValueError, match="payload holds non-finite values") as exc:
+            load_state(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTAMAGIC\n{}\n")
