@@ -44,7 +44,7 @@ from .model import (
     save_state,
 )
 from .pcas import load_sliced_weights, save_sliced_weights
-from .runner import LETTER_PRUNED, CellExecutor, MissingArtifactError, baseline_run, denoise_run
+from .runner import LETTER_PRUNED, CellExecutor, MissingArtifactError, denoise_run
 
 PRESETS = {"E1": 0.025, "E2": 0.05, "E3": 0.075, "E4": 0.125, "E5": 0.175}
 
@@ -195,7 +195,8 @@ def _check_key(spec: RunSpec, recorded: dict, artifact: str):
 def _check_baseline_trace(trace, cfg: ModelConfig, path: Path):
     """Raise ConfigError, naming the first row that fails, unless `trace` has
     one row per (step, block, spatial|temporal|mlp) of the model in the order
-    a baseline writes them, and every full row's MACs equal the closed form."""
+    a baseline writes them, every row is full, and every row's MACs equal
+    the closed form."""
     f, s, m = cfg.num_frames, cfg.tokens_per_frame, cfg.model_dim
     full_macs = {"spatial": f * macs_full_attention(s, m),
                  "temporal": s * macs_full_attention(f, m), "mlp": macs_mlp(f * s, m)}
@@ -209,7 +210,10 @@ def _check_baseline_trace(trace, cfg: ModelConfig, path: Path):
         if (row.step, row.block, row.kind) != unit:
             raise ConfigError(f"{where} is not the next row of a model with "
                               f"{cfg.num_steps} steps and {cfg.num_blocks} blocks")
-        if row.decision == "full" and row.macs != full_macs[row.kind]:
+        if row.decision != "full":
+            raise ConfigError(f"{where} is {row.decision}, but a baseline computes "
+                              f"every cell in full")
+        if row.macs != full_macs[row.kind]:
             raise ConfigError(f"{where} has {row.macs} MACs, but a full {row.kind} "
                               f"cell of this model takes {full_macs[row.kind]}")
 
@@ -232,7 +236,7 @@ def cmd_baseline(args) -> int:
                                   "baseline_spec.json"))
     model = init_model(spec.model)
     latents = dict.fromkeys(default_calib_steps(spec.model.num_steps))
-    state, trace = baseline_run(model, spec.model, latents=latents)
+    state, trace = denoise_run(spec.model, CellExecutor(model, drift=True), latents=latents)
     save_state(out_dir / BASELINE_STATE, state, spec.model)
     save_calib_latents(out_dir / BASELINE_LATENTS, spec.model, latents)
     _write_text(out_dir / BASELINE_TRACE, trace_export(trace))

@@ -22,7 +22,10 @@ from __future__ import annotations
 
 import json
 import math
+import zlib
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .edcw import DecisionKind, SchedulerConfig, edcw_decide
 from .linalg import rel_l2
@@ -241,11 +244,11 @@ def _calibrate_unit(model, cfg, sched, captured, unit, fracs, calib_steps, aggre
     w = attention_weights_for(model[block_idx], kind)
     per_step = captured[unit]
     instances = [x for step in calib_steps for x in per_step[step][0]]
-    basis = compute_basis(instances, calib_steps)
+    rotation = compute_basis(instances)
 
     # Candidates run from the widest n down; each is sliced once per unit.
     candidates = [math.ceil(m * (1.0 - frac)) for frac in fracs]
-    slices = {n: slice_weights(w, basis, n) for n in set(candidates)}
+    slices = {n: slice_weights(w, rotation, n) for n in set(candidates)}
     records = []
     per_step_n = {}
     for step in calib_steps:
@@ -272,23 +275,26 @@ def _calibrate_unit(model, cfg, sched, captured, unit, fracs, calib_steps, aggre
         # to its own best n, so the largest best n is within delta at all steps.
         final_n = max(per_step_n.values())
 
-    return slice_weights(w, basis, final_n), records
+    return slice_weights(w, rotation, final_n), records
 
 
 def save_calib_latents(path, cfg: ModelConfig, latents: dict):
     """Write the latents entering each calibration step of `cfg`, in step
-    order, under the model header plus `calib_steps`."""
+    order, under the model header plus `calib_steps` and the `crc32` of the
+    payload."""
     steps = default_calib_steps(cfg.num_steps)
-    write_container(path, LATENTS_MAGIC, dict(cfg.header(), calib_steps=steps),
-                    [latents[step] for step in steps])
+    payload = np.stack([latents[step] for step in steps]).astype("<f8", copy=False)
+    write_container(path, LATENTS_MAGIC,
+                    dict(cfg.header(), calib_steps=steps, crc32=zlib.crc32(payload)), [payload])
 
 
 def load_calib_latents(path, cfg: ModelConfig) -> dict | None:
     """step -> the latent entering it, as read-only views of the file, or
     None when the file was made for another model or other calibration
-    steps. Raise ValueError naming `path` when it is malformed."""
+    steps. Raise ValueError naming `path` when it is malformed or its
+    payload does not match its checksum."""
     header, payload = read_container(path, LATENTS_MAGIC)
-    require_keys(header, (*cfg.header(), "calib_steps"), f"{path}: header")
+    require_keys(header, (*cfg.header(), "calib_steps", "crc32"), f"{path}: header")
     try:
         made_for = ModelConfig.from_header(header)
         if not isinstance(header["calib_steps"], list):
@@ -302,6 +308,8 @@ def load_calib_latents(path, cfg: ModelConfig) -> dict | None:
     if payload.size != math.prod(shape):
         raise ValueError(f"{path}: payload holds {payload.size} values, "
                          f"expected {math.prod(shape)}")
+    if zlib.crc32(payload) != header["crc32"]:
+        raise ValueError(f"{path}: payload does not match its crc32 {header['crc32']!r}")
     return dict(zip(steps, payload.reshape(shape)))
 
 

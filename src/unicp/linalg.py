@@ -1,13 +1,11 @@
-"""Dense real linear algebra: symmetric eigensolver and norms.
+"""Norms for comparing arrays: the Frobenius norm and the relative L2 distance.
 
-Matrices are plain float64 numpy arrays (row-major, 2-D). Everything here is
-a pure function over immutable inputs.
+Both are pure functions over float64 numpy arrays of any shape.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,14 +15,6 @@ EPS_NORM = 1e-12
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
-
-
-def as_matrix(x) -> np.ndarray:
-    """Coerce input to a 2-D float64 array without copying when possible."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got shape {a.shape}")
-    return a
 
 
 def frob(a) -> float:
@@ -47,31 +37,3 @@ def rel_l2(a, b) -> float:
     d = (a - b).ravel()
     r = b.ravel()
     return math.sqrt(d @ d) / max(math.sqrt(r @ r), EPS_NORM)
-
-
-@dataclass(frozen=True)
-class EigResult:
-    """Symmetric eigendecomposition, eigenvalues sorted descending.
-
-    Column j of `eigenvectors` pairs with `eigenvalues[j]`; columns are unit
-    vectors with the largest-magnitude entry made positive so repeated runs
-    produce identical signs.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def sym_eig(m) -> EigResult:
-    """Eigendecomposition of a symmetric matrix (input symmetrized as (M + M^T)/2)."""
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"sym_eig requires a square matrix, got {a.shape}")
-    eigenvalues, v = np.linalg.eigh((a + a.T) / 2.0)
-    order = np.argsort(-eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    v = v[:, order]
-    # Deterministic sign: flip columns whose largest-magnitude entry is negative.
-    lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    v = np.where(lead < 0, -v, v)
-    return EigResult(eigenvalues=eigenvalues, eigenvectors=v)

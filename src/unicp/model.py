@@ -147,9 +147,7 @@ def init_latent(cfg: ModelConfig) -> np.ndarray:
 
 
 def eta_schedule(t: int, num_steps: int) -> float:
-    """Step size for physical step t (t runs num_steps..1)."""
-    if num_steps == 1:
-        return ETA_HI
+    """Step size for physical step t (t runs num_steps..1; num_steps >= 2)."""
     u = (t - 1) / (num_steps - 1)
     return ETA_LO + (ETA_HI - ETA_LO) * abs(2.0 * u - 1.0) ** ETA_POWER
 

@@ -178,14 +178,14 @@ def forward_blocks(executor, h: np.ndarray, step: int, trace: RunTrace) -> np.nd
     return h
 
 
-def denoise_step(cfg: ModelConfig, executor, state: np.ndarray, step: int, trace: RunTrace,
-                 eta_fn=None) -> np.ndarray:
+def denoise_step(cfg: ModelConfig, executor, state: np.ndarray, step: int,
+                 trace: RunTrace) -> np.ndarray:
     """Run execution step `step` from the latent entering it; return the next latent.
 
-    Appends the step's trace rows to `trace`. `eta_fn` is as in `denoise_run`.
+    Appends the step's trace rows to `trace`.
     """
     t = cfg.num_steps - step
-    eta = eta_fn(t) if eta_fn is not None else eta_schedule(t, cfg.num_steps)
+    eta = eta_schedule(t, cfg.num_steps)
     conditioned = state + TEMB_AMP * time_embedding(t, cfg.model_dim)
     h = forward_blocks(executor, conditioned, step, trace)
     # The residual is rescaled to the latent's magnitude so eta(t) sets
@@ -198,15 +198,14 @@ def denoise_step(cfg: ModelConfig, executor, state: np.ndarray, step: int, trace
     return state
 
 
-def denoise_run(cfg: ModelConfig, executor, eta_fn=None, last_step: int | None = None,
+def denoise_run(cfg: ModelConfig, executor, last_step: int | None = None,
                 latents: dict | None = None):
     """Run the reverse loop and return (final latent, trace).
 
-    `eta_fn` overrides the built-in step-size schedule (physical step in,
-    step size out); tests use it to pin degenerate schedules. `last_step`
-    stops the loop after that execution step, so the returned latent and
-    trace cover steps 0..last_step only. Each execution step that is a key
-    of `latents` gets the latent entering it as its value.
+    `last_step` stops the loop after that execution step, so the returned
+    latent and trace cover steps 0..last_step only. Each execution step that
+    is a key of `latents` gets the latent entering it as its value. The
+    baseline is `denoise_run(cfg, CellExecutor(model, drift=True))`.
     """
     if last_step is None:
         last_step = cfg.num_steps - 1
@@ -217,9 +216,5 @@ def denoise_run(cfg: ModelConfig, executor, eta_fn=None, last_step: int | None =
     for step in range(last_step + 1):
         if latents is not None and step in latents:
             latents[step] = state
-        state = denoise_step(cfg, executor, state, step, trace, eta_fn)
+        state = denoise_step(cfg, executor, state, step, trace)
     return state, trace
-
-
-def baseline_run(model, cfg: ModelConfig, eta_fn=None, latents: dict | None = None):
-    return denoise_run(cfg, CellExecutor(model, drift=True), eta_fn=eta_fn, latents=latents)

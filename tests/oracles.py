@@ -106,7 +106,7 @@ def reconstruction_error(x, basis, n):
     single input.
     """
     x = np.asarray(x, dtype=np.float64)
-    m = basis.rotation.shape[0]
+    m = basis.shape[0]
     if x.ndim != 2 or x.shape[1] != m:
         raise ValueError(f"input shape {x.shape} does not match basis width {m}")
     if not 1 <= n <= m:
@@ -114,7 +114,7 @@ def reconstruction_error(x, basis, n):
     if n == m:
         # Full-rank projector is the identity by construction.
         return 0.0
-    r_thin = basis.rotation[:, :n]
+    r_thin = basis[:, :n]
     projected = (x @ r_thin) @ r_thin.T
     return float(np.sqrt(np.sum(np.square(x - projected))))
 
@@ -136,11 +136,10 @@ def ref_pca_basis(instances):
 
 
 def rayleigh_quotients(basis, inputs):
-    """The eigenvalue each column of `basis.rotation` carries over the pooled
-    covariance sum(X^T X) of `inputs`: diag(R^T C R)."""
+    """The eigenvalue each column of the rotation `basis` carries over the
+    pooled covariance sum(X^T X) of `inputs`: diag(R^T C R)."""
     cov = sum(np.asarray(x).T @ np.asarray(x) for x in inputs)
-    r = basis.rotation
-    return np.einsum("ij,ik,kj->j", r, cov, r)
+    return np.einsum("ij,ik,kj->j", basis, cov, basis)
 
 
 def exhaustive_n_sweep(x_stacks_by_step, o_full_by_step, wq, wk, wv, wo,

@@ -2,6 +2,7 @@ import json
 import re
 import time
 import types
+import zlib
 
 import numpy as np
 import pytest
@@ -36,10 +37,12 @@ STATE_HEADER = {"blocks": 2, "dim": 16, "tokens": 16, "frames": 2, "steps": 8, "
 # The run parameters of a sliced-weight header that TINY_FLAGS accepts.
 SLICED_RUN_HEADER = {"model": STATE_HEADER, "delta": 0.05, "window": 4, "ratio_lo": 0.1,
                      "ratio_hi": 0.4, "aggregation": "conservative"}
-# The header of the calibration latents a baseline at TINY_FLAGS writes, and
-# their value count: three latents of 2 frames x 16 tokens x 16 channels.
-LATENTS_HEADER = dict(STATE_HEADER, calib_steps=[0, 2, 5])
+# The value count of the calibration latents a baseline at TINY_FLAGS writes,
+# three latents of 2 frames x 16 tokens x 16 channels, and their header for
+# an all-zero payload.
 LATENT_VALUES = 3 * 2 * 16 * 16
+LATENTS_HEADER = dict(STATE_HEADER, calib_steps=[0, 2, 5],
+                      crc32=zlib.crc32(bytes(8 * LATENT_VALUES)))
 # A cache map with an empty grid whose run key TINY_FLAGS (default delta) accepts.
 CACHE_MAP_LINES = ["unicp-cache-map v2", json.dumps(SLICED_RUN_HEADER, sort_keys=True), "grid",
                    "final_n", "end"]
@@ -214,6 +217,27 @@ class TestCalibrate:
         assert "Traceback" not in captured.err and captured.out == ""
         assert not (tmp_path / "sliced_weights.bin").exists()
 
+    def test_damaged_latents_exit_2(self, tmp_path, capsys, monkeypatch):
+        import unicp.dws
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran")
+
+        assert run_cli("baseline", "--out", str(tmp_path), *TINY_FLAGS) == 0
+        path = tmp_path / "baseline_latents.bin"
+        data = bytearray(path.read_bytes())
+        # The lowest mantissa bit of the first latent value: still finite.
+        data[len(data) - 8 * LATENT_VALUES] ^= 1
+        path.write_bytes(bytes(data))
+        monkeypatch.setattr(unicp.dws, "denoise_step", no_step)
+        monkeypatch.setattr(unicp.dws, "denoise_run", no_step)
+        capsys.readouterr()
+        assert run_cli("calibrate", "--out", str(tmp_path), *TINY_FLAGS) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: payload does not match its crc32")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not (tmp_path / "sliced_weights.bin").exists()
+
 
 class TestRun:
     def test_zero_delta_without_artifacts_matches_baseline_bytes(self, tmp_path):
@@ -248,6 +272,30 @@ class TestRun:
             assert maps[-1] == read(out / "run_cache_map.txt")
             (out / "cache_map.txt").write_text("stale\n")
         assert maps[0] == maps[1]
+
+    def test_weights_with_calib_steps_in_their_units_still_run(self, tmp_path):
+        # Sliced weights written before the unit entries dropped calib_steps.
+        from unicp.pcas import load_sliced_weights
+        new, old = tmp_path / "new", tmp_path / "old"
+        assert run_cli("calibrate", "--out", str(new), *TINY_FLAGS, "--preset", "E5") == 0
+        magic, header, payload = read(new / "sliced_weights.bin").split(b"\n", 2)
+        header = json.loads(header)
+        assert all("calib_steps" not in unit for unit in header["units"])
+        for unit in header["units"]:
+            unit["calib_steps"] = [0, 2, 5]
+        old.mkdir()
+        (old / "sliced_weights.bin").write_bytes(
+            magic + b"\n" + json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+        loaded = [load_sliced_weights(d / "sliced_weights.bin", 16)[0] for d in (new, old)]
+        assert loaded[0].keys() == loaded[1].keys()
+        for unit, sw in loaded[0].items():
+            assert loaded[1][unit].n == sw.n
+            assert np.array_equal(loaded[1][unit].wq_sliced, sw.wq_sliced)
+            assert np.array_equal(loaded[1][unit].wk_sliced, sw.wk_sliced)
+        for d in (new, old):
+            assert run_cli("run", "--out", str(d), *TINY_FLAGS, "--preset", "E5") == 0
+        for name in ("run_state.bin", "run_trace.csv", "cache_map.txt"):
+            assert read(old / name) == read(new / name)
 
     def test_weights_header_and_map_record_one_run_key(self, tmp_path):
         from unicp.model import read_container
@@ -373,6 +421,16 @@ class TestRun:
             assert run_cli("run", "--out", str(out), *TINY_FLAGS,
                            "--baseline-trace", str(other / "baseline_trace.csv")) == 2
             assert expected in capsys.readouterr().err
+        online = tmp_path / "online"
+        assert run_cli("calibrate", "--out", str(online), *TINY_FLAGS, "--preset", "E5") == 0
+        assert run_cli("run", "--out", str(online), *TINY_FLAGS, "--preset", "E5") == 0
+        dispatched = trace_parse((online / "run_trace.csv").read_text())
+        first = next(r for r in dispatched.rows if r.decision != "full")
+        capsys.readouterr()
+        assert run_cli("run", "--out", str(out), *TINY_FLAGS, "--preset", "E5",
+                       "--baseline-trace", str(online / "run_trace.csv")) == 2
+        assert (f"row step={first.step} block={first.block} kind={first.kind} "
+                f"is {first.decision}") in capsys.readouterr().err
         assert not out.exists()
 
         run_cli("calibrate", "--out", str(out), *TINY_FLAGS)
@@ -467,7 +525,7 @@ class TestExitCodes:
         def explode(*args, **kwargs):
             raise NumericError("non-finite latent values at step 3", 3)
 
-        monkeypatch.setattr(cli_module, "baseline_run", explode)
+        monkeypatch.setattr(cli_module, "denoise_run", explode)
         assert run_cli("baseline", "--out", str(tmp_path / "o"), *TINY_FLAGS) == 4
 
     @pytest.mark.parametrize("argv", [
@@ -499,7 +557,6 @@ class TestExitCodes:
             raise AssertionError("a step ran")
 
         monkeypatch.setattr(cli_module, "denoise_run", no_step)
-        monkeypatch.setattr(cli_module, "baseline_run", no_step)
         monkeypatch.setattr(cli_module, "run_scheduler_on_profile", no_step)
         assert run_cli(*argv) == 2
         captured = capsys.readouterr()

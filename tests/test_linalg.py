@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,6 @@ from unicp.linalg import (
     ShapeError,
     frob,
     rel_l2,
-    sym_eig,
 )
 from unicp.model import AttentionWeights, attention
 
@@ -86,62 +83,3 @@ class TestRelL2:
         with pytest.raises(ShapeError):
             rel_l2(np.ones((2, 2)), np.ones((3, 2)))
 
-
-class TestSymEig:
-    def test_identity(self):
-        eig = sym_eig(np.eye(2))
-        assert np.allclose(eig.eigenvalues, [1.0, 1.0])
-        assert np.allclose(eig.eigenvectors.T @ eig.eigenvectors, np.eye(2), atol=1e-12)
-
-    def test_already_diagonal(self):
-        eig = sym_eig(np.diag([4.0, 1.0]))
-        assert np.allclose(eig.eigenvalues, [4.0, 1.0])
-        assert np.allclose(np.abs(eig.eigenvectors), np.eye(2), atol=1e-12)
-
-    def test_two_by_two_hand_solution(self):
-        # [[2,1],[1,2]] has eigenpairs (3, (1,1)/sqrt2) and (1, (1,-1)/sqrt2).
-        eig = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert np.allclose(eig.eigenvalues, [3.0, 1.0], atol=1e-12)
-        inv_sqrt2 = 1 / math.sqrt(2)
-        assert np.allclose(np.abs(eig.eigenvectors[:, 0]), [inv_sqrt2, inv_sqrt2], atol=1e-10)
-        assert np.allclose(np.abs(eig.eigenvectors[:, 1]), [inv_sqrt2, inv_sqrt2], atol=1e-10)
-        assert abs(float(eig.eigenvectors[:, 0] @ eig.eigenvectors[:, 1])) < 1e-12
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ShapeError):
-            sym_eig(np.ones((2, 3)))
-
-    def test_sign_convention_is_deterministic(self):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((10, 6))
-        c = x.T @ x
-        first = sym_eig(c)
-        second = sym_eig(c.copy())
-        assert np.array_equal(first.eigenvectors, second.eigenvectors)
-        for j in range(6):
-            col = first.eigenvectors[:, j]
-            assert col[int(np.argmax(np.abs(col)))] > 0
-
-    @pytest.mark.parametrize("n", [2, 8, 32, 128])
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_random_psd_reconstruction_and_orthonormality(self, n, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((n + 5, n))
-        c = x.T @ x
-        eig = sym_eig(c)
-        v = eig.eigenvectors
-        assert np.abs(v.T @ v - np.eye(n)).max() < 1e-8
-        recon = v @ np.diag(eig.eigenvalues) @ v.T
-        assert frob(recon - c) <= 1e-8 * max(1.0, frob(c))
-        assert np.all(np.diff(eig.eigenvalues) <= 1e-12)
-        assert eig.eigenvalues.min() >= -1e-10
-        # Eigenvalue sum equals the trace.
-        assert abs(eig.eigenvalues.sum() - np.trace(c)) <= 1e-8 * abs(np.trace(c))
-
-    def test_agrees_with_numpy_eigenvalues(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((20, 20))
-        a = (a + a.T) / 2
-        eig = sym_eig(a)
-        expected = np.sort(np.linalg.eigvalsh(a))[::-1]
-        assert np.abs(eig.eigenvalues - expected).max() < 1e-9 * max(1.0, frob(a))

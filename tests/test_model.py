@@ -217,7 +217,7 @@ class TestStackedAttention:
             other_map, _ = ref_attention(y_stack[i], w.w_q, w.w_k, w.w_v, w.w_o)
             assert rel_l2(o_map[i], (other_map @ (x @ w.w_v)) @ w.w_o) < 1e-13
             ref_map, ref_out = ref_sliced_attention_via_reconstruction(
-                x, w.w_q, w.w_k, w.w_v, w.w_o, basis.rotation, n)
+                x, w.w_q, w.w_k, w.w_v, w.w_o, basis, n)
             assert rel_l2(a_sliced[i], ref_map) < 1e-10
             assert rel_l2(o_sliced[i], ref_out) < 1e-10
 
@@ -299,10 +299,11 @@ class TestDenoiseRun:
         assert len(attention_rows(trace)) == 2 * cfg.num_blocks * 2
         assert len(trace.rows) == 2 * cfg.num_blocks * 3  # + one MLP row per block
 
-    def test_zero_eta_is_fixed_point(self):
+    def test_zero_eta_is_fixed_point(self, monkeypatch):
         cfg = small_cfg()
         model = init_model(cfg)
-        state, _ = denoise_run(cfg, CellExecutor(model, drift=True), eta_fn=lambda t: 0.0)
+        monkeypatch.setattr("unicp.runner.eta_schedule", lambda t, num_steps: 0.0)
+        state, _ = denoise_run(cfg, CellExecutor(model, drift=True))
         assert np.array_equal(state, init_latent(cfg))
 
     def test_determinism(self):

@@ -29,13 +29,13 @@ class TestComputeBasis:
         x = np.array([[3.0, 0.0], [0.0, 1.0]])
         basis = compute_basis([x])
         assert np.allclose(rayleigh_quotients(basis, [x]), [9.0, 1.0], atol=1e-10)
-        assert np.allclose(np.abs(basis.rotation), np.eye(2), atol=1e-8)
+        assert np.allclose(np.abs(basis), np.eye(2), atol=1e-8)
 
     def test_zero_input_succeeds(self):
         x = np.zeros((4, 3))
         basis = compute_basis([x])
         assert np.allclose(rayleigh_quotients(basis, [x]), 0.0)
-        assert np.allclose(basis.rotation.T @ basis.rotation, np.eye(3), atol=1e-8)
+        assert np.allclose(basis.T @ basis, np.eye(3), atol=1e-8)
 
     def test_duplicated_input_preserves_eigenvectors(self):
         rng = np.random.default_rng(0)
@@ -44,7 +44,7 @@ class TestComputeBasis:
         two = compute_basis([x, x])
         assert np.allclose(rayleigh_quotients(two, [x, x]), 2 * rayleigh_quotients(one, [x]),
                            rtol=1e-10)
-        assert np.allclose(np.abs(one.rotation), np.abs(two.rotation), atol=1e-7)
+        assert np.allclose(np.abs(one), np.abs(two), atol=1e-7)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
@@ -54,10 +54,68 @@ class TestComputeBasis:
         rng = np.random.default_rng(1)
         inputs = [rng.standard_normal((8, 5)) for _ in range(3)]
         basis = compute_basis(inputs)
-        assert np.abs(basis.rotation.T @ basis.rotation - np.eye(5)).max() < 1e-8
+        assert np.abs(basis.T @ basis - np.eye(5)).max() < 1e-8
         eigenvalues = rayleigh_quotients(basis, inputs)
         assert np.all(np.diff(eigenvalues) <= 1e-10)
         assert eigenvalues.min() >= -1e-10
+
+    def test_identity(self):
+        x = np.eye(2)
+        basis = compute_basis([x])
+        assert np.allclose(rayleigh_quotients(basis, [x]), [1.0, 1.0])
+        assert np.allclose(basis.T @ basis, np.eye(2), atol=1e-12)
+
+    def test_already_diagonal(self):
+        # X^T X = diag(4, 1).
+        x = np.diag([2.0, 1.0])
+        basis = compute_basis([x])
+        assert np.allclose(rayleigh_quotients(basis, [x]), [4.0, 1.0])
+        assert np.allclose(np.abs(basis), np.eye(2), atol=1e-12)
+
+    def test_two_by_two_hand_solution(self):
+        # X^T X = [[2,1],[1,2]], whose eigenpairs are (3, (1,1)/sqrt2) and
+        # (1, (1,-1)/sqrt2).
+        x = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        basis = compute_basis([x])
+        assert np.allclose(rayleigh_quotients(basis, [x]), [3.0, 1.0], atol=1e-12)
+        inv_sqrt2 = 1 / np.sqrt(2)
+        assert np.allclose(np.abs(basis[:, 0]), [inv_sqrt2, inv_sqrt2], atol=1e-10)
+        assert np.allclose(np.abs(basis[:, 1]), [inv_sqrt2, inv_sqrt2], atol=1e-10)
+        assert abs(float(basis[:, 0] @ basis[:, 1])) < 1e-12
+
+    def test_sign_convention_is_deterministic(self):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((10, 6))
+        first = compute_basis([x])
+        second = compute_basis([x.copy()])
+        assert np.array_equal(first, second)
+        for j in range(6):
+            col = first[:, j]
+            assert col[int(np.argmax(np.abs(col)))] > 0
+
+    @pytest.mark.parametrize("n", [2, 8, 32, 128])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_psd_reconstruction_and_orthonormality(self, n, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n + 5, n))
+        c = x.T @ x
+        v = compute_basis([x])
+        eigenvalues = rayleigh_quotients(v, [x])
+        assert np.abs(v.T @ v - np.eye(n)).max() < 1e-8
+        recon = v @ np.diag(eigenvalues) @ v.T
+        assert frob(recon - c) <= 1e-8 * max(1.0, frob(c))
+        assert np.all(np.diff(eigenvalues) <= 1e-12)
+        assert eigenvalues.min() >= -1e-10
+        # Eigenvalue sum equals the trace.
+        assert abs(eigenvalues.sum() - np.trace(c)) <= 1e-8 * abs(np.trace(c))
+
+    def test_agrees_with_numpy_eigenvalues(self):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((20, 20))
+        c = x.T @ x
+        expected = np.sort(np.linalg.eigvalsh(c))[::-1]
+        got = rayleigh_quotients(compute_basis([x]), [x])
+        assert np.abs(got - expected).max() < 1e-9 * max(1.0, frob(c))
 
 
 class TestSliceWeights:
@@ -68,7 +126,7 @@ class TestSliceWeights:
         basis = compute_basis([rng.standard_normal((9, m))])
         sw = slice_weights(w, basis, m)
         assert sw.wq_sliced.shape == (m, m)
-        assert np.allclose(sw.wq_sliced, w.w_q @ basis.rotation, atol=1e-14)
+        assert np.allclose(sw.wq_sliced, w.w_q @ basis, atol=1e-14)
 
     def test_single_column(self):
         rng = np.random.default_rng(3)
@@ -77,7 +135,7 @@ class TestSliceWeights:
         basis = compute_basis([rng.standard_normal((7, m))])
         sw = slice_weights(w, basis, 1)
         assert sw.wq_sliced.shape == (m, 1)
-        assert np.allclose(sw.wq_sliced[:, 0], w.w_q @ basis.rotation[:, 0], atol=1e-14)
+        assert np.allclose(sw.wq_sliced[:, 0], w.w_q @ basis[:, 0], atol=1e-14)
 
     def test_out_of_range_rejected(self):
         rng = np.random.default_rng(4)
@@ -100,8 +158,8 @@ class TestSliceWeights:
         zq = x @ sw.wq_sliced
         zk = x @ sw.wk_sliced
         d = np.eye(m)[:, :n]
-        qbar = zq @ d.T @ basis.rotation.T
-        kbar = zk @ d.T @ basis.rotation.T
+        qbar = zq @ d.T @ basis.T
+        kbar = zk @ d.T @ basis.T
         assert rel_l2(zq @ zk.T, qbar @ kbar.T) < 1e-12
 
 
@@ -138,7 +196,7 @@ class TestSlicedAttention:
         sw = slice_weights(w, basis, n)
         got_o, got_a = attention(x, w, qk=(sw.wq_sliced, sw.wk_sliced))
         ref_map, ref_out = ref_sliced_attention_via_reconstruction(
-            x, w.w_q, w.w_k, w.w_v, w.w_o, basis.rotation, n)
+            x, w.w_q, w.w_k, w.w_v, w.w_o, basis, n)
         assert rel_l2(got_a, ref_map) < 1e-10
         assert rel_l2(got_o, ref_out) < 1e-10
 
@@ -221,7 +279,7 @@ class TestSlicedContainer:
         rng = np.random.default_rng(15)
         m = 6
         w = random_weights(rng, m)
-        basis = compute_basis([rng.standard_normal((8, m))], calib_steps=(0, 2, 5))
+        basis = compute_basis([rng.standard_normal((8, m))])
         sliced = {
             (0, "spatial"): slice_weights(w, basis, 4),
             (0, "temporal"): slice_weights(w, basis, 6),
@@ -234,7 +292,6 @@ class TestSlicedContainer:
         assert set(loaded) == set(sliced)
         for unit, sw in sliced.items():
             assert loaded[unit].n == sw.n
-            assert loaded[unit].calib_steps == (0, 2, 5)
             assert np.array_equal(loaded[unit].wq_sliced, sw.wq_sliced)
             assert np.array_equal(loaded[unit].wk_sliced, sw.wk_sliced)
 
