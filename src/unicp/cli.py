@@ -22,6 +22,7 @@ from .dws import (
     OnlineDispatcher,
     cache_map_export,
     cache_map_parse,
+    calibration_export,
     check_cache_map_units,
     default_calib_steps,
     dws_calibrate,
@@ -70,6 +71,7 @@ BASELINE_TRACE = "baseline_trace.csv"
 BASELINE_LATENTS = "baseline_latents.bin"
 CACHE_MAP_FILE = "cache_map.txt"
 SLICED_WEIGHTS_FILE = "sliced_weights.bin"
+CALIBRATION_FILE = "calibration.csv"
 RUN_STATE = "run_state.bin"
 RUN_TRACE = "run_trace.csv"
 RUN_CACHE_MAP = "run_cache_map.txt"
@@ -192,14 +194,19 @@ def _check_key(spec: RunSpec, recorded: dict, artifact: str):
                               f"but this run has {field}={wanted!r}")
 
 
+def _full_cell_macs(cfg: ModelConfig) -> dict:
+    """The MACs of one full spatial, temporal and MLP cell of the model."""
+    f, s, m = cfg.num_frames, cfg.tokens_per_frame, cfg.model_dim
+    return {"spatial": f * macs_full_attention(s, m),
+            "temporal": s * macs_full_attention(f, m), "mlp": macs_mlp(f * s, m)}
+
+
 def _check_baseline_trace(trace, cfg: ModelConfig, path: Path):
     """Raise ConfigError, naming the first row that fails, unless `trace` has
     one row per (step, block, spatial|temporal|mlp) of the model in the order
     a baseline writes them, every row is full, and every row's MACs equal
     the closed form."""
-    f, s, m = cfg.num_frames, cfg.tokens_per_frame, cfg.model_dim
-    full_macs = {"spatial": f * macs_full_attention(s, m),
-                 "temporal": s * macs_full_attention(f, m), "mlp": macs_mlp(f * s, m)}
+    full_macs = _full_cell_macs(cfg)
     units = [(step, block, kind) for step in range(cfg.num_steps)
              for block in range(cfg.num_blocks) for kind in full_macs]
     for row, unit in zip_longest(trace.rows, units):
@@ -247,7 +254,8 @@ def cmd_baseline(args) -> int:
 
 def cmd_calibrate(args) -> int:
     spec = build_spec(args)
-    out_dir = _out_dir(args.out, (SLICED_WEIGHTS_FILE, "calibrate_spec.json"))
+    out_dir = _out_dir(args.out, (SLICED_WEIGHTS_FILE, CALIBRATION_FILE,
+                                  "calibrate_spec.json"))
     # A baseline of this model in --out kept the latents at the calibration
     # steps, so calibration runs those steps alone.
     latents_path = out_dir / BASELINE_LATENTS
@@ -257,6 +265,7 @@ def cmd_calibrate(args) -> int:
                            ratio_bounds=(spec.ratio_lo, spec.ratio_hi),
                            aggregation=spec.aggregation, latents=latents)
     save_sliced_weights(out_dir / SLICED_WEIGHTS_FILE, result.sliced, spec.key())
+    _write_text(out_dir / CALIBRATION_FILE, calibration_export(result.records))
     _write_spec(out_dir, "calibrate_spec.json", spec)
     for (block, kind) in sorted(result.sliced):
         print(f"final_n block={block} kind={kind} n={result.sliced[(block, kind)].n}")
@@ -327,6 +336,13 @@ def cmd_run(args) -> int:
     counts = trace.decision_counts()
     print(f"run complete: mode={spec.mode} macs_total={trace.macs_total} "
           f"decisions={json.dumps(counts, sort_keys=True)}")
+    if spec.mode == "online":
+        # A P cell's trace row charges the sliced path only; online, the
+        # decide ran the full path first.
+        full_macs = _full_cell_macs(spec.model)
+        executed = trace.macs_total + sum(full_macs[row.kind] for row in trace.rows
+                                          if row.decision == "pruned")
+        print(f"executed_macs {executed}")
     if base_total is not None:
         print(f"mac_ratio {trace.macs_total / base_total!r}")
     return 0

@@ -2,8 +2,11 @@
 
 Calibration captures every unit's inputs at the calibration steps with
 all-F cells, fits a PCA basis per (block, attention-kind) unit from them,
-and sweeps the pruned fraction upward until the unit's sliced output
-drifts past the error threshold. It yields the sliced weights only. Given
+and sweeps the retained width downward, one distinct width at a time,
+measuring each calibration step still in the sweep, until the unit's
+sliced output drifts past the error threshold (`sweep_widths`). It stops
+as soon as the aggregation's answer is known, and yields the sliced
+weights and a record of every measurement (`calibration.csv`). Given
 the latents a baseline run kept at the calibration steps
 (`baseline_latents.bin`), it runs just those steps; without them, one
 capture pass from step 0 up to the last calibration step.
@@ -54,6 +57,7 @@ from .runner import (
 
 CACHE_MAP_MAGIC = "unicp-cache-map v2"
 LATENTS_MAGIC = b"UNICPLT1\n"
+CALIBRATION_HEADER = "block,kind,step,candidate_n,measured_error,accepted"
 
 FRACTION_STEP = 0.05
 
@@ -235,7 +239,44 @@ def fraction_grid(lo: float, hi: float) -> list[float]:
 @dataclass
 class CalibrationResult:
     sliced: dict  # (block, kind) -> SlicedWeights
-    records: list  # CalibrationRecord, in (block, kind, step, n) order
+    # CalibrationRecord of every (step, n) the sweep measured, in (block,
+    # kind, step, n descending) order; `calibration_export` writes them.
+    records: list
+
+
+def sweep_widths(measure, widths, steps, delta: float, aggregation: str, m: int):
+    """Return (final_n, errors) of one unit's width sweep.
+
+    Goes one width at a time, widest first, measuring `measure(step, n)` at
+    every step still active, in `steps` order; a step stops at its first
+    error above `delta`. Under "conservative" the sweep ends at the first
+    such error of any step: the width before it is within delta at every
+    step, and m when it was the first width. Under "smallest" it goes on
+    until every step has stopped, and final_n is the smallest per-step last
+    accepted width below m, else m. `errors` maps each measured (step, n)
+    to its error, in the order measured.
+    """
+    errors = {}
+    best = {}  # step -> its last accepted width
+    active = list(steps)
+    for n in widths:
+        still = []
+        for step in active:
+            errors[step, n] = measure(step, n)
+            if errors[step, n] <= delta:
+                best[step] = n
+                still.append(step)
+            elif aggregation == "conservative":
+                # Every step accepted each wider width, so the largest
+                # per-step best is the width before n, or m when n was first.
+                return max(best.get(s, m) for s in steps), errors
+        active = still
+        if not active:
+            break
+    if aggregation == "smallest":
+        below = [n for n in best.values() if n < m]
+        return (min(below) if below else m), errors
+    return max(best.get(s, m) for s in steps), errors
 
 
 def _calibrate_unit(model, cfg, sched, captured, unit, fracs, calib_steps, aggregation):
@@ -245,37 +286,33 @@ def _calibrate_unit(model, cfg, sched, captured, unit, fracs, calib_steps, aggre
     per_step = captured[unit]
     instances = [x for step in calib_steps for x in per_step[step][0]]
     rotation = compute_basis(instances)
+    slices = {}  # n -> SlicedWeights, made when the sweep first reaches n
 
-    # Candidates run from the widest n down; each is sliced once per unit.
-    candidates = [math.ceil(m * (1.0 - frac)) for frac in fracs]
-    slices = {n: slice_weights(w, rotation, n) for n in set(candidates)}
-    records = []
-    per_step_n = {}
-    for step in calib_steps:
+    def measure(step, n):
+        if n not in slices:
+            slices[n] = slice_weights(w, rotation, n)
         x_stack, o_full = per_step[step]
-        best_n = None
-        for n in candidates:
-            sw = slices[n]
-            o_sliced, _ = attention(x_stack, w, qk=(sw.wq_sliced, sw.wk_sliced))
-            err = rel_l2(o_sliced, o_full)
-            accepted = err <= sched.delta
-            records.append(CalibrationRecord(block=block_idx, kind=kind, step=step,
-                                             candidate_n=n, measured_error=err,
-                                             accepted=accepted))
-            if not accepted:
-                break
-            best_n = n
-        per_step_n[step] = best_n if best_n is not None else m
+        o_sliced, _ = attention(x_stack, w, qk=(slices[n].wq_sliced, slices[n].wk_sliced))
+        return rel_l2(o_sliced, o_full)
 
-    if aggregation == "smallest":
-        accepted_ns = [n for n in per_step_n.values() if n < m]
-        final_n = min(accepted_ns) if accepted_ns else m
-    else:
-        # Sound without re-measuring: every step accepted each candidate down
-        # to its own best n, so the largest best n is within delta at all steps.
-        final_n = max(per_step_n.values())
+    widths = sorted({math.ceil(m * (1.0 - frac)) for frac in fracs}, reverse=True)
+    final_n, errors = sweep_widths(measure, widths, calib_steps, sched.delta, aggregation, m)
+    # calib_steps ascend, so (step, n descending) is the records' order.
+    records = [CalibrationRecord(block=block_idx, kind=kind, step=step, candidate_n=n,
+                                 measured_error=errors[step, n],
+                                 accepted=errors[step, n] <= sched.delta)
+               for step, n in sorted(errors, key=lambda sn: (sn[0], -sn[1]))]
+    sw = slices[final_n] if final_n in slices else slice_weights(w, rotation, final_n)
+    return sw, records
 
-    return slice_weights(w, rotation, final_n), records
+
+def calibration_export(records) -> str:
+    """Render calibration records as CSV, in their order; floats use repr."""
+    lines = [CALIBRATION_HEADER]
+    for r in records:
+        lines.append(f"{r.block},{r.kind},{r.step},{r.candidate_n},"
+                     f"{r.measured_error!r},{int(r.accepted)}")
+    return "\n".join(lines) + "\n"
 
 
 def save_calib_latents(path, cfg: ModelConfig, latents: dict):

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from unicp.dws import CalibrationRecord
 from unicp.metrics import SSIM_NA, QualityReport
 
 
@@ -177,6 +178,28 @@ def exhaustive_n_sweep(x_stacks_by_step, o_full_by_step, wq, wk, wv, wo,
     return max(per_step_n.values())
 
 
+def ref_width_sweep(measure, widths, steps, delta, aggregation, m):
+    """The width sweep one calibration step at a time: each step walks
+    `widths` in order until `measure(step, n)` exceeds delta, and its last
+    accepted width (m when none) is its best; then the conservative max or
+    the smallest best below m. Returns (final_n, the (step, n) pairs
+    measured, in order)."""
+    measured = []
+    per_step_n = {}
+    for step in steps:
+        best = None
+        for n in widths:
+            measured.append((step, n))
+            if measure(step, n) > delta:
+                break
+            best = n
+        per_step_n[step] = best if best is not None else m
+    if aggregation == "smallest":
+        below = [n for n in per_step_n.values() if n < m]
+        return (min(below) if below else m), measured
+    return max(per_step_n.values()), measured
+
+
 def ref_mse(a, b):
     diff = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
     return float(np.mean(diff * diff))
@@ -255,6 +278,20 @@ def report_parse(text):
         ssim_range=float(kv["ssim_range"]),
         ssim_window=int(kv["ssim_window"]),
     )
+
+
+def calibration_parse(text):
+    """Read a calibration.csv document back into CalibrationRecords."""
+    lines = text.splitlines()
+    if not lines or lines[0] != "block,kind,step,candidate_n,measured_error,accepted":
+        raise ValueError("not a calibration records document")
+    records = []
+    for ln in lines[1:]:
+        block, kind, step, n, err, accepted = ln.split(",")
+        records.append(CalibrationRecord(block=int(block), kind=kind, step=int(step),
+                                         candidate_n=int(n), measured_error=float(err),
+                                         accepted={"1": True, "0": False}[accepted]))
+    return records
 
 
 def unit_letters(out):

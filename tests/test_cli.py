@@ -7,9 +7,9 @@ import zlib
 import numpy as np
 import pytest
 
-from oracles import attention_rows, report_parse
+from oracles import attention_rows, calibration_parse, report_parse
 from unicp.cli import main
-from unicp.metrics import TRACE_HEADER, trace_parse
+from unicp.metrics import TRACE_HEADER, macs_full_attention, trace_parse
 from unicp.model import load_state
 
 TINY_FLAGS = ["--blocks", "2", "--dim", "16", "--tokens", "16", "--frames", "2",
@@ -238,6 +238,41 @@ class TestCalibrate:
         assert "Traceback" not in captured.err and captured.out == ""
         assert not (tmp_path / "sliced_weights.bin").exists()
 
+    def test_writes_calibration_records(self, tmp_path, tiny_calibration):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert run_cli("calibrate", "--out", str(out), *TINY_FLAGS, "--preset", "E3") == 0
+        text = (a / "calibration.csv").read_text()
+        assert calibration_parse(text) == tiny_calibration[1].records
+        assert text.splitlines()[0] == "block,kind,step,candidate_n,measured_error,accepted"
+        assert read(a / "calibration.csv") == read(b / "calibration.csv")
+
+    @pytest.mark.parametrize("preset", ["E1", "E3", "E5"])
+    def test_conservative_rows_stop_at_the_first_rejected_width(self, tmp_path, preset):
+        assert run_cli("calibrate", "--out", str(tmp_path), *TINY_FLAGS, "--preset", preset) == 0
+        records = calibration_parse((tmp_path / "calibration.csv").read_text())
+        for unit in {(r.block, r.kind) for r in records}:
+            rows = [r for r in records if (r.block, r.kind) == unit]
+            rejected = [r.candidate_n for r in rows if not r.accepted]
+            assert len(rejected) <= 1, unit
+            if rejected:
+                assert min(r.candidate_n for r in rows) == rejected[0], unit
+
+    def test_calibration_csv_that_is_a_directory_exits_2(self, tmp_path, capsys, monkeypatch):
+        import unicp.dws
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran")
+
+        path = tmp_path / "calibration.csv"
+        path.mkdir()
+        monkeypatch.setattr(unicp.dws, "denoise_step", no_step)
+        monkeypatch.setattr(unicp.dws, "denoise_run", no_step)
+        assert run_cli("calibrate", "--out", str(tmp_path), *TINY_FLAGS) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path} is a directory, not a file\n"
+        assert captured.out == "" and not (tmp_path / "sliced_weights.bin").exists()
+
 
 class TestRun:
     def test_zero_delta_without_artifacts_matches_baseline_bytes(self, tmp_path):
@@ -397,6 +432,25 @@ class TestRun:
         assert run_cli("run", "--out", str(out), *TINY_FLAGS, "--preset", "E5",
                        "--baseline-trace", str(empty)) == 2
         assert "MAC total of 0" in capsys.readouterr().err
+
+    def test_online_prints_executed_macs(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert run_cli("calibrate", "--out", str(out), *TINY_FLAGS, "--preset", "E5") == 0
+        capsys.readouterr()
+        assert run_cli("run", "--out", str(out), *TINY_FLAGS, "--preset", "E5") == 0
+        lines = capsys.readouterr().out.splitlines()
+        executed = [int(ln.split()[1]) for ln in lines if ln.startswith("executed_macs ")]
+        trace = trace_parse((out / "run_trace.csv").read_text())
+        # 2 frames of 16 tokens at width 16: a spatial cell is 2 attentions
+        # over 16 tokens, a temporal one 16 attentions over 2 frames.
+        full = {"spatial": 2 * macs_full_attention(16, 16),
+                "temporal": 16 * macs_full_attention(2, 16)}
+        pruned = [r for r in trace.rows if r.decision == "pruned"]
+        assert pruned and len(executed) == 1
+        assert executed[0] - trace.macs_total == sum(full[r.kind] for r in pruned)
+        assert run_cli("run", "--out", str(out), *TINY_FLAGS, "--preset", "E5",
+                       "--mode", "replay") == 0
+        assert "executed_macs" not in capsys.readouterr().out
 
     def test_bad_baseline_trace_exits_before_the_run(self, tmp_path, capsys):
         out = tmp_path / "r"

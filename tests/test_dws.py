@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import attention_rows, drive_unit, exhaustive_n_sweep, unit_letters
+from oracles import (attention_rows, drive_unit, exhaustive_n_sweep, ref_width_sweep,
+                     unit_letters)
 from unicp.dws import (
     CacheMap,
     OnlineDispatcher,
@@ -16,6 +17,7 @@ from unicp.dws import (
     load_calib_latents,
     run_cache_map,
     save_calib_latents,
+    sweep_widths,
 )
 from unicp.edcw import SchedulerConfig
 from unicp.linalg import rel_l2
@@ -243,6 +245,60 @@ class TestCalibrate:
         small = dws_calibrate(model, cfg, sched, aggregation="smallest")
         for unit in cons.sliced:
             assert small.sliced[unit].n <= cons.sliced[unit].n
+
+    def test_each_width_measured_once(self, tiny_cfg, tiny_model):
+        # At m=16 the grid's fractions give width 12 twice.
+        assert [math.ceil(16 * (1 - f)) for f in fraction_grid(0.1, 0.4)].count(12) == 2
+        calib = dws_calibrate(tiny_model, tiny_cfg, SchedulerConfig(delta=0.175, search_window=4))
+        keys = [(r.block, r.kind, r.step, r.candidate_n) for r in calib.records]
+        assert any(n == 12 for *_, n in keys)
+        assert len(keys) == len(set(keys))
+
+
+@st.composite
+def accept_tables(draw):
+    """(m, widths descending, steps ascending, error by (step, n), delta);
+    the errors need not be monotone in n."""
+    m = draw(st.integers(2, 20))
+    widths = sorted(draw(st.sets(st.integers(1, m), min_size=1, max_size=8)), reverse=True)
+    steps = sorted(draw(st.sets(st.integers(0, 30), min_size=1, max_size=4)))
+    errors = {(step, n): draw(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))
+              for step in steps for n in widths}
+    return m, widths, steps, errors, draw(st.sampled_from([0.0, 0.25, 0.5, 0.75]))
+
+
+class TestWidthSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(table=accept_tables())
+    # Not monotone in n: step 0 rejects 14 but would accept 13 and 12.
+    @example(table=(16, [15, 14, 13, 12], [0, 2], {(0, 15): 0.0, (0, 14): 1.0, (0, 13): 0.0,
+                                                   (0, 12): 0.0, (2, 15): 0.0, (2, 14): 0.0,
+                                                   (2, 13): 1.0, (2, 12): 0.0}, 0.5))
+    def test_stop_rule_matches_the_per_step_sweep(self, table):
+        m, widths, steps, errors, delta = table
+        first_reject = max((n for step in steps for n in widths
+                            if errors[step, n] > delta
+                            and all(errors[step, w] <= delta for w in widths if w > n)),
+                           default=None)
+        for aggregation in ("conservative", "smallest"):
+            calls = []
+
+            def measure(step, n):
+                calls.append((step, n))
+                return errors[step, n]
+
+            final_n, measured = sweep_widths(measure, widths, steps, delta, aggregation, m)
+            want_n, want_pairs = ref_width_sweep(lambda step, n: errors[step, n], widths, steps,
+                                                 delta, aggregation, m)
+            assert final_n == want_n
+            assert list(measured) == calls and len(set(calls)) == len(calls)
+            assert measured == {pair: errors[pair] for pair in calls}
+            if aggregation == "smallest":
+                assert sorted(calls) == sorted(want_pairs)
+            else:
+                assert set(calls) <= set(want_pairs)
+                if first_reject is not None:
+                    assert min(n for _, n in calls) == first_reject
 
 
 class TestDispatch:
