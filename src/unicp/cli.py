@@ -63,7 +63,6 @@ DEFAULTS = {
     "ratio_lo": 0.1,
     "ratio_hi": 0.4,
     "mode": "online",
-    "aggregation": "conservative",
 }
 
 BASELINE_STATE = "baseline_state.bin"
@@ -102,7 +101,6 @@ class RunSpec:
     ratio_lo: float
     ratio_hi: float
     mode: str
-    aggregation: str
     preset: str | None
 
     def key(self) -> dict:
@@ -114,7 +112,6 @@ class RunSpec:
             "window": self.scheduler.search_window,
             "ratio_lo": self.ratio_lo,
             "ratio_hi": self.ratio_hi,
-            "aggregation": self.aggregation,
         }
 
     def as_dict(self) -> dict:
@@ -143,15 +140,13 @@ def build_spec(args) -> RunSpec:
         if not isinstance(preset, str) or preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r}; expected one of {sorted(PRESETS)}")
         values["delta"] = PRESETS[preset]
-    for flag in ("delta", "window", "seed", "ratio_lo", "ratio_hi", "mode", "aggregation",
+    for flag in ("delta", "window", "seed", "ratio_lo", "ratio_hi", "mode",
                  "blocks", "dim", "tokens", "frames", "steps"):
         flag_value = getattr(args, flag, None)
         if flag_value is not None:
             values[flag] = flag_value
     if values["mode"] not in ("online", "replay"):
         raise ConfigError(f"mode must be online or replay, got {values['mode']!r}")
-    if values["aggregation"] not in ("conservative", "smallest"):
-        raise ConfigError(f"aggregation must be conservative or smallest, got {values['aggregation']!r}")
     for key, cast in NUMBER_KEYS.items():
         values[key] = as_number(values[key], key, cast)
     if not 0.0 <= values["ratio_lo"] <= values["ratio_hi"] < 1.0:
@@ -171,8 +166,7 @@ def build_spec(args) -> RunSpec:
         raise ConfigError(str(exc)) from exc
     return RunSpec(model=model, scheduler=scheduler,
                    ratio_lo=values["ratio_lo"], ratio_hi=values["ratio_hi"],
-                   mode=values["mode"], aggregation=values["aggregation"],
-                   preset=preset)
+                   mode=values["mode"], preset=preset)
 
 
 def _write_text(path: Path, text: str):
@@ -262,8 +256,7 @@ def cmd_calibrate(args) -> int:
     latents = load_calib_latents(latents_path, spec.model) if latents_path.exists() else None
     model = init_model(spec.model)
     result = dws_calibrate(model, spec.model, spec.scheduler,
-                           ratio_bounds=(spec.ratio_lo, spec.ratio_hi),
-                           aggregation=spec.aggregation, latents=latents)
+                           ratio_bounds=(spec.ratio_lo, spec.ratio_hi), latents=latents)
     save_sliced_weights(out_dir / SLICED_WEIGHTS_FILE, result.sliced, spec.key())
     _write_text(out_dir / CALIBRATION_FILE, calibration_export(result.records))
     _write_spec(out_dir, "calibrate_spec.json", spec)
@@ -414,7 +407,6 @@ def _add_spec_flags(p: argparse.ArgumentParser, include_mode=True):
     p.add_argument("--tokens", type=int)
     p.add_argument("--frames", type=int)
     p.add_argument("--steps", type=int)
-    p.add_argument("--aggregation", choices=["conservative", "smallest"])
     if include_mode:
         p.add_argument("--mode", choices=["online", "replay"])
 

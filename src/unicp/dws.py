@@ -3,9 +3,10 @@
 Calibration captures every unit's inputs at the calibration steps with
 all-F cells, fits a PCA basis per (block, attention-kind) unit from them,
 and sweeps the retained width downward, one distinct width at a time,
-measuring each calibration step still in the sweep, until the unit's
-sliced output drifts past the error threshold (`sweep_widths`). It stops
-as soon as the aggregation's answer is known, and yields the sliced
+measuring every calibration step, until the unit's sliced output drifts
+past the error threshold at any of them (`sweep_widths`). A unit keeps
+the last width every step accepted, so its sliced output is within the
+threshold at every calibration step. Calibration yields the sliced
 weights and a record of every measurement (`calibration.csv`). Given
 the latents a baseline run kept at the calibration steps
 (`baseline_latents.bin`), it runs just those steps; without them, one
@@ -58,8 +59,6 @@ from .runner import (
 CACHE_MAP_MAGIC = "unicp-cache-map v2"
 LATENTS_MAGIC = b"UNICPLT1\n"
 CALIBRATION_HEADER = "block,kind,step,candidate_n,measured_error,accepted"
-
-FRACTION_STEP = 0.05
 
 
 @dataclass(frozen=True)
@@ -138,8 +137,9 @@ def cache_map_parse(text: str) -> CacheMap:
 
 def check_cache_map_units(cmap: CacheMap, cfg: ModelConfig):
     """Raise ValueError, naming the row, unless the grid has one row of
-    `cfg.num_steps` letters for each unit of the model and every final_n
-    row names a unit of the model."""
+    `cfg.num_steps` letters for each unit of the model, no row reuses a
+    cache (O or M) before its first F, and every final_n row names a unit
+    of the model."""
     units = {(b, kind) for b in range(cfg.num_blocks) for kind in ATTENTION_KINDS}
     for (block, kind), letters in sorted(cmap.grid.items()):
         row = f"{block} {kind} {''.join(letters)}"
@@ -148,6 +148,12 @@ def check_cache_map_units(cmap: CacheMap, cfg: ModelConfig):
         if len(letters) != cfg.num_steps:
             raise ValueError(f"cache map grid row {row!r} has {len(letters)} letters, "
                              f"but the model runs {cfg.num_steps} steps")
+        for step, letter in enumerate(letters):
+            if letter == LETTER_FULL:
+                break
+            if letter in (LETTER_OUTPUT, LETTER_MAP):
+                raise ValueError(f"cache map grid row {row!r} reuses a cache at step {step} "
+                                 f"before any F computes one")
     missing = sorted(units - set(cmap.grid))
     if missing:
         block, kind = missing[0]
@@ -169,16 +175,17 @@ class OnlineDispatcher(CellExecutor):
     matched window in the trace when it armed a cache). A miss on both cache
     tiers executes sliced attention when sliced weights with n < m exist,
     else falls back to full. The fresh F enters the unit's ring before the
-    decide, so the ring is K + 1 deep and the entry at distance K survives.
-    After the decide the ring drops every entry more than K steps before
-    the unit's next decide (at step + k, k the armed window or 1), since
-    no later decide can read it. The arming F, the newest entry, always
-    stays for the O and M cells it serves. `armed` maps a unit to the
+    decide, so the entry at distance K survives. After the decide the ring
+    drops every entry more than K steps before the unit's next decide (at
+    step + k, k the armed window or 1), since no later decide can read it.
+    That trim bounds the ring at K + 1 entries, so it needs no fixed depth.
+    The arming F, the newest entry, always stays for the O and M cells it
+    serves. `armed` maps a unit to the
     letter, window and last step of the cache its latest hit armed.
     """
 
     def __init__(self, model, sched: SchedulerConfig, sliced_weights: dict | None = None):
-        super().__init__(model, sliced_weights, depth=sched.search_window + 1, drift=True)
+        super().__init__(model, sliced_weights, depth=None, drift=True)
         self.sched = sched
         self.armed = {}  # (block, kind) -> (letter, window, last step served)
 
@@ -224,16 +231,15 @@ def default_calib_steps(num_steps: int) -> list[int]:
     return sorted({0, num_steps // 3, (2 * num_steps) // 3})
 
 
-def fraction_grid(lo: float, hi: float) -> list[float]:
-    fracs = []
+def candidate_widths(m: int, lo: float, hi: float) -> list[int]:
+    """The distinct retained widths of the pruned fractions lo, lo + 0.05,
+    ... up to hi (the last clamped to hi), widest first."""
+    widths = set()
     i = 0
-    while True:
-        f = lo + FRACTION_STEP * i
-        if f > hi + 1e-9:
-            break
-        fracs.append(min(f, hi))
+    while (frac := lo + 0.05 * i) <= hi + 1e-9:
+        widths.add(math.ceil(m * (1.0 - min(frac, hi))))
         i += 1
-    return fracs
+    return sorted(widths, reverse=True)
 
 
 @dataclass
@@ -244,44 +250,29 @@ class CalibrationResult:
     records: list
 
 
-def sweep_widths(measure, widths, steps, delta: float, aggregation: str, m: int):
+def sweep_widths(measure, widths, steps, delta: float, m: int):
     """Return (final_n, errors) of one unit's width sweep.
 
     Goes one width at a time, widest first, measuring `measure(step, n)` at
-    every step still active, in `steps` order; a step stops at its first
-    error above `delta`. Under "conservative" the sweep ends at the first
-    such error of any step: the width before it is within delta at every
-    step, and m when it was the first width. Under "smallest" it goes on
-    until every step has stopped, and final_n is the smallest per-step last
-    accepted width below m, else m. `errors` maps each measured (step, n)
-    to its error, in the order measured.
+    every step, in `steps` order, and ends at the first error above
+    `delta`. final_n is the last width every step accepted: the width
+    before the rejected one, m when the first width was rejected, and the
+    last width when none was. `errors` maps each measured (step, n) to its
+    error, in the order measured.
     """
     errors = {}
-    best = {}  # step -> its last accepted width
-    active = list(steps)
+    final_n = m
     for n in widths:
-        still = []
-        for step in active:
+        for step in steps:
             errors[step, n] = measure(step, n)
-            if errors[step, n] <= delta:
-                best[step] = n
-                still.append(step)
-            elif aggregation == "conservative":
-                # Every step accepted each wider width, so the largest
-                # per-step best is the width before n, or m when n was first.
-                return max(best.get(s, m) for s in steps), errors
-        active = still
-        if not active:
-            break
-    if aggregation == "smallest":
-        below = [n for n in best.values() if n < m]
-        return (min(below) if below else m), errors
-    return max(best.get(s, m) for s in steps), errors
+            if errors[step, n] > delta:
+                return final_n, errors
+        final_n = n
+    return final_n, errors
 
 
-def _calibrate_unit(model, cfg, sched, captured, unit, fracs, calib_steps, aggregation):
+def _calibrate_unit(model, cfg, sched, captured, unit, widths, calib_steps):
     block_idx, kind = unit
-    m = cfg.model_dim
     w = attention_weights_for(model[block_idx], kind)
     per_step = captured[unit]
     instances = [x for step in calib_steps for x in per_step[step][0]]
@@ -295,8 +286,8 @@ def _calibrate_unit(model, cfg, sched, captured, unit, fracs, calib_steps, aggre
         o_sliced, _ = attention(x_stack, w, qk=(slices[n].wq_sliced, slices[n].wk_sliced))
         return rel_l2(o_sliced, o_full)
 
-    widths = sorted({math.ceil(m * (1.0 - frac)) for frac in fracs}, reverse=True)
-    final_n, errors = sweep_widths(measure, widths, calib_steps, sched.delta, aggregation, m)
+    final_n, errors = sweep_widths(measure, widths, calib_steps, sched.delta,
+                                   cfg.model_dim)
     # calib_steps ascend, so (step, n descending) is the records' order.
     records = [CalibrationRecord(block=block_idx, kind=kind, step=step, candidate_n=n,
                                  measured_error=errors[step, n],
@@ -351,8 +342,7 @@ def load_calib_latents(path, cfg: ModelConfig) -> dict | None:
 
 
 def dws_calibrate(model, cfg: ModelConfig, sched: SchedulerConfig,
-                  ratio_bounds=(0.1, 0.4), aggregation: str = "conservative",
-                  latents: dict | None = None) -> CalibrationResult:
+                  ratio_bounds=(0.1, 0.4), latents: dict | None = None) -> CalibrationResult:
     """Calibrate per-unit pruning dimensions.
 
     Returns the sliced weights of each unit and the per-candidate
@@ -365,8 +355,6 @@ def dws_calibrate(model, cfg: ModelConfig, sched: SchedulerConfig,
     lo, hi = ratio_bounds
     if not 0.0 <= lo <= hi < 1.0:
         raise ValueError(f"ratio bounds must satisfy 0 <= lo <= hi < 1, got [{lo}, {hi}]")
-    if aggregation not in ("conservative", "smallest"):
-        raise ValueError(f"unknown aggregation {aggregation!r}")
 
     calib_steps = default_calib_steps(cfg.num_steps)
     capture = CellExecutor(model, capture_steps=calib_steps)
@@ -379,11 +367,11 @@ def dws_calibrate(model, cfg: ModelConfig, sched: SchedulerConfig,
     if not capture.captured:
         raise ValueError("calibration captured no block inputs")
 
-    fracs = fraction_grid(lo, hi)
+    widths = candidate_widths(cfg.model_dim, lo, hi)
     sliced = {}
     records = []
     for unit in ((b, kind) for b in range(len(model)) for kind in ATTENTION_KINDS):
         sliced[unit], unit_records = _calibrate_unit(model, cfg, sched, capture.captured, unit,
-                                                     fracs, calib_steps, aggregation)
+                                                     widths, calib_steps)
         records.extend(unit_records)
     return CalibrationResult(sliced=sliced, records=records)

@@ -63,12 +63,13 @@ class MissingArtifactError(RuntimeError):
 class CellExecutor:
     """Runs every attention cell of a run and writes its trace row.
 
-    Each unit owns a ring of its last `depth` F results as (step,
-    AttentionResult) pairs, oldest first; nothing else holds them. F runs
-    full attention and appends to the ring; O serves the newest entry's
-    output; M reruns the value path under its map; P runs sliced attention,
-    or the full math when the retained dimension equals the width (accounted
-    with the sliced formula, which is equal there). O, M and P leave the
+    Each unit owns a ring of its last `depth` F results (all of them when
+    `depth` is None) as (step, AttentionResult) pairs, oldest first;
+    nothing else holds them. F runs full attention and appends to the
+    ring; O serves the newest entry's output; M reruns the value path under
+    its map; P runs sliced attention, or the full math when the retained
+    dimension equals the width (accounted with the sliced formula, which is
+    equal there). O, M and P leave the
     ring alone, so its newest entry is the F result that armed any cache an
     O or M cell serves from.
 
@@ -80,7 +81,7 @@ class CellExecutor:
     `captured[unit][step]`.
     """
 
-    def __init__(self, model, sliced_weights: dict | None = None, depth: int = 1,
+    def __init__(self, model, sliced_weights: dict | None = None, depth: int | None = 1,
                  grid: dict | None = None, drift: bool = False, capture_steps=()):
         self.model = model
         self.sliced = dict(sliced_weights) if sliced_weights else {}

@@ -23,11 +23,11 @@ TINY = dict(num_blocks=2, model_dim=16, tokens_per_frame=16, num_frames=2,
 
 def online_pass(model, cfg, sched, calib):
     """What `run --mode online` does with a calibration's sliced weights (at
-    the default ratio bounds and aggregation): its state, trace and map."""
+    the default ratio bounds): its state, trace and map."""
     dispatcher = OnlineDispatcher(model, sched, calib.sliced)
     state, trace = denoise_run(cfg, dispatcher)
     key = RunSpec(model=cfg, scheduler=sched, ratio_lo=0.1, ratio_hi=0.4, mode="online",
-                  aggregation="conservative", preset=None).key()
+                  preset=None).key()
     cache_map = run_cache_map(trace, key, calib.sliced)
     return SimpleNamespace(state=state, trace=trace, cache_map=cache_map)
 

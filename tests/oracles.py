@@ -144,13 +144,13 @@ def rayleigh_quotients(basis, inputs):
 
 
 def exhaustive_n_sweep(x_stacks_by_step, o_full_by_step, wq, wk, wv, wo,
-                       delta, n_candidates, aggregation="conservative"):
+                       delta, n_candidates):
     """Find per-unit final_n by testing every candidate dimension directly.
 
     Mirrors the sweep semantics: per calibration step, walk candidates from
     the largest n downward while the stacked sliced output stays within delta
-    of the stacked full output; aggregate conservatively (max) or by the
-    smallest accepted value.
+    of the stacked full output; final_n is the largest of the steps' last
+    accepted widths (m for a step that accepted none).
     """
     m = wq.shape[0]
     instances = [x for step in sorted(x_stacks_by_step) for x in x_stacks_by_step[step]]
@@ -172,18 +172,14 @@ def exhaustive_n_sweep(x_stacks_by_step, o_full_by_step, wq, wk, wv, wo,
             else:
                 break
         per_step_n[step] = best if best is not None else m
-    if aggregation == "smallest":
-        accepted = [n for n in per_step_n.values() if n < m]
-        return min(accepted) if accepted else m
     return max(per_step_n.values())
 
 
-def ref_width_sweep(measure, widths, steps, delta, aggregation, m):
+def ref_width_sweep(measure, widths, steps, delta, m):
     """The width sweep one calibration step at a time: each step walks
     `widths` in order until `measure(step, n)` exceeds delta, and its last
-    accepted width (m when none) is its best; then the conservative max or
-    the smallest best below m. Returns (final_n, the (step, n) pairs
-    measured, in order)."""
+    accepted width (m when none) is its best; final_n is the largest best.
+    Returns (final_n, the (step, n) pairs measured, in order)."""
     measured = []
     per_step_n = {}
     for step in steps:
@@ -194,9 +190,6 @@ def ref_width_sweep(measure, widths, steps, delta, aggregation, m):
                 break
             best = n
         per_step_n[step] = best if best is not None else m
-    if aggregation == "smallest":
-        below = [n for n in per_step_n.values() if n < m]
-        return (min(below) if below else m), measured
     return max(per_step_n.values()), measured
 
 

@@ -36,7 +36,7 @@ SLICED_UNIT = {"block": 0, "kind": "spatial", "n": 4, "calib_steps": [0]}
 STATE_HEADER = {"blocks": 2, "dim": 16, "tokens": 16, "frames": 2, "steps": 8, "seed": 7}
 # The run parameters of a sliced-weight header that TINY_FLAGS accepts.
 SLICED_RUN_HEADER = {"model": STATE_HEADER, "delta": 0.05, "window": 4, "ratio_lo": 0.1,
-                     "ratio_hi": 0.4, "aggregation": "conservative"}
+                     "ratio_hi": 0.4}
 # The value count of the calibration latents a baseline at TINY_FLAGS writes,
 # three latents of 2 frames x 16 tokens x 16 channels, and their header for
 # an all-zero payload.
@@ -115,11 +115,15 @@ class TestConfigFile:
         assert spec["seed"] == 9  # flag wins
         assert spec["delta"] == 0.3  # config wins over default
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        # Older configs may still hold "aggregation", a key the spec no longer has.
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"blcoks": 2}))
-        assert run_cli("baseline", "--out", str(tmp_path / "o"),
-                       "--config", str(cfg_path)) == 2
+        for key in ("blcoks", "aggregation"):
+            cfg_path.write_text(json.dumps({key: 2}))
+            assert run_cli("baseline", "--out", str(tmp_path / "o"),
+                           "--config", str(cfg_path)) == 2
+            assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_exits_3(self, tmp_path):
         assert run_cli("baseline", "--out", str(tmp_path / "o"),
@@ -155,9 +159,8 @@ class TestCalibrate:
             assert read(a / name) == read(b / name)
         assert not (a / "cache_map.txt").exists() and not (b / "cache_map.txt").exists()
 
-    @pytest.mark.parametrize("flags", [["--preset", "E1"], ["--preset", "E5"],
-                                       ["--preset", "E5", "--aggregation", "smallest"]],
-                             ids=["E1", "E5", "E5-smallest"])
+    @pytest.mark.parametrize("flags", [["--preset", "E1"], ["--preset", "E5"]],
+                             ids=["E1", "E5"])
     def test_from_baseline_latents_matches_standalone(self, tmp_path, capsys, monkeypatch,
                                                       flags):
         import unicp.dws
@@ -332,6 +335,27 @@ class TestRun:
         for name in ("run_state.bin", "run_trace.csv", "cache_map.txt"):
             assert read(old / name) == read(new / name)
 
+    def test_artifacts_with_aggregation_in_their_key_still_run(self, tmp_path):
+        # Sliced weights and maps written while the run key held "aggregation".
+        new, old = tmp_path / "new", tmp_path / "old"
+        spec = [*TINY_FLAGS, "--preset", "E5"]
+        assert run_cli("calibrate", "--out", str(new), *spec) == 0
+        assert run_cli("run", "--mode", "online", "--out", str(new), *spec) == 0
+        old.mkdir()
+        magic, header, payload = read(new / "sliced_weights.bin").split(b"\n", 2)
+        header = dict(json.loads(header), aggregation="conservative")
+        (old / "sliced_weights.bin").write_bytes(
+            magic + b"\n" + json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+        lines = (new / "cache_map.txt").read_text().splitlines(keepends=True)
+        key = dict(json.loads(lines[1]), aggregation="conservative")
+        lines[1] = json.dumps(key, sort_keys=True) + "\n"
+        (old / "cache_map.txt").write_text("".join(lines))
+        for d in (new, old):
+            assert run_cli("run", "--mode", "replay", "--out", str(d), *spec) == 0
+        for name in ("run_state.bin", "run_trace.csv", "run_cache_map.txt"):
+            assert read(old / name) == read(new / name)
+        assert b"aggregation" not in read(old / "run_cache_map.txt")
+
     def test_weights_header_and_map_record_one_run_key(self, tmp_path):
         from unicp.model import read_container
         out = tmp_path / "o"
@@ -405,14 +429,17 @@ class TestRun:
 
     def test_window_past_the_last_step_matches_window_seven(self, tmp_path):
         # A decide loops over the distances its ring holds, so K = 10**7 runs
-        # as fast as, and decides the same as, K = 7 on an 8-step run.
-        for window in ("7", "10000000"):
+        # as fast as, and decides the same as, K = 7 on an 8-step run. The
+        # ring has no fixed depth, so a K past any machine integer runs too.
+        windows = ("7", "10000000", "1000000000000000000000")
+        for window in windows:
             t0 = time.perf_counter()
             assert run_cli("run", "--mode", "online", "--out", str(tmp_path / window),
                            *TINY_FLAGS, "--window", window) == 0
             assert time.perf_counter() - t0 < 5.0, window
-        for name in ("run_state.bin", "run_trace.csv"):
-            assert read(tmp_path / "7" / name) == read(tmp_path / "10000000" / name)
+        for window in windows[1:]:
+            for name in ("run_state.bin", "run_trace.csv"):
+                assert read(tmp_path / "7" / name) == read(tmp_path / window / name)
 
     def test_mac_ratio_printed(self, tmp_path, capsys):
         base = tmp_path / "base"
@@ -529,7 +556,10 @@ class TestRun:
         (r"\n1 temporal [FOMP]+\n", r"\n", "cache map has no grid row for block 1 temporal"),
         (r"\n(0 spatial [FOMP]+)\n", r"\n\1\n\1\n", "cache map lists a grid row twice: '0 spatial "),
         (r"\nend\n", r"\n7 bogus 6\nend\n", "final_n row '7 bogus 6' names a unit the model lacks"),
-    ], ids=["extra-row", "short-row", "missing-row", "duplicate-row", "foreign-final-n"])
+        (r"\n1 temporal [FOMP]+\n", r"\n1 temporal PPOFFF\n",
+         "grid row '1 temporal PPOFFF' reuses a cache at step 2 before any F computes one"),
+    ], ids=["extra-row", "short-row", "missing-row", "duplicate-row", "foreign-final-n",
+            "reuse-before-f"])
     def test_map_must_match_the_model_before_any_step(self, tmp_path, capsys, monkeypatch,
                                                        pattern, replacement, expected):
         from unicp import cli as cli_module

@@ -11,9 +11,9 @@ from unicp.dws import (
     OnlineDispatcher,
     cache_map_export,
     cache_map_parse,
+    candidate_widths,
     default_calib_steps,
     dws_calibrate,
-    fraction_grid,
     load_calib_latents,
     run_cache_map,
     save_calib_latents,
@@ -75,11 +75,14 @@ def tiny(**overrides):
 
 class TestFractionGrid:
     def test_default_bounds(self):
-        grid = fraction_grid(0.1, 0.4)
-        assert grid == pytest.approx([0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4])
+        # Pruned fractions 0.1, 0.15, ..., 0.4 of 64 channels.
+        assert candidate_widths(64, 0.1, 0.4) == [58, 55, 52, 48, 45, 42, 39]
+        # At m=16 the fractions 0.25 and 0.3 both give width 12, kept once.
+        assert candidate_widths(16, 0.1, 0.4) == [15, 14, 13, 12, 11, 10]
 
     def test_degenerate_bounds(self):
-        assert fraction_grid(0.2, 0.2) == [0.2]
+        assert candidate_widths(64, 0.2, 0.2) == [52]
+        assert candidate_widths(16, 0.0, 0.0) == [16]
 
     def test_calib_steps_cover_thirds(self):
         assert default_calib_steps(30) == [0, 10, 20]
@@ -113,8 +116,7 @@ class TestCalibrate:
     def test_final_n_matches_exhaustive_oracle(self, tiny_calibration, tiny_cfg, tiny_model):
         sched, calib, _ = tiny_calibration
         m = tiny_cfg.model_dim
-        fracs = fraction_grid(0.1, 0.4)
-        n_candidates = sorted({math.ceil(m * (1 - f)) for f in fracs})
+        n_candidates = candidate_widths(m, 0.1, 0.4)
         # Re-capture the baseline inputs independently of the calibration.
         cap = CellExecutor(tiny_model, capture_steps=default_calib_steps(tiny_cfg.num_steps))
         denoise_run(tiny_cfg, cap)
@@ -234,21 +236,9 @@ class TestCalibrate:
         sched = SchedulerConfig(delta=0.1)
         with pytest.raises(ValueError):
             dws_calibrate(model, cfg, sched, ratio_bounds=(0.5, 0.4))
-        with pytest.raises(ValueError):
-            dws_calibrate(model, cfg, sched, aggregation="median")
-
-    def test_smallest_aggregation_is_at_most_conservative(self):
-        cfg = tiny()
-        model = init_model(cfg)
-        sched = SchedulerConfig(delta=0.125, search_window=4)
-        cons = dws_calibrate(model, cfg, sched, aggregation="conservative")
-        small = dws_calibrate(model, cfg, sched, aggregation="smallest")
-        for unit in cons.sliced:
-            assert small.sliced[unit].n <= cons.sliced[unit].n
 
     def test_each_width_measured_once(self, tiny_cfg, tiny_model):
-        # At m=16 the grid's fractions give width 12 twice.
-        assert [math.ceil(16 * (1 - f)) for f in fraction_grid(0.1, 0.4)].count(12) == 2
+        # At m=16 the pruned fractions 0.25 and 0.3 both give width 12.
         calib = dws_calibrate(tiny_model, tiny_cfg, SchedulerConfig(delta=0.175, search_window=4))
         keys = [(r.block, r.kind, r.step, r.candidate_n) for r in calib.records]
         assert any(n == 12 for *_, n in keys)
@@ -280,28 +270,35 @@ class TestWidthSweep:
                             if errors[step, n] > delta
                             and all(errors[step, w] <= delta for w in widths if w > n)),
                            default=None)
-        for aggregation in ("conservative", "smallest"):
-            calls = []
+        calls = []
 
-            def measure(step, n):
-                calls.append((step, n))
-                return errors[step, n]
+        def measure(step, n):
+            calls.append((step, n))
+            return errors[step, n]
 
-            final_n, measured = sweep_widths(measure, widths, steps, delta, aggregation, m)
-            want_n, want_pairs = ref_width_sweep(lambda step, n: errors[step, n], widths, steps,
-                                                 delta, aggregation, m)
-            assert final_n == want_n
-            assert list(measured) == calls and len(set(calls)) == len(calls)
-            assert measured == {pair: errors[pair] for pair in calls}
-            if aggregation == "smallest":
-                assert sorted(calls) == sorted(want_pairs)
-            else:
-                assert set(calls) <= set(want_pairs)
-                if first_reject is not None:
-                    assert min(n for _, n in calls) == first_reject
+        final_n, measured = sweep_widths(measure, widths, steps, delta, m)
+        want_n, want_pairs = ref_width_sweep(lambda step, n: errors[step, n], widths, steps,
+                                             delta, m)
+        assert final_n == want_n
+        assert list(measured) == calls and len(set(calls)) == len(calls)
+        assert measured == {pair: errors[pair] for pair in calls}
+        assert set(calls) <= set(want_pairs)
+        if first_reject is not None:
+            assert min(n for _, n in calls) == first_reject
+        if final_n < m:
+            # The bound itself: every step was measured at final_n, within delta.
+            assert all(measured[step, final_n] <= delta for step in steps)
 
 
 class TestDispatch:
+    def test_reuse_before_any_full_compute_raises(self, tiny_cfg, tiny_model):
+        # The executor's own guard, for grids that skip `check_cache_map_units`.
+        grid = {(b, k): ["M"] + ["F"] * (tiny_cfg.num_steps - 1)
+                for b in range(tiny_cfg.num_blocks) for k in ATTENTION_KINDS}
+        with pytest.raises(MissingArtifactError,
+                           match="reuse cell before any full compute: block 0 spatial step 0"):
+            denoise_run(tiny_cfg, CellExecutor(tiny_model, grid=grid))
+
     def test_all_full_grid_step_equals_baseline_step(self, tiny_cfg, tiny_model):
         cmap = CacheMap(key={}, grid={(b, k): ["F"] * tiny_cfg.num_steps
                                       for b in range(tiny_cfg.num_blocks) for k in ATTENTION_KINDS})
@@ -529,7 +526,6 @@ class TestCacheMapDocument:
             "window": st.integers(1, 64),
             "ratio_lo": st.floats(0.0, 1.0),
             "ratio_hi": st.floats(0.0, 1.0),
-            "aggregation": st.sampled_from(["conservative", "smallest"]),
         }),
         grid=st.dictionaries(st.tuples(st.integers(0, 99), st.sampled_from(ATTENTION_KINDS)),
                              st.lists(st.sampled_from("FOMP"), min_size=1, max_size=40)),
@@ -537,7 +533,7 @@ class TestCacheMapDocument:
                                 st.integers(1, 4096)),
     ))
     @example(CacheMap(key={"model": {}, "delta": math.inf, "window": 1, "ratio_lo": 0.0,
-                           "ratio_hi": 0.0, "aggregation": "smallest"},
+                           "ratio_hi": 0.0},
                       grid={(0, "spatial"): ["F"]}, final_n={(0, "spatial"): 1}))
     def test_export_parse_round_trip(self, cmap):
         text = cache_map_export(cmap)
