@@ -15,7 +15,6 @@ import ctypes
 import json
 import sys
 from dataclasses import dataclass
-from itertools import zip_longest
 from pathlib import Path
 
 from .dws import (
@@ -32,8 +31,7 @@ from .dws import (
 )
 from .edcw import SchedulerConfig
 from .harness import profile_parse, run_scheduler_on_profile, u_profile
-from .metrics import (macs_full_attention, macs_mlp, quality_report, report_export,
-                      trace_export, trace_parse)
+from .metrics import macs_full_attention, macs_mlp, quality_report, report_export, trace_export
 from .model import (
     ATTENTION_KINDS,
     ModelConfig,
@@ -195,30 +193,6 @@ def _full_cell_macs(cfg: ModelConfig) -> dict:
             "temporal": s * macs_full_attention(f, m), "mlp": macs_mlp(f * s, m)}
 
 
-def _check_baseline_trace(trace, cfg: ModelConfig, path: Path):
-    """Raise ConfigError, naming the first row that fails, unless `trace` has
-    one row per (step, block, spatial|temporal|mlp) of the model in the order
-    a baseline writes them, every row is full, and every row's MACs equal
-    the closed form."""
-    full_macs = _full_cell_macs(cfg)
-    units = [(step, block, kind) for step in range(cfg.num_steps)
-             for block in range(cfg.num_blocks) for kind in full_macs]
-    for row, unit in zip_longest(trace.rows, units):
-        if row is None:
-            raise ConfigError(f"baseline trace {path} has no row for step {unit[0]} "
-                              f"block {unit[1]} {unit[2]}")
-        where = f"baseline trace {path} row step={row.step} block={row.block} kind={row.kind}"
-        if (row.step, row.block, row.kind) != unit:
-            raise ConfigError(f"{where} is not the next row of a model with "
-                              f"{cfg.num_steps} steps and {cfg.num_blocks} blocks")
-        if row.decision != "full":
-            raise ConfigError(f"{where} is {row.decision}, but a baseline computes "
-                              f"every cell in full")
-        if row.macs != full_macs[row.kind]:
-            raise ConfigError(f"{where} has {row.macs} MACs, but a full {row.kind} "
-                              f"cell of this model takes {full_macs[row.kind]}")
-
-
 def _out_dir(path: str, names) -> Path:
     """Make a command's output directory, then raise ConfigError naming the
     first of `names` that exists there as a directory. Commands call it
@@ -267,17 +241,6 @@ def cmd_calibrate(args) -> int:
 
 def cmd_run(args) -> int:
     spec = build_spec(args)
-    base_total = None
-    if args.baseline_trace:
-        base_path = Path(args.baseline_trace)
-        if not base_path.exists():
-            raise MissingArtifactError(f"baseline trace not found: {base_path}")
-        base_trace = trace_parse(base_path.read_text())
-        base_total = base_trace.macs_total
-        if base_total <= 0:
-            raise ConfigError(f"baseline trace {base_path} has a MAC total of {base_total}; "
-                              f"the MAC ratio needs a positive one")
-        _check_baseline_trace(base_trace, spec.model, base_path)
     out_dir = _out_dir(args.out, (RUN_STATE, RUN_TRACE, RUN_CACHE_MAP, CACHE_MAP_FILE,
                                   "run_spec.json"))
     model = init_model(spec.model)
@@ -329,15 +292,16 @@ def cmd_run(args) -> int:
     counts = trace.decision_counts()
     print(f"run complete: mode={spec.mode} macs_total={trace.macs_total} "
           f"decisions={json.dumps(counts, sort_keys=True)}")
+    full_macs = _full_cell_macs(spec.model)
     if spec.mode == "online":
         # A P cell's trace row charges the sliced path only; online, the
         # decide ran the full path first.
-        full_macs = _full_cell_macs(spec.model)
         executed = trace.macs_total + sum(full_macs[row.kind] for row in trace.rows
                                           if row.decision == "pruned")
         print(f"executed_macs {executed}")
-    if base_total is not None:
-        print(f"mac_ratio {trace.macs_total / base_total!r}")
+    # A baseline computes every cell of every step in full.
+    baseline_total = spec.model.num_steps * spec.model.num_blocks * sum(full_macs.values())
+    print(f"mac_ratio {trace.macs_total / baseline_total!r}")
     return 0
 
 
@@ -430,8 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "replay executes it")
     _add_spec_flags(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--baseline-trace", dest="baseline_trace",
-                   help="baseline trace CSV; prints the MAC ratio against it")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("harness", help="scripted-drift scheduler rig")

@@ -58,6 +58,8 @@ class ModelConfig:
             raise ValueError("model_dim must be >= 4")
         if self.num_steps < 2:
             raise ValueError("num_steps must be >= 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def header(self) -> dict:
         return {
