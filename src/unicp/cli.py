@@ -4,8 +4,9 @@ scheduler harness, and output comparison.
 Exit codes: 0 success, 2 configuration/validation problem or a path the
 OS cannot read or write, 3 missing dependency artifact, 4 numeric failure
 (non-finite latent values, or a float overflow).
-All commands are deterministic given the same spec (seed included); every
-command writes a JSON echo of its full spec beside its artifacts.
+All commands are deterministic given the same spec (seed included);
+baseline, calibrate and run write a JSON echo of their full spec beside
+their artifacts.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .model import (
     ATTENTION_KINDS,
     ModelConfig,
     NumericError,
-    as_number,
     init_model,
     load_state,
     require_keys,
@@ -82,11 +82,6 @@ M_MMAP_THRESHOLD = -3
 MMAP_THRESHOLD_BYTES = 32 << 20
 TRIM_THRESHOLD_BYTES = 64 << 20
 
-# Spec keys that hold numbers, with the type each is read as.
-NUMBER_KEYS = {"blocks": int, "dim": int, "tokens": int, "frames": int, "steps": int,
-               "seed": int, "window": int, "delta": float, "ratio_lo": float,
-               "ratio_hi": float}
-
 
 class ConfigError(ValueError):
     pass
@@ -119,34 +114,14 @@ class RunSpec:
 
 
 def build_spec(args) -> RunSpec:
+    """The run spec: DEFAULTS, then the preset's delta, then every flag given."""
     values = dict(DEFAULTS)
-    if args.config:
-        try:
-            loaded = json.loads(Path(args.config).read_text())
-        except FileNotFoundError as exc:
-            raise MissingArtifactError(f"config file not found: {args.config}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"config file holds {loaded!r}, not a JSON object")
-        unknown = set(loaded) - set(DEFAULTS) - {"preset"}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        values.update(loaded)
-    preset = getattr(args, "preset", None) or values.get("preset")
-    if preset:
-        if not isinstance(preset, str) or preset not in PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}; expected one of {sorted(PRESETS)}")
-        values["delta"] = PRESETS[preset]
-    for flag in ("delta", "window", "seed", "ratio_lo", "ratio_hi", "mode",
-                 "blocks", "dim", "tokens", "frames", "steps"):
-        flag_value = getattr(args, flag, None)
+    if args.preset:
+        values["delta"] = PRESETS[args.preset]
+    for key in DEFAULTS:
+        flag_value = getattr(args, key, None)
         if flag_value is not None:
-            values[flag] = flag_value
-    if values["mode"] not in ("online", "replay"):
-        raise ConfigError(f"mode must be online or replay, got {values['mode']!r}")
-    for key, cast in NUMBER_KEYS.items():
-        values[key] = as_number(values[key], key, cast)
+            values[key] = flag_value
     if not 0.0 <= values["ratio_lo"] <= values["ratio_hi"] < 1.0:
         raise ConfigError(
             f"ratio bounds must satisfy 0 <= lo <= hi < 1, got [{values['ratio_lo']}, {values['ratio_hi']}]")
@@ -164,7 +139,7 @@ def build_spec(args) -> RunSpec:
         raise ConfigError(str(exc)) from exc
     return RunSpec(model=model, scheduler=scheduler,
                    ratio_lo=values["ratio_lo"], ratio_hi=values["ratio_hi"],
-                   mode=values["mode"], preset=preset)
+                   mode=values["mode"], preset=args.preset)
 
 
 def _write_text(path: Path, text: str):
@@ -359,7 +334,6 @@ def cmd_compare(args) -> int:
 
 
 def _add_spec_flags(p: argparse.ArgumentParser, include_mode=True):
-    p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--preset", choices=sorted(PRESETS), help="error-threshold preset")
     p.add_argument("--delta", type=float, help="error threshold (overrides preset)")
     p.add_argument("--window", type=int, help="search window K")

@@ -274,19 +274,19 @@ def require_keys(h, keys, what: str):
         raise ValueError(f"{what} lacks {', '.join(missing)}")
 
 
-def as_number(value, name: str, cast=int):
-    """Read a config or header field as `cast` (int or float).
+def as_number(value, name: str) -> int:
+    """Read a header field as an int.
 
-    Raise ValueError naming the field for a boolean, a non-number, and, when
-    `cast` is int, a fraction or a non-finite value.
+    Raise ValueError naming the field for a boolean, a non-number, a
+    fraction or a non-finite value.
     """
     if isinstance(value, bool):
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:
-        out = cast(value)
+        out = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} must be a number, got {value!r}") from exc
-    if cast is int and isinstance(value, float) and out != value:
+    if isinstance(value, float) and out != value:
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return out
 

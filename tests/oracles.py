@@ -60,26 +60,13 @@ def ref_sliced_attention_via_reconstruction(x, wq, wk, wv, wo, rotation, n):
     return a, (a @ (x @ wv)) @ wo
 
 
-def brute_force_cache_decision(history, current_output, current_map, delta, window):
+def brute_force_cache_decision_at(history, step, current_output, current_map, delta, window):
     """Literal re-implementation of the caching decision procedure.
 
-    `history` is a list of (step, output, map); `current_*` the fresh result.
-    Scans k = window..1 on outputs, then on maps; returns ("reuse_output", k),
-    ("reuse_map", k) or ("pruned", None).
+    `history` is a list of (step, output, map) and `step` the decision step;
+    `current_*` the fresh result. Scans k = window..1 on outputs, then on
+    maps; returns ("reuse_output", k), ("reuse_map", k) or ("pruned", None).
     """
-    by_step = {step: (out, amap) for step, out, amap in history}
-    current_step = max(by_step) + 1 if by_step else 0
-
-    def lookup(step_wanted):
-        return by_step.get(step_wanted)
-
-    # The caller passes absolute steps; recover the decision step as the one
-    # after the newest entry only when not supplied explicitly.
-    return _scan(lookup, current_step, current_output, current_map, delta, window)
-
-
-def brute_force_cache_decision_at(history, step, current_output, current_map, delta, window):
-    """Same as brute_force_cache_decision with an explicit decision step."""
     by_step = {s: (out, amap) for s, out, amap in history}
     return _scan(by_step.get, step, current_output, current_map, delta, window)
 

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from oracles import attention_rows, calibration_parse, report_parse
-from unicp.cli import main
+from unicp.cli import build_parser, build_spec, main
+from unicp.edcw import SchedulerConfig
 from unicp.metrics import macs_full_attention, trace_parse
-from unicp.model import load_state
+from unicp.model import ModelConfig, load_state
 
 TINY_FLAGS = ["--blocks", "2", "--dim", "16", "--tokens", "16", "--frames", "2",
               "--steps", "8", "--seed", "7"]
@@ -77,60 +78,36 @@ class TestBaseline:
                      + macs_mlp(f * s, m))
         assert trace.macs_total == steps * blocks * per_block
 
-    def test_invalid_config_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flags, expected", [
+        (["--delta", "nan"], "delta must be >= 0, got nan"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--dim", "2"], "model_dim must be >= 4"),
+        (["--ratio-lo", "0.5", "--ratio-hi", "0.2"],
+         "ratio bounds must satisfy 0 <= lo <= hi < 1, got [0.5, 0.2]"),
+    ], ids=["nan-delta", "negative-seed", "tiny-dim", "inverted-ratio-bounds"])
+    def test_invalid_spec_flag_exits_2(self, tmp_path, capsys, flags, expected):
         out = tmp_path / "x"
-        assert run_cli("baseline", "--out", str(out), "--dim", "2") == 2
-        assert "error" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("loaded, expected", [
-        (5, "not a JSON object"),
-        ({"blocks": None}, "blocks must be a number"),
-        ({"ratio_lo": "a"}, "ratio_lo must be a number"),
-        ({"delta": [1]}, "delta must be a number"),
-        ({"preset": [1]}, "unknown preset"),
-        ({"steps": 2.9}, "steps must be a whole number, got 2.9"),
-        ({"blocks": True}, "blocks must be a number, got True"),
-        ({"delta": False}, "delta must be a number, got False"),
-        ({"seed": float("inf")}, "seed must be a number, got inf"),
-        ({"delta": float("nan")}, "delta must be >= 0, got nan"),
-        ({"seed": -1}, "seed must be >= 0, got -1"),
-    ], ids=["not-object", "null-blocks", "text-ratio-lo", "list-delta", "list-preset",
-            "fractional-steps", "bool-blocks", "bool-delta", "infinite-seed", "nan-delta",
-            "negative-seed"])
-    def test_malformed_config_file_exits_2(self, tmp_path, capsys, loaded, expected):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(loaded))
-        assert run_cli("baseline", "--out", str(tmp_path / "x"), "--config", str(cfg_path)) == 2
+        assert run_cli("baseline", "--out", str(out), *TINY_FLAGS, *flags) == 2
         assert expected in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
+        assert not out.exists()
+
+    def test_config_flag_is_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("baseline", "--config", "x.json", "--out", str(tmp_path / "x"))
+        assert exc.value.code == 2
 
 
 class TestConfigFile:
-    def test_config_file_with_flag_override(self, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"blocks": 2, "dim": 16, "tokens": 16,
-                                        "frames": 2, "steps": 8, "seed": 7,
-                                        "delta": 0.3}))
-        out = tmp_path / "o"
-        assert run_cli("baseline", "--out", str(out), "--config", str(cfg_path),
-                       "--seed", "9") == 0
-        spec = json.loads((out / "baseline_spec.json").read_text())
-        assert spec["seed"] == 9  # flag wins
-        assert spec["delta"] == 0.3  # config wins over default
-
-    def test_unknown_config_key_rejected(self, tmp_path, capsys):
-        # Older configs may still hold "aggregation", a key the spec no longer has.
-        cfg_path = tmp_path / "cfg.json"
-        for key in ("blcoks", "aggregation"):
-            cfg_path.write_text(json.dumps({key: 2}))
-            assert run_cli("baseline", "--out", str(tmp_path / "o"),
-                           "--config", str(cfg_path)) == 2
-            assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
-    def test_missing_config_exits_3(self, tmp_path):
-        assert run_cli("baseline", "--out", str(tmp_path / "o"),
-                       "--config", str(tmp_path / "absent.json")) == 3
+    def test_benchmark_flags_build_the_desk_e5_spec(self):
+        # The desk-e5 flags of perfbench/run.py, parsed as its setup_s does.
+        argv = ["baseline", "--blocks", "6", "--dim", "64", "--tokens", "64", "--frames", "8",
+                "--steps", "30", "--window", "4", "--ratio-lo", "0.1", "--ratio-hi", "0.4",
+                "--preset", "E5", "--seed", "42", "--out", "unused"]
+        spec = build_spec(build_parser().parse_args(argv))
+        assert spec.model == ModelConfig(num_blocks=6, model_dim=64, tokens_per_frame=64,
+                                         num_frames=8, num_steps=30, seed=42)
+        assert spec.scheduler == SchedulerConfig(delta=0.175, search_window=4)
+        assert (spec.ratio_lo, spec.ratio_hi, spec.mode, spec.preset) == (0.1, 0.4, "online", "E5")
 
     def test_preset_sets_delta_and_explicit_delta_wins(self, tmp_path):
         out = tmp_path / "p"
@@ -572,18 +549,17 @@ class TestExitCodes:
         assert run_cli("baseline", "--out", str(tmp_path / "o"), *TINY_FLAGS) == 4
 
     @pytest.mark.parametrize("argv", [
-        ["baseline", "--out", "{out}", "--config", "{dir}"],
         ["compare", "{dir}", "{state}"],
         ["baseline", "--out", "{file}", *TINY_FLAGS],
         ["run", "--out", "{busy}", *TINY_FLAGS, "--mode", "online"],
         ["compare", "{state}", "{state}", "--out", "{busy}"],
         ["harness", "--out", "{busy}", "--steps", "8"],
         ["baseline", "--out", "{busy}", *TINY_FLAGS],
-    ], ids=["baseline-config-dir", "compare-dir", "baseline-out-file", "run-trace-is-dir",
+    ], ids=["compare-dir", "baseline-out-file", "run-trace-is-dir",
             "compare-report-is-dir", "harness-report-is-dir", "baseline-latents-is-dir"])
     def test_path_the_os_refuses_exits_2(self, tmp_path, capsys, monkeypatch, argv):
         from unicp import cli as cli_module
-        paths = {"out": tmp_path / "o", "dir": tmp_path / "d", "file": tmp_path / "f",
+        paths = {"dir": tmp_path / "d", "file": tmp_path / "f",
                  "state": tmp_path / "state.bin", "busy": tmp_path / "busy"}
         paths["dir"].mkdir()
         paths["file"].write_text("")
@@ -646,6 +622,10 @@ class TestExitCodes:
          "dim must be a number, got inf"),
         ("state.bin", container(b"UNICPST1\n", dict(STATE_HEADER, dim=8.5), values=2 * 16 * 8),
          "dim must be a whole number, got 8.5"),
+        ("state.bin", container(b"UNICPST1\n", dict(STATE_HEADER, blocks=True)),
+         "blocks must be a number, got True"),
+        ("state.bin", container(b"UNICPST1\n", dict(STATE_HEADER, seed=None)),
+         "seed must be a number, got None"),
         ("sliced_weights.bin",
          container(b"UNICPSW1\n", {"units": [dict(SLICED_UNIT, n=float("inf"))]}).replace(
              b"Infinity", b"1e999"),
@@ -665,7 +645,8 @@ class TestExitCodes:
             "sliced-short-payload", "map-truncated", "map-key-lacks-field",
             "map-key-not-json", "map-key-not-object", "map-v1", "map-grid-row-two-fields",
             "map-grid-row-text-block", "map-final-n-row-four-fields", "map-final-n-row-text-n",
-            "state-infinite-dim", "state-fractional-dim", "sliced-infinite-n",
+            "state-infinite-dim", "state-fractional-dim", "state-bool-blocks", "state-null-seed",
+            "sliced-infinite-n",
             "sliced-fractional-n", "sliced-foreign-units", "sliced-duplicate-unit"])
     def test_malformed_artifact_exits_2(self, tmp_path, capsys, name, content, expected):
         path = tmp_path / name
