@@ -283,6 +283,13 @@ def cmd_run(args) -> int:
 def cmd_harness(args) -> int:
     spec = build_spec(args)
     if args.profile:
+        # The profile's header sets delta and K; a flag that would set them
+        # too is refused rather than silently ignored.
+        given = [f"--{name}" for name in ("delta", "window", "preset")
+                 if getattr(args, name) is not None]
+        if given:
+            raise ConfigError(f"{', '.join(given)} cannot be used with --profile, "
+                              "whose header sets delta and K")
         profile_path = Path(args.profile)
         if not profile_path.exists():
             raise MissingArtifactError(f"profile file not found: {profile_path}")

@@ -12,6 +12,7 @@ Weights are regenerated deterministically from the config seed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,11 @@ ETA_POWER = 3.0
 TEMB_AMP = 0.05
 
 RMS_EPS = 1e-12
+
+# The softmax skips its row-max shift when every score is at most this in
+# magnitude: e^600 * L stays finite and e^-600 is a normal double, so no row
+# overflows or sums to zero.
+SHIFT_FREE_BOUND = 600.0
 
 
 class NumericError(RuntimeError):
@@ -184,12 +190,23 @@ def attention(x_stack: np.ndarray, w: AttentionWeights, qk=None, amap=None):
     """
     if amap is None:
         wq, wk = qk if qk is not None else (w.w_q, w.w_k)
-        # Scale and softmax (stabilized by the row max) in the score
-        # product's buffer: the ufuncs of an out-of-place softmax in the
-        # same order, so the same bits from a single L x L allocation.
-        amap = (x_stack @ wq) @ (x_stack @ wk).swapaxes(-1, -2)
-        amap /= np.sqrt(w.w_q.shape[0])
-        amap -= amap.max(axis=-1, keepdims=True)
+        # The 1/sqrt(m) scale goes on the queries, an L x m pass instead of
+        # an L x L one. By Cauchy-Schwarz, max |q_i| * max |k_j| over the
+        # stack bounds every score. Under SHIFT_FREE_BOUND the softmax skips
+        # the row-max reduction and subtraction, a shift that cancels in the
+        # normalization anyway. The map is built in the score product's
+        # buffer, and q and k are released before the value path, so the
+        # peak stays near one map. The divide stays a divide: a reciprocal
+        # multiply can leave a single-column row at 1 - 2^-53.
+        q = x_stack @ wq
+        q /= np.sqrt(w.w_q.shape[0])
+        k = x_stack @ wk
+        bound = math.sqrt(np.einsum("...ij,...ij->...i", q, q).max()
+                          * np.einsum("...ij,...ij->...i", k, k).max())
+        amap = q @ k.swapaxes(-1, -2)
+        del q, k
+        if bound > SHIFT_FREE_BOUND:
+            amap -= amap.max(axis=-1, keepdims=True)
         np.exp(amap, out=amap)
         amap /= amap.sum(axis=-1, keepdims=True)
     return (amap @ (x_stack @ w.w_v)) @ w.w_o, amap

@@ -7,9 +7,10 @@ import zlib
 import numpy as np
 import pytest
 
-from oracles import attention_rows, calibration_parse, report_parse
+from oracles import attention_rows, calibration_parse, profile_export, report_parse
 from unicp.cli import build_parser, build_spec, main
 from unicp.edcw import SchedulerConfig
+from unicp.harness import u_profile
 from unicp.metrics import macs_full_attention, trace_parse
 from unicp.model import ModelConfig, load_state
 
@@ -712,6 +713,19 @@ class TestHarnessCommand:
         out = tmp_path / "h"
         assert run_cli("harness", "--out", str(out), "--profile", str(profile)) == 2
         assert "non-finite" in capsys.readouterr().err
+        assert not (out / "harness_report.txt").exists()
+
+    @pytest.mark.parametrize("flags", [("--delta", "0.3"), ("--window", "2"), ("--preset", "E5"),
+                                       ("--delta", "0.3", "--window", "2", "--preset", "E5")],
+                             ids=["delta", "window", "preset", "all"])
+    def test_scheduler_flags_with_profile_exit_2(self, tmp_path, capsys, flags):
+        profile = tmp_path / "p.txt"
+        profile.write_text(profile_export(u_profile(12, spike_step=6), 0.05, 4))
+        out = tmp_path / "h"
+        assert run_cli("harness", "--out", str(out), "--profile", str(profile), *flags) == 2
+        err = capsys.readouterr().err
+        for flag in flags[::2]:
+            assert flag in err
         assert not (out / "harness_report.txt").exists()
 
     def test_missing_profile_exits_3(self, tmp_path):

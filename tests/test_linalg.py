@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+from oracles import ref_rel_norm
 from unicp.linalg import (
+    BLOCK,
     EPS_NORM,
     ShapeError,
     frob,
@@ -78,6 +82,27 @@ class TestRelL2:
     def test_zero_reference_uses_floor(self):
         x = np.ones((2, 2))
         assert rel_l2(x, np.zeros((2, 2))) == pytest.approx(frob(x) / EPS_NORM)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 128, 128)], ids=["small", "one-block"])
+    def test_up_to_block_is_the_one_dot_formula(self, shape):
+        rng = np.random.default_rng(8)
+        a, b = rng.random(shape), rng.random(shape)
+        assert a.size <= BLOCK
+        d, r = (a - b).ravel(), b.ravel()
+        assert rel_l2(a, b) == math.sqrt(d @ d) / max(math.sqrt(r @ r), EPS_NORM)
+
+    @pytest.mark.parametrize("shape", [(4, 256, 256), (3, 233, 101), (BLOCK + 1,)],
+                             ids=["whole-blocks", "ragged", "one-past"])
+    def test_blocked_matches_oracle(self, shape):
+        rng = np.random.default_rng(9)
+        b = rng.random(shape)
+        a = b + rng.standard_normal(shape) * 1e-3
+        assert a.size > BLOCK
+        assert rel_l2(a, b) == pytest.approx(ref_rel_norm(a, b), rel=1e-14, abs=0)
+
+    def test_zero_reference_above_block_uses_floor(self):
+        x = np.ones(BLOCK + 5)
+        assert rel_l2(x, np.zeros_like(x)) == pytest.approx(frob(x) / EPS_NORM, rel=1e-14)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

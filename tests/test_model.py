@@ -9,6 +9,7 @@ from unicp.linalg import rel_l2
 from unicp.metrics import macs_full_attention, macs_mlp
 from unicp.model import (
     ATTENTION_KINDS,
+    SHIFT_FREE_BOUND,
     AttentionWeights,
     ModelConfig,
     MlpWeights,
@@ -133,15 +134,24 @@ class TestAttentionForward:
         assert np.abs(a.sum(axis=1) - 1.0).max() < 1e-10
 
 
-def out_of_place_attention(x, w, qk=None):
-    """The kernel as it was before it built the map in place: the reference
-    for bit-equality."""
+def out_of_place_attention(x, w, qk=None, shift=False):
+    """The kernel's formula without its in-place buffers: the reference for
+    bit-equality. `shift` subtracts the row max, as the kernel does above
+    SHIFT_FREE_BOUND."""
     wq, wk = qk if qk is not None else (w.w_q, w.w_k)
-    scores = (x @ wq) @ (x @ wk).swapaxes(-1, -2) / np.sqrt(w.w_q.shape[0])
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+    scores = ((x @ wq) / np.sqrt(w.w_q.shape[0])) @ (x @ wk).swapaxes(-1, -2)
+    if shift:
+        scores = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores)
     amap = e / e.sum(axis=-1, keepdims=True)
     return (amap @ (x @ w.w_v)) @ w.w_o, amap
+
+
+def score_bound(x, w, qk=None):
+    """max |q_i| * max |k_j| of the scaled queries and the keys."""
+    wq, wk = qk if qk is not None else (w.w_q, w.w_k)
+    q = (x @ wq) / np.sqrt(w.w_q.shape[0])
+    return np.linalg.norm(q, axis=-1).max() * np.linalg.norm(x @ wk, axis=-1).max()
 
 
 class TestInPlaceMap:
@@ -186,6 +196,50 @@ class TestInPlaceMap:
         finally:
             tracemalloc.stop()
         assert peak - start < 1.5 * a.nbytes
+
+
+class TestSoftmaxBranches:
+    """Below SHIFT_FREE_BOUND the softmax skips the row-max shift; above it
+    keeps the shift."""
+
+    @staticmethod
+    def case(shape, sliced, scale):
+        rng = np.random.default_rng(14)
+        m = shape[-1]
+        w = AttentionWeights(*(rng.standard_normal((m, m)) * scale / np.sqrt(m)
+                               for _ in range(4)))
+        x = rng.standard_normal(shape) * 3
+        qk = (w.w_q[:, :5], w.w_k[:, :5]) if sliced else None
+        return x, w, qk
+
+    @pytest.mark.parametrize("shape", [(24, 12), (3, 24, 12)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("sliced", [False, True], ids=["full", "qk"])
+    def test_below_bound_skips_the_shift(self, shape, sliced):
+        x, w, qk = self.case(shape, sliced, scale=1.0)
+        assert 1.0 < score_bound(x, w, qk) <= SHIFT_FREE_BOUND
+        o, a = attention(x, w, qk=qk)
+        ref_o, ref_a = out_of_place_attention(x, w, qk=qk, shift=False)
+        assert np.array_equal(a, ref_a)
+        assert np.array_equal(o, ref_o)
+        wq, wk = qk if qk is not None else (w.w_q, w.w_k)
+        for xi, ai, oi in zip(x.reshape(-1, *shape[-2:]), a.reshape(-1, *a.shape[-2:]),
+                              o.reshape(-1, *shape[-2:])):
+            ref_map, ref_out = ref_attention(xi, wq, wk, w.w_v, w.w_o)
+            assert rel_l2(ai, ref_map) < 1e-14
+            assert rel_l2(oi, ref_out) < 1e-14
+
+    @pytest.mark.parametrize("shape", [(24, 12), (3, 24, 12)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("sliced", [False, True], ids=["full", "qk"])
+    def test_above_bound_keeps_the_shift(self, shape, sliced):
+        # Scores of order 1e4: exp of the unshifted scores overflows.
+        x, w, qk = self.case(shape, sliced, scale=30.0)
+        assert score_bound(x, w, qk) > 1e4
+        o, a = attention(x, w, qk=qk)
+        ref_o, ref_a = out_of_place_attention(x, w, qk=qk, shift=True)
+        assert np.array_equal(a, ref_a)
+        assert np.array_equal(o, ref_o)
+        assert np.all(np.isfinite(a))
+        assert np.abs(a.sum(axis=-1) - 1.0).max() < 1e-12
 
 
 class TestStackedAttention:
