@@ -1,6 +1,10 @@
 """Command-line front end: baseline runs, calibration, dispatched runs,
 scheduler harness, and output comparison.
 
+`baseline`, `calibrate` and `run` take the full spec flag set; `harness`
+takes only the flags it reads (`--steps`, `--seed`, `--preset`/`--delta`,
+`--window`) and runs the built-in U drift profile.
+
 Exit codes: 0 success, 2 configuration/validation problem or a path the
 OS cannot read or write, 3 missing dependency artifact, 4 numeric failure
 (non-finite latent values, or a float overflow).
@@ -31,7 +35,7 @@ from .dws import (
     save_calib_latents,
 )
 from .edcw import SchedulerConfig
-from .harness import profile_parse, run_scheduler_on_profile, u_profile
+from .harness import run_scheduler_on_profile, u_profile
 from .metrics import macs_full_attention, macs_mlp, quality_report, report_export, trace_export
 from .model import (
     ATTENTION_KINDS,
@@ -282,28 +286,13 @@ def cmd_run(args) -> int:
 
 def cmd_harness(args) -> int:
     spec = build_spec(args)
-    if args.profile:
-        # The profile's header sets delta and K; a flag that would set them
-        # too is refused rather than silently ignored.
-        given = [f"--{name}" for name in ("delta", "window", "preset")
-                 if getattr(args, name) is not None]
-        if given:
-            raise ConfigError(f"{', '.join(given)} cannot be used with --profile, "
-                              "whose header sets delta and K")
-        profile_path = Path(args.profile)
-        if not profile_path.exists():
-            raise MissingArtifactError(f"profile file not found: {profile_path}")
-        profile, delta, window = profile_parse(profile_path.read_text())
-        sched = SchedulerConfig(delta=delta, search_window=window)
-    else:
-        num_steps = spec.model.num_steps
-        profile = u_profile(num_steps, spike_step=num_steps // 2)
-        sched = spec.scheduler
+    num_steps, sched = spec.model.num_steps, spec.scheduler
     out_dir = _out_dir(args.out, (HARNESS_REPORT,))
-    result = run_scheduler_on_profile(profile, sched, seed=spec.model.seed)
+    result = run_scheduler_on_profile(u_profile(num_steps, spike_step=num_steps // 2), sched,
+                                      seed=spec.model.seed)
 
     lines = ["unicp-harness-report v1",
-             f"T={len(profile.drifts)} delta={sched.delta!r} K={sched.search_window}"]
+             f"T={num_steps} delta={sched.delta!r} K={sched.search_window}"]
     for step in result.steps:
         if step.consumed is not None:
             lines.append(f"step={step.step} consumed={step.consumed} "
@@ -340,18 +329,22 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _add_spec_flags(p: argparse.ArgumentParser, include_mode=True):
+def _add_harness_flags(p: argparse.ArgumentParser):
     p.add_argument("--preset", choices=sorted(PRESETS), help="error-threshold preset")
     p.add_argument("--delta", type=float, help="error threshold (overrides preset)")
     p.add_argument("--window", type=int, help="search window K")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--steps", type=int)
+
+
+def _add_spec_flags(p: argparse.ArgumentParser, include_mode=True):
+    _add_harness_flags(p)
     p.add_argument("--ratio-lo", dest="ratio_lo", type=float, help="lower pruned-fraction bound")
     p.add_argument("--ratio-hi", dest="ratio_hi", type=float, help="upper pruned-fraction bound")
-    p.add_argument("--seed", type=int)
     p.add_argument("--blocks", type=int)
     p.add_argument("--dim", type=int)
     p.add_argument("--tokens", type=int)
     p.add_argument("--frames", type=int)
-    p.add_argument("--steps", type=int)
     if include_mode:
         p.add_argument("--mode", choices=["online", "replay"])
 
@@ -377,9 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("harness", help="scripted-drift scheduler rig")
-    _add_spec_flags(p, include_mode=False)
-    p.add_argument("--profile", help="drift profile file; default is the built-in U profile")
+    p = sub.add_parser("harness", help="scheduler rig on the built-in U drift profile")
+    _add_harness_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_harness)
 

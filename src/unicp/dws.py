@@ -40,6 +40,7 @@ from .model import (
     as_number,
     attention,
     attention_weights_for,
+    init_latent,
     read_container,
     require_keys,
     write_container,
@@ -52,7 +53,6 @@ from .runner import (
     LETTER_OUTPUT,
     LETTER_PRUNED,
     CellExecutor,
-    denoise_run,
     denoise_step,
 )
 
@@ -347,10 +347,11 @@ def dws_calibrate(model, cfg: ModelConfig, sched: SchedulerConfig,
 
     Returns the sliced weights of each unit and the per-candidate
     calibration records. The cache map comes from an online run with these
-    weights (`OnlineDispatcher`). `latents` maps each calibration step to
-    the latent entering it (as `load_calib_latents` reads them); with it
-    only those steps run, without it a capture pass runs from step 0. Both
-    capture the same bits.
+    weights (`OnlineDispatcher`). One loop of `denoise_step` captures the
+    units' inputs: `latents` maps each calibration step to the latent
+    entering it (as `load_calib_latents` reads them), and with it only
+    those steps run; without it the loop runs from `init_latent` at step 0
+    up to the last calibration step. Both capture the same bits.
     """
     lo, hi = ratio_bounds
     if not 0.0 <= lo <= hi < 1.0:
@@ -359,11 +360,15 @@ def dws_calibrate(model, cfg: ModelConfig, sched: SchedulerConfig,
     calib_steps = default_calib_steps(cfg.num_steps)
     capture = CellExecutor(model, capture_steps=calib_steps)
     if latents is None:
-        # Only the calibration steps' captures are read, so the pass stops there.
-        denoise_run(cfg, capture, last_step=max(calib_steps))
+        # Only the calibration steps' captures are read, so the loop stops
+        # at the last of them.
+        steps, state = range(max(calib_steps) + 1), init_latent(cfg)
     else:
-        for step in calib_steps:
-            denoise_step(cfg, capture, latents[step], step, RunTrace())
+        steps = calib_steps
+    for step in steps:
+        if latents is not None:
+            state = latents[step]
+        state = denoise_step(cfg, capture, state, step, RunTrace())
 
     widths = candidate_widths(cfg.model_dim, lo, hi)
     sliced = {}

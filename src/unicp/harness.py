@@ -6,12 +6,12 @@ the whole sequence, so each decision sees the candidates for the steps a
 window would actually serve, the framing under which cache windows are
 chosen; a fixed-window comparator reuses blindly every k-th step. Reuse
 error is accumulated as the sum of per-step relative distances between the
-reused value and the true value.
+reused value and the true value. A profile is a `DriftProfile` built in
+Python; the `harness` command runs `u_profile` with a mid-run spike.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,44 +159,3 @@ def run_scheduler_on_profile(profile: DriftProfile, sched: SchedulerConfig,
         res.fixed_window_errors[w] = run_fixed_window(results, w)
     return res
 
-
-# ---------------------------------------------------------------------------
-# Profile files: header line with T, delta, K; one drift per line; spikes as
-# "@step magnitude".
-# ---------------------------------------------------------------------------
-
-def profile_parse(text: str):
-    """Parse a profile document; returns (DriftProfile, delta, window)."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty profile document")
-    header = {}
-    for token in lines[0].split():
-        key, _, value = token.partition("=")
-        header[key] = value
-    try:
-        num_steps = int(header["T"])
-        delta = float(header["delta"])
-        window = int(header["K"])
-    except KeyError as exc:
-        raise ValueError(f"profile header is missing {exc}") from exc
-    except ValueError as exc:
-        raise ValueError(f"profile header {lines[0]!r} is malformed: {exc}") from exc
-    if num_steps < 1:
-        raise ValueError(f"profile needs T >= 1, got T={num_steps}")
-    drifts = []
-    spikes = []
-    for ln in lines[1:]:
-        try:
-            if ln.startswith("@"):
-                step_str, magnitude_str = ln[1:].split()
-                spikes.append((int(step_str), float(magnitude_str)))
-            else:
-                drifts.append(float(ln))
-        except ValueError as exc:
-            raise ValueError(f"profile line {ln!r} is malformed: {exc}") from exc
-    if not all(math.isfinite(v) for v in [*drifts, *(m for _, m in spikes)]):
-        raise ValueError("profile holds a non-finite drift or spike value")
-    if len(drifts) != num_steps:
-        raise ValueError(f"profile declares T={num_steps} but lists {len(drifts)} drift values")
-    return DriftProfile(drifts=tuple(drifts), spikes=tuple(spikes)), delta, window

@@ -351,6 +351,7 @@ def load_state(path):
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     shape = (cfg.num_frames, cfg.tokens_per_frame, cfg.model_dim)
-    if payload.size != np.prod(shape):
-        raise ValueError(f"{path}: payload holds {payload.size} values, expected {np.prod(shape)}")
+    if payload.size != math.prod(shape):
+        raise ValueError(f"{path}: payload holds {payload.size} values, "
+                         f"expected {math.prod(shape)}")
     return payload.reshape(shape).astype(np.float64), cfg

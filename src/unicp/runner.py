@@ -199,22 +199,16 @@ def denoise_step(cfg: ModelConfig, executor, state: np.ndarray, step: int,
     return state
 
 
-def denoise_run(cfg: ModelConfig, executor, last_step: int | None = None,
-                latents: dict | None = None):
-    """Run the reverse loop and return (final latent, trace).
+def denoise_run(cfg: ModelConfig, executor, latents: dict | None = None):
+    """Run the reverse loop over steps 0..T-1 and return (final latent, trace).
 
-    `last_step` stops the loop after that execution step, so the returned
-    latent and trace cover steps 0..last_step only. Each execution step that
-    is a key of `latents` gets the latent entering it as its value. The
-    baseline is `denoise_run(cfg, CellExecutor(model, drift=True))`.
+    Each execution step that is a key of `latents` gets the latent entering
+    it as its value. The baseline is
+    `denoise_run(cfg, CellExecutor(model, drift=True))`.
     """
-    if last_step is None:
-        last_step = cfg.num_steps - 1
-    if not 0 <= last_step < cfg.num_steps:
-        raise ValueError(f"last_step must lie in [0, {cfg.num_steps - 1}], got {last_step}")
     state = init_latent(cfg)
     trace = RunTrace()
-    for step in range(last_step + 1):
+    for step in range(cfg.num_steps):
         if latents is not None and step in latents:
             latents[step] = state
         state = denoise_step(cfg, executor, state, step, trace)

@@ -231,14 +231,6 @@ def armings(result):
             if s.decision is not None and s.decision.window is not None]
 
 
-def profile_export(profile, delta, window):
-    """Render a drift profile document that harness.profile_parse reads."""
-    lines = [f"T={len(profile.drifts)} delta={delta!r} K={window}"]
-    lines.extend(repr(d) for d in profile.drifts)
-    lines.extend(f"@{step} {magnitude!r}" for step, magnitude in profile.spikes)
-    return "\n".join(lines) + "\n"
-
-
 def report_parse(text):
     """Read a quality report document back into a QualityReport."""
     lines = text.splitlines()

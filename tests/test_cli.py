@@ -7,10 +7,9 @@ import zlib
 import numpy as np
 import pytest
 
-from oracles import attention_rows, calibration_parse, profile_export, report_parse
+from oracles import attention_rows, calibration_parse, report_parse
 from unicp.cli import build_parser, build_spec, main
 from unicp.edcw import SchedulerConfig
-from unicp.harness import u_profile
 from unicp.metrics import macs_full_attention, trace_parse
 from unicp.model import ModelConfig, load_state
 
@@ -146,16 +145,22 @@ class TestCalibrate:
                                                       flags):
         import unicp.dws
 
-        def no_capture_pass(*args, **kwargs):
-            raise AssertionError("a capture pass ran from step 0")
+        real_step = unicp.dws.denoise_step
+        steps_run = []
+
+        def recording_step(cfg, executor, state, step, trace):
+            steps_run.append(step)
+            return real_step(cfg, executor, state, step, trace)
 
         resumed, alone = tmp_path / "resumed", tmp_path / "alone"
         assert run_cli("baseline", "--out", str(resumed), *TINY_FLAGS) == 0
         assert (resumed / "baseline_latents.bin").exists()
         capsys.readouterr()
-        monkeypatch.setattr(unicp.dws, "denoise_run", no_capture_pass)
+        monkeypatch.setattr(unicp.dws, "denoise_step", recording_step)
         assert run_cli("calibrate", "--out", str(resumed), *TINY_FLAGS, *flags) == 0
         monkeypatch.undo()
+        # No capture pass ran from step 0: only the calibration steps ran.
+        assert steps_run == LATENTS_HEADER["calib_steps"]
         resumed_out = capsys.readouterr().out
         assert run_cli("calibrate", "--out", str(alone), *TINY_FLAGS, *flags) == 0
         assert capsys.readouterr().out == resumed_out
@@ -214,7 +219,6 @@ class TestCalibrate:
         data[len(data) - 8 * LATENT_VALUES] ^= 1
         path.write_bytes(bytes(data))
         monkeypatch.setattr(unicp.dws, "denoise_step", no_step)
-        monkeypatch.setattr(unicp.dws, "denoise_run", no_step)
         capsys.readouterr()
         assert run_cli("calibrate", "--out", str(tmp_path), *TINY_FLAGS) == 2
         captured = capsys.readouterr()
@@ -251,7 +255,6 @@ class TestCalibrate:
         path = tmp_path / "calibration.csv"
         path.mkdir()
         monkeypatch.setattr(unicp.dws, "denoise_step", no_step)
-        monkeypatch.setattr(unicp.dws, "denoise_run", no_step)
         assert run_cli("calibrate", "--out", str(tmp_path), *TINY_FLAGS) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {path} is a directory, not a file\n"
@@ -627,6 +630,10 @@ class TestExitCodes:
          "blocks must be a number, got True"),
         ("state.bin", container(b"UNICPST1\n", dict(STATE_HEADER, seed=None)),
          "seed must be a number, got None"),
+        # 4 * (2**62 + 1) * 4 wraps to 16 in int64.
+        ("state.bin", container(b"UNICPST1\n", dict(STATE_HEADER, frames=4, tokens=2**62 + 1,
+                                                     dim=4), values=16),
+         "state.bin: payload holds 16 values, expected 73786976294838206480"),
         ("sliced_weights.bin",
          container(b"UNICPSW1\n", {"units": [dict(SLICED_UNIT, n=float("inf"))]}).replace(
              b"Infinity", b"1e999"),
@@ -647,6 +654,7 @@ class TestExitCodes:
             "map-key-not-json", "map-key-not-object", "map-v1", "map-grid-row-two-fields",
             "map-grid-row-text-block", "map-final-n-row-four-fields", "map-final-n-row-text-n",
             "state-infinite-dim", "state-fractional-dim", "state-bool-blocks", "state-null-seed",
+            "state-overflowing-shape",
             "sliced-infinite-n",
             "sliced-fractional-n", "sliced-foreign-units", "sliced-duplicate-unit"])
     def test_malformed_artifact_exits_2(self, tmp_path, capsys, name, content, expected):
@@ -694,43 +702,23 @@ class TestAllocatorSetting:
 class TestHarnessCommand:
     def test_default_u_profile(self, tmp_path, capsys):
         out = tmp_path / "h"
-        assert run_cli("harness", "--out", str(out), *TINY_FLAGS,
+        assert run_cli("harness", "--out", str(out), "--seed", "7",
                        "--steps", "30", "--delta", "0.05", "--window", "4") == 0
         report = (out / "harness_report.txt").read_text()
         assert report.startswith("unicp-harness-report v1")
         assert "edcw_accumulated_error=" in report
         assert "fixed_window_4_error=" in report
 
-    def test_profile_file(self, tmp_path):
-        profile = tmp_path / "p.txt"
-        profile.write_text("T=6 delta=0.1 K=3\n0.0\n0.05\n0.05\n0.05\n0.05\n0.05\n")
+    @pytest.mark.parametrize("flag, value", [
+        ("--blocks", "2"), ("--dim", "16"), ("--tokens", "16"), ("--frames", "2"),
+        ("--ratio-lo", "0.2"), ("--ratio-hi", "0.3"), ("--profile", "p.txt"),
+    ])
+    def test_flag_it_does_not_read_is_rejected(self, tmp_path, flag, value):
         out = tmp_path / "h"
-        assert run_cli("harness", "--out", str(out), "--profile", str(profile)) == 0
-
-    def test_non_finite_profile_exits_2(self, tmp_path, capsys):
-        profile = tmp_path / "p.txt"
-        profile.write_text("T=2 delta=0.1 K=2\n0.0\nnan\n")
-        out = tmp_path / "h"
-        assert run_cli("harness", "--out", str(out), "--profile", str(profile)) == 2
-        assert "non-finite" in capsys.readouterr().err
-        assert not (out / "harness_report.txt").exists()
-
-    @pytest.mark.parametrize("flags", [("--delta", "0.3"), ("--window", "2"), ("--preset", "E5"),
-                                       ("--delta", "0.3", "--window", "2", "--preset", "E5")],
-                             ids=["delta", "window", "preset", "all"])
-    def test_scheduler_flags_with_profile_exit_2(self, tmp_path, capsys, flags):
-        profile = tmp_path / "p.txt"
-        profile.write_text(profile_export(u_profile(12, spike_step=6), 0.05, 4))
-        out = tmp_path / "h"
-        assert run_cli("harness", "--out", str(out), "--profile", str(profile), *flags) == 2
-        err = capsys.readouterr().err
-        for flag in flags[::2]:
-            assert flag in err
-        assert not (out / "harness_report.txt").exists()
-
-    def test_missing_profile_exits_3(self, tmp_path):
-        assert run_cli("harness", "--out", str(tmp_path / "h"),
-                       "--profile", str(tmp_path / "nope.txt")) == 3
+        with pytest.raises(SystemExit) as exc:
+            run_cli("harness", "--out", str(out), "--steps", "8", flag, value)
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -1,11 +1,11 @@
 """Seeded mutations of every file a tiny run reads, each run through `cli.main`.
 
 Each case truncates, flips a byte of, deletes a span of or duplicates a span
-of one input: the sliced weights, the cache map, a state file, the
-calibration latents or a drift profile. Five inputs, four mutations and 20
-cases each make 400 mutated runs. A mutated file may still be a valid one (a
-flipped payload digit), so exit 0 is allowed; anything else must be a
-documented exit code, and no exception may escape `main`.
+of one input: the sliced weights, the cache map, a state file or the
+calibration latents. Four inputs, four mutations and 20 cases each make 320
+mutated runs. A mutated file may still be a valid one (a flipped payload
+digit), so exit 0 is allowed; anything else must be a documented exit code,
+and no exception may escape `main`.
 """
 
 import random
@@ -13,9 +13,7 @@ import shutil
 
 import pytest
 
-from oracles import profile_export
 from unicp.cli import main
-from unicp.harness import u_profile
 
 TINY_FLAGS = ["--blocks", "2", "--dim", "16", "--tokens", "16", "--frames", "2",
               "--steps", "8", "--seed", "7", "--preset", "E5"]
@@ -32,7 +30,6 @@ def command_reading(name, d):
         "baseline_state.bin": ["compare", str(d / "baseline_state.bin"),
                                str(d / "run_state.bin")],
         "baseline_latents.bin": ["calibrate", "--out", str(d), *TINY_FLAGS],
-        "profile.txt": ["harness", "--profile", str(d / "profile.txt"), "--out", str(d)],
     }[name]
 
 
@@ -55,13 +52,12 @@ def pristine(tmp_path_factory):
                  ["calibrate", "--out", str(d), *TINY_FLAGS],
                  ["run", "--mode", "online", "--out", str(d), *TINY_FLAGS]):
         assert main(argv) == 0
-    (d / "profile.txt").write_text(profile_export(u_profile(12, spike_step=6), 0.05, 4))
     return d
 
 
 @pytest.mark.parametrize("how", MUTATIONS)
 @pytest.mark.parametrize("name", ["sliced_weights.bin", "cache_map.txt", "baseline_state.bin",
-                                  "baseline_latents.bin", "profile.txt"])
+                                  "baseline_latents.bin"])
 def test_mutated_input_exits_with_a_documented_code(pristine, tmp_path, capsys, name, how):
     rng = random.Random(f"{name}-{how}")
     data = (pristine / name).read_bytes()

@@ -1,19 +1,15 @@
-import re
-
 import numpy as np
 import pytest
 
 from oracles import (
     armings,
     brute_force_cache_decision_at,
-    profile_export,
     ref_rel_norm,
     window_spans_step,
 )
 from unicp.edcw import DecisionKind, SchedulerConfig
 from unicp.harness import (
     DriftProfile,
-    profile_parse,
     run_fixed_window,
     run_scheduler_on_profile,
     synthesize_sequence,
@@ -167,50 +163,3 @@ class TestScheduler:
                 expected += ref_rel_norm(anchor.output, r.output)
         assert total == pytest.approx(expected, rel=1e-12)
 
-
-class TestProfileFiles:
-    def test_round_trip(self):
-        profile = u_profile(10, spike_step=5)
-        text = profile_export(profile, delta=0.05, window=4)
-        parsed, delta, window = profile_parse(text)
-        assert parsed.effective() == profile.effective()
-        assert delta == 0.05
-        assert window == 4
-        assert profile_export(parsed, delta, window) == text
-
-    def test_parse_header_and_spikes(self):
-        text = "T=3 delta=0.1 K=2\n0.2\n0.3\n0.4\n@1 0.9\n"
-        profile, delta, window = profile_parse(text)
-        assert profile.effective() == [0.2, 0.9, 0.4]
-        assert delta == 0.1
-        assert window == 2
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            profile_parse("T=3 delta=0.1 K=2\n0.2\n0.3\n")
-
-    def test_missing_header_rejected(self):
-        with pytest.raises(ValueError):
-            profile_parse("0.1\n0.2\n")
-
-    def test_non_finite_drift_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            profile_parse("T=2 delta=0.1 K=2\n0.2\nnan\n")
-
-    def test_non_finite_spike_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            profile_parse("T=2 delta=0.1 K=2\n0.2\n0.3\n@1 inf\n")
-
-    @pytest.mark.parametrize("text, expected", [
-        ("T=2 delta=0.1 K=2\n0.2\n0.3\n@1\n", "profile line '@1' is malformed: not enough"),
-        ("T=2 delta=0.1 K=2\n0.2\n0.3\n@x 0.5\n", "profile line '@x 0.5' is malformed"),
-        ("T=2 delta=0.1 K=2\n0.2\nabc\n", "profile line 'abc' is malformed"),
-        ("T=x delta=0.1 K=2\n0.2\n", "profile header 'T=x delta=0.1 K=2' is malformed"),
-    ], ids=["spike-one-token", "spike-text-step", "text-drift", "text-header"])
-    def test_malformed_line_is_named(self, text, expected):
-        with pytest.raises(ValueError, match=re.escape(expected)):
-            profile_parse(text)
-
-    def test_empty_profile_rejected(self):
-        with pytest.raises(ValueError, match="T >= 1"):
-            profile_parse("T=0 delta=0.1 K=2\n")

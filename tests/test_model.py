@@ -368,17 +368,6 @@ class TestDenoiseRun:
         assert np.array_equal(s1, s2)
         assert t1.rows == t2.rows
 
-    def test_last_step_stops_the_loop(self):
-        cfg = small_cfg()
-        model = init_model(cfg)
-        _, full = denoise_run(cfg, CellExecutor(model, drift=True))
-        _, part = denoise_run(cfg, CellExecutor(model, drift=True), last_step=1)
-        assert {r.step for r in part.rows} == {0, 1}
-        assert part.rows == [r for r in full.rows if r.step <= 1]
-        for bad in (-1, cfg.num_steps):
-            with pytest.raises(ValueError, match="last_step"):
-                denoise_run(cfg, CellExecutor(model, drift=True), last_step=bad)
-
     def test_mac_total_closed_form(self):
         cfg = small_cfg(num_steps=3)
         model = init_model(cfg)
