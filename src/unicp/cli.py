@@ -5,9 +5,10 @@ scheduler harness, and output comparison.
 takes only the flags it reads (`--steps`, `--seed`, `--preset`/`--delta`,
 `--window`) and runs the built-in U drift profile.
 
-Exit codes: 0 success, 2 configuration/validation problem or a path the
-OS cannot read or write, 3 missing dependency artifact, 4 numeric failure
-(non-finite latent values, or a float overflow).
+Exit codes: 0 success, 2 configuration/validation problem, a path the
+OS cannot read or write, or a spec too large to allocate, 3 missing
+dependency artifact, 4 numeric failure (non-finite latent values, or a
+float overflow).
 All commands are deterministic given the same spec (seed included);
 baseline, calibrate and run write a JSON echo of their full spec beside
 their artifacts.
@@ -411,7 +412,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MissingArtifactError as exc:

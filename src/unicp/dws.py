@@ -181,11 +181,12 @@ class OnlineDispatcher(CellExecutor):
     That trim bounds the ring at K + 1 entries, so it needs no fixed depth.
     The arming F, the newest entry, always stays for the O and M cells it
     serves. `armed` maps a unit to the
-    letter, window and last step of the cache its latest hit armed.
+    letter, window and last step of the cache its latest hit armed. Its
+    trace rows carry no drift: the decide measures its own distances.
     """
 
     def __init__(self, model, sched: SchedulerConfig, sliced_weights: dict | None = None):
-        super().__init__(model, sliced_weights, depth=None, drift=True)
+        super().__init__(model, sliced_weights, depth=None)
         self.sched = sched
         self.armed = {}  # (block, kind) -> (letter, window, last step served)
 
@@ -352,11 +353,9 @@ def dws_calibrate(model, cfg: ModelConfig, sched: SchedulerConfig,
     entering it (as `load_calib_latents` reads them), and with it only
     those steps run; without it the loop runs from `init_latent` at step 0
     up to the last calibration step. Both capture the same bits.
+    `ratio_bounds` is the (lo, hi) pruned-fraction range `cli.build_spec`
+    has checked.
     """
-    lo, hi = ratio_bounds
-    if not 0.0 <= lo <= hi < 1.0:
-        raise ValueError(f"ratio bounds must satisfy 0 <= lo <= hi < 1, got [{lo}, {hi}]")
-
     calib_steps = default_calib_steps(cfg.num_steps)
     capture = CellExecutor(model, capture_steps=calib_steps)
     if latents is None:
@@ -370,7 +369,7 @@ def dws_calibrate(model, cfg: ModelConfig, sched: SchedulerConfig,
             state = latents[step]
         state = denoise_step(cfg, capture, state, step, RunTrace())
 
-    widths = candidate_widths(cfg.model_dim, lo, hi)
+    widths = candidate_widths(cfg.model_dim, *ratio_bounds)
     sliced = {}
     records = []
     for unit in ((b, kind) for b in range(len(model)) for kind in ATTENTION_KINDS):

@@ -6,8 +6,8 @@ the whole sequence, so each decision sees the candidates for the steps a
 window would actually serve, the framing under which cache windows are
 chosen; a fixed-window comparator reuses blindly every k-th step. Reuse
 error is accumulated as the sum of per-step relative distances between the
-reused value and the true value. A profile is a `DriftProfile` built in
-Python; the `harness` command runs `u_profile` with a mid-run spike.
+reused value and the true value. A profile is the tuple of per-step drifts;
+the `harness` command runs `u_profile` with a mid-run spike.
 """
 
 from __future__ import annotations
@@ -20,58 +20,28 @@ from .edcw import Decision, DecisionKind, SchedulerConfig, edcw_decide
 from .linalg import frob, rel_l2
 from .model import AttentionResult
 
-MAX_FEASIBLE_DRIFT = 2.0
-
-
-@dataclass(frozen=True)
-class DriftProfile:
-    """Per-step target relative drifts plus optional spike overrides."""
-
-    drifts: tuple[float, ...]
-    spikes: tuple[tuple[int, float], ...] = ()
-
-    def __post_init__(self):
-        if any(d < 0 for d in self.drifts):
-            raise ValueError("drift values must be >= 0")
-        for step, magnitude in self.spikes:
-            if not 0 <= step < len(self.drifts):
-                raise ValueError(f"spike step {step} outside profile of length {len(self.drifts)}")
-            if magnitude < 0:
-                raise ValueError("spike magnitudes must be >= 0")
-
-    def effective(self) -> list[float]:
-        drifts = list(self.drifts)
-        for step, magnitude in self.spikes:
-            drifts[step] = magnitude
-        return drifts
-
 
 def u_profile(num_steps: int, end_frac: float = 0.2, end_drift: float = 0.2,
               mid_drift: float = 0.01, spike_step: int | None = None,
-              spike_magnitude: float = 0.3) -> DriftProfile:
+              spike_magnitude: float = 0.3) -> tuple[float, ...]:
     """U-shaped profile: high drift at each end, low in the middle, one spike."""
     n_end = round(end_frac * num_steps)
     drifts = [end_drift if (t < n_end or t >= num_steps - n_end) else mid_drift
               for t in range(num_steps)]
-    spikes = ()
     if spike_step is not None:
-        spikes = ((spike_step, spike_magnitude),)
-    return DriftProfile(drifts=tuple(drifts), spikes=spikes)
+        drifts[spike_step] = spike_magnitude
+    return tuple(drifts)
 
 
-def synthesize_sequence(profile: DriftProfile, shape: tuple[int, int],
+def synthesize_sequence(drifts: tuple[float, ...], shape: tuple[int, int],
                         seed: int) -> list[AttentionResult]:
-    """Build attention results whose adjacent-step drift follows the profile.
+    """Build attention results whose adjacent-step drift follows `drifts`.
 
     Outputs move along one fixed random direction scaled per step; maps move
     along a fixed zero-row-sum direction so rows keep summing to one.
     drifts[0] displaces the first result from the random base, so measured
-    drift t (vs step t-1) matches profile entry t for t >= 1.
+    drift t (vs step t-1) matches drifts[t] for t >= 1.
     """
-    drifts = profile.effective()
-    for t, d in enumerate(drifts):
-        if d > MAX_FEASIBLE_DRIFT:
-            raise ValueError(f"drift {d} at step {t} exceeds the feasible cap {MAX_FEASIBLE_DRIFT}")
     s, m = shape
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     base_out = rng.standard_normal((s, m))
@@ -109,8 +79,6 @@ class HarnessResult:
 
 def run_fixed_window(results: list[AttentionResult], window: int) -> float:
     """Accumulated reuse error of caching unconditionally every `window` steps."""
-    if window < 1:
-        raise ValueError("fixed window must be >= 1")
     total = 0.0
     anchor = None
     for i, r in enumerate(results):
@@ -121,7 +89,7 @@ def run_fixed_window(results: list[AttentionResult], window: int) -> float:
     return total
 
 
-def run_scheduler_on_profile(profile: DriftProfile, sched: SchedulerConfig,
+def run_scheduler_on_profile(drifts: tuple[float, ...], sched: SchedulerConfig,
                              shape: tuple[int, int] = (16, 8), seed: int = 0,
                              fixed_windows: tuple[int, ...] = (2, 3, 4)) -> HarnessResult:
     """Walk the synthesized sequence through decide and reuse, step by step.
@@ -132,7 +100,7 @@ def run_scheduler_on_profile(profile: DriftProfile, sched: SchedulerConfig,
     serve the result that armed the cache and accrue its error against the
     true value. Fixed-window comparators run on the same sequence.
     """
-    results = synthesize_sequence(profile, shape, seed)
+    results = synthesize_sequence(drifts, shape, seed)
     num_steps = len(results)
     res = HarnessResult()
     armed = None  # (decision kind, arming result, last step served)

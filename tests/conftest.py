@@ -7,13 +7,11 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import unicp.dws
-from unicp.cli import RunSpec
+from unicp.cli import PRESETS, RunSpec
 from unicp.dws import OnlineDispatcher, dws_calibrate, run_cache_map
 from unicp.edcw import SchedulerConfig, edcw_decide
 from unicp.model import ModelConfig, init_model
 from unicp.runner import CellExecutor, denoise_run
-
-PRESETS = {"E1": 0.025, "E2": 0.05, "E3": 0.075, "E4": 0.125, "E5": 0.175}
 
 DESK = dict(num_blocks=6, model_dim=64, tokens_per_frame=64, num_frames=8,
             num_steps=30, seed=42)

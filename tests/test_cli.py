@@ -91,6 +91,16 @@ class TestBaseline:
         assert expected in capsys.readouterr().err
         assert not out.exists()
 
+    def test_full_rows_after_step_0_carry_drift(self, tmp_path):
+        # Criterion 6 reads the baseline's drifts; step 0 has no previous F.
+        out = tmp_path / "base"
+        run_cli("baseline", "--out", str(out), *TINY_FLAGS)
+        rows = attention_rows(trace_parse((out / "baseline_trace.csv").read_text()))
+        assert rows and all(row.decision == "full" for row in rows)
+        for row in rows:
+            filled = (row.drift_output is not None, row.drift_map is not None)
+            assert filled == ((True, True) if row.step >= 1 else (False, False)), row
+
     def test_config_flag_is_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("baseline", "--config", "x.json", "--out", str(tmp_path / "x"))
@@ -294,6 +304,18 @@ class TestRun:
             assert maps[-1] == read(out / "run_cache_map.txt")
             (out / "cache_map.txt").write_text("stale\n")
         assert maps[0] == maps[1]
+
+    def test_dispatched_traces_carry_no_drift(self, tmp_path):
+        out = tmp_path / "o"
+        run_cli("calibrate", "--out", str(out), *TINY_FLAGS, "--preset", "E5")
+        for mode in ("online", "replay"):
+            assert run_cli("run", "--out", str(out), *TINY_FLAGS, "--preset", "E5",
+                           "--mode", mode) == 0
+            trace = trace_parse((out / "run_trace.csv").read_text())
+            assert any(row.decision == "full" and row.step >= 1
+                       for row in attention_rows(trace)), mode
+            for row in trace.rows:
+                assert (row.drift_output, row.drift_map) == (None, None), (mode, row)
 
     def test_weights_with_calib_steps_in_their_units_still_run(self, tmp_path):
         # Sliced weights written before the unit entries dropped calib_steps.
@@ -551,6 +573,13 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli_module, "denoise_run", explode)
         assert run_cli("baseline", "--out", str(tmp_path / "o"), *TINY_FLAGS) == 4
+
+    def test_spec_too_large_to_allocate_exits_2(self, tmp_path, capsys):
+        # numpy refuses the 10^7 x 10^7 weight matrix at once, allocating nothing.
+        assert run_cli("baseline", "--dim", "10000000", "--blocks", "1", "--tokens", "4",
+                       "--frames", "2", "--steps", "2", "--out", str(tmp_path / "d")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Unable to allocate" in err
 
     @pytest.mark.parametrize("argv", [
         ["compare", "{dir}", "{state}"],

@@ -230,13 +230,6 @@ class TestCalibrate:
         for unit in a.sliced:
             assert np.array_equal(a.sliced[unit].wq_sliced, b.sliced[unit].wq_sliced)
 
-    def test_bad_ratio_bounds_rejected(self):
-        cfg = tiny()
-        model = init_model(cfg)
-        sched = SchedulerConfig(delta=0.1)
-        with pytest.raises(ValueError):
-            dws_calibrate(model, cfg, sched, ratio_bounds=(0.5, 0.4))
-
     def test_each_width_measured_once(self, tiny_cfg, tiny_model):
         # At m=16 the pruned fractions 0.25 and 0.3 both give width 12.
         calib = dws_calibrate(tiny_model, tiny_cfg, SchedulerConfig(delta=0.175, search_window=4))

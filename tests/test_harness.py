@@ -9,7 +9,6 @@ from oracles import (
 )
 from unicp.edcw import DecisionKind, SchedulerConfig
 from unicp.harness import (
-    DriftProfile,
     run_fixed_window,
     run_scheduler_on_profile,
     synthesize_sequence,
@@ -19,57 +18,41 @@ from unicp.harness import (
 
 class TestSynthesize:
     def test_all_zero_profile_is_constant(self):
-        profile = DriftProfile(drifts=(0.0,) * 5)
-        seq = synthesize_sequence(profile, (6, 4), seed=0)
+        seq = synthesize_sequence((0.0,) * 5, (6, 4), seed=0)
         for a, b in zip(seq, seq[1:]):
             assert np.array_equal(a.output, b.output)
             assert np.array_equal(a.map, b.map)
 
     def test_measured_drifts_match_profile(self):
-        profile = DriftProfile(drifts=(0.5, 0.0, 0.0, 0.5))
-        seq = synthesize_sequence(profile, (8, 4), seed=1)
+        drifts = (0.5, 0.0, 0.0, 0.5)
+        seq = synthesize_sequence(drifts, (8, 4), seed=1)
         for t in range(1, 4):
             measured = ref_rel_norm(seq[t].output, seq[t - 1].output)
-            assert measured == pytest.approx(profile.drifts[t], abs=1e-6)
+            assert measured == pytest.approx(drifts[t], abs=1e-6)
             measured_map = ref_rel_norm(seq[t].map, seq[t - 1].map)
-            assert measured_map == pytest.approx(profile.drifts[t], abs=1e-6)
+            assert measured_map == pytest.approx(drifts[t], abs=1e-6)
 
     def test_spike_applies_at_its_step_only(self):
-        base = (0.05,) * 6
-        profile = DriftProfile(drifts=base, spikes=((3, 0.4),))
-        seq = synthesize_sequence(profile, (8, 4), seed=2)
+        drifts = (0.05,) * 3 + (0.4,) + (0.05,) * 2
+        seq = synthesize_sequence(drifts, (8, 4), seed=2)
         for t in range(1, 6):
             measured = ref_rel_norm(seq[t].output, seq[t - 1].output)
             expected = 0.4 if t == 3 else 0.05
             assert measured == pytest.approx(expected, abs=1e-6)
 
     def test_maps_stay_row_stochastic(self):
-        profile = DriftProfile(drifts=(0.3, 0.1, 0.2, 0.05, 0.0))
-        seq = synthesize_sequence(profile, (10, 4), seed=3)
+        seq = synthesize_sequence((0.3, 0.1, 0.2, 0.05, 0.0), (10, 4), seed=3)
         for r in seq:
             assert np.abs(r.map.sum(axis=1) - 1.0).max() < 1e-10
 
-    def test_infeasible_drift_rejected(self):
-        with pytest.raises(ValueError):
-            synthesize_sequence(DriftProfile(drifts=(2.5,)), (4, 4), seed=0)
-
-    def test_negative_drift_rejected(self):
-        with pytest.raises(ValueError):
-            DriftProfile(drifts=(-0.1,))
-
 
 class TestProfileValidation:
-    def test_spike_outside_range_rejected(self):
-        with pytest.raises(ValueError):
-            DriftProfile(drifts=(0.1, 0.1), spikes=((5, 0.3),))
-
     def test_u_profile_shape(self):
-        p = u_profile(30, spike_step=15)
-        eff = p.effective()
-        assert len(eff) == 30
-        assert eff[0] == 0.2 and eff[5] == 0.2 and eff[24] == 0.2 and eff[29] == 0.2
-        assert eff[10] == 0.01
-        assert eff[15] == 0.3
+        drifts = u_profile(30, spike_step=15)
+        assert isinstance(drifts, tuple) and len(drifts) == 30
+        assert drifts[0] == 0.2 and drifts[5] == 0.2 and drifts[24] == 0.2 and drifts[29] == 0.2
+        assert drifts[10] == 0.01
+        assert drifts[15] == 0.3
 
 
 class TestScheduler:
@@ -110,9 +93,8 @@ class TestScheduler:
                     assert res.accumulated_error <= fixed_err
 
     def test_huge_delta_gives_maximal_windows(self):
-        profile = DriftProfile(drifts=(0.05,) * 16)
         sched = SchedulerConfig(delta=100.0, search_window=4)
-        res = run_scheduler_on_profile(profile, sched, seed=2)
+        res = run_scheduler_on_profile((0.05,) * 16, sched, seed=2)
         # After each arming, K-1 steps consume; armings away from the tail
         # (where candidates get clipped by the sequence end) use the full window.
         assert all(window == 4 for step, window, _ in armings(res) if step < 12)
@@ -152,8 +134,7 @@ class TestScheduler:
         # Constant drift d along one direction: reuse error at distance j
         # accumulates the intermediate per-step displacements.
         d = 0.1
-        profile = DriftProfile(drifts=(d,) * 9)
-        seq = synthesize_sequence(profile, (8, 4), seed=4)
+        seq = synthesize_sequence((d,) * 9, (8, 4), seed=4)
         total = run_fixed_window(seq, 3)
         expected = 0.0
         for i, r in enumerate(seq):
