@@ -40,6 +40,7 @@ from .harness import run_scheduler_on_profile, u_profile
 from .metrics import macs_full_attention, macs_mlp, quality_report, report_export, trace_export
 from .model import (
     ATTENTION_KINDS,
+    SPEC_KEYS,
     ModelConfig,
     NumericError,
     init_model,
@@ -88,10 +89,6 @@ MMAP_THRESHOLD_BYTES = 32 << 20
 TRIM_THRESHOLD_BYTES = 64 << 20
 
 
-class ConfigError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class RunSpec:
     model: ModelConfig
@@ -128,20 +125,10 @@ def build_spec(args) -> RunSpec:
         if flag_value is not None:
             values[key] = flag_value
     if not 0.0 <= values["ratio_lo"] <= values["ratio_hi"] < 1.0:
-        raise ConfigError(
+        raise ValueError(
             f"ratio bounds must satisfy 0 <= lo <= hi < 1, got [{values['ratio_lo']}, {values['ratio_hi']}]")
-    try:
-        model = ModelConfig(
-            num_blocks=values["blocks"],
-            model_dim=values["dim"],
-            tokens_per_frame=values["tokens"],
-            num_frames=values["frames"],
-            num_steps=values["steps"],
-            seed=values["seed"],
-        )
-        scheduler = SchedulerConfig(delta=values["delta"], search_window=values["window"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    model = ModelConfig(**{name: values[key] for key, name in SPEC_KEYS.items()})
+    scheduler = SchedulerConfig(delta=values["delta"], search_window=values["window"])
     return RunSpec(model=model, scheduler=scheduler,
                    ratio_lo=values["ratio_lo"], ratio_hi=values["ratio_hi"],
                    mode=values["mode"], preset=args.preset)
@@ -162,8 +149,8 @@ def _check_key(spec: RunSpec, recorded: dict, artifact: str):
     require_keys(recorded, key, f"{artifact} run key")
     for field, wanted in key.items():
         if recorded[field] != wanted:
-            raise ConfigError(f"{artifact} was made with {field}={recorded[field]!r}, "
-                              f"but this run has {field}={wanted!r}")
+            raise ValueError(f"{artifact} was made with {field}={recorded[field]!r}, "
+                             f"but this run has {field}={wanted!r}")
 
 
 def _full_cell_macs(cfg: ModelConfig) -> dict:
@@ -174,22 +161,23 @@ def _full_cell_macs(cfg: ModelConfig) -> dict:
 
 
 def _out_dir(path: str, names) -> Path:
-    """Make a command's output directory, then raise ConfigError naming the
+    """Make a command's output directory, then raise ValueError naming the
     first of `names` that exists there as a directory. Commands call it
-    before they compute anything, so such a command writes nothing."""
+    after `init_model` and before they compute anything else, so a spec
+    too large to allocate or such a directory leaves nothing written."""
     out_dir = Path(path)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in names:
         if (out_dir / name).is_dir():
-            raise ConfigError(f"{out_dir / name} is a directory, not a file")
+            raise ValueError(f"{out_dir / name} is a directory, not a file")
     return out_dir
 
 
 def cmd_baseline(args) -> int:
     spec = build_spec(args)
+    model = init_model(spec.model)
     out_dir = _out_dir(args.out, (BASELINE_STATE, BASELINE_TRACE, BASELINE_LATENTS,
                                   "baseline_spec.json"))
-    model = init_model(spec.model)
     latents = dict.fromkeys(default_calib_steps(spec.model.num_steps))
     state, trace = denoise_run(spec.model, CellExecutor(model, drift=True), latents=latents)
     save_state(out_dir / BASELINE_STATE, state, spec.model)
@@ -202,13 +190,13 @@ def cmd_baseline(args) -> int:
 
 def cmd_calibrate(args) -> int:
     spec = build_spec(args)
+    model = init_model(spec.model)
     out_dir = _out_dir(args.out, (SLICED_WEIGHTS_FILE, CALIBRATION_FILE,
                                   "calibrate_spec.json"))
     # A baseline of this model in --out kept the latents at the calibration
     # steps, so calibration runs those steps alone.
     latents_path = out_dir / BASELINE_LATENTS
     latents = load_calib_latents(latents_path, spec.model) if latents_path.exists() else None
-    model = init_model(spec.model)
     result = dws_calibrate(model, spec.model, spec.scheduler,
                            ratio_bounds=(spec.ratio_lo, spec.ratio_hi), latents=latents)
     save_sliced_weights(out_dir / SLICED_WEIGHTS_FILE, result.sliced, spec.key())
@@ -221,9 +209,9 @@ def cmd_calibrate(args) -> int:
 
 def cmd_run(args) -> int:
     spec = build_spec(args)
+    model = init_model(spec.model)
     out_dir = _out_dir(args.out, (RUN_STATE, RUN_TRACE, RUN_CACHE_MAP, CACHE_MAP_FILE,
                                   "run_spec.json"))
-    model = init_model(spec.model)
 
     sliced = None
     sliced_path = out_dir / SLICED_WEIGHTS_FILE
@@ -233,7 +221,7 @@ def cmd_run(args) -> int:
         foreign = sorted(set(sliced) - {(b, kind) for b in range(spec.model.num_blocks)
                                         for kind in ATTENTION_KINDS})
         if foreign:
-            raise ConfigError(f"{SLICED_WEIGHTS_FILE} holds " + ", ".join(
+            raise ValueError(f"{SLICED_WEIGHTS_FILE} holds " + ", ".join(
                 f"block {b} {kind}" for b, kind in foreign) + ", which the model lacks")
 
     if spec.mode == "replay":
@@ -251,7 +239,7 @@ def cmd_run(args) -> int:
         weights_n = {unit: sw.n for unit, sw in (sliced or {}).items()}
         for unit in sorted(set(cmap.final_n) | set(weights_n)):
             if cmap.final_n.get(unit) != weights_n.get(unit):
-                raise ConfigError(
+                raise ValueError(
                     f"{CACHE_MAP_FILE} gives block {unit[0]} {unit[1]} "
                     f"final_n={cmap.final_n.get(unit)}, but {SLICED_WEIGHTS_FILE} "
                     f"holds n={weights_n.get(unit)}: the map was made with other sliced "
@@ -320,7 +308,7 @@ def cmd_compare(args) -> int:
     reference, _ = load_state(args.reference)
     candidate, _ = load_state(args.candidate)
     if reference.shape != candidate.shape:
-        raise ConfigError(
+        raise ValueError(
             f"state shapes differ: {reference.shape} vs {candidate.shape}")
     report = quality_report(reference, candidate)
     text = report_export(report)
@@ -338,7 +326,7 @@ def _add_harness_flags(p: argparse.ArgumentParser):
     p.add_argument("--steps", type=int)
 
 
-def _add_spec_flags(p: argparse.ArgumentParser, include_mode=True):
+def _add_spec_flags(p: argparse.ArgumentParser):
     _add_harness_flags(p)
     p.add_argument("--ratio-lo", dest="ratio_lo", type=float, help="lower pruned-fraction bound")
     p.add_argument("--ratio-hi", dest="ratio_hi", type=float, help="upper pruned-fraction bound")
@@ -346,8 +334,6 @@ def _add_spec_flags(p: argparse.ArgumentParser, include_mode=True):
     p.add_argument("--dim", type=int)
     p.add_argument("--tokens", type=int)
     p.add_argument("--frames", type=int)
-    if include_mode:
-        p.add_argument("--mode", choices=["online", "replay"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,18 +342,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("baseline", help="full-compute run; writes state and trace")
-    _add_spec_flags(p, include_mode=False)
+    _add_spec_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("calibrate", help="calibrate pruning dims; writes the sliced weights")
-    _add_spec_flags(p, include_mode=False)
+    _add_spec_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("run", help="dispatched run: online writes the cache map, "
                                    "replay executes it")
     _add_spec_flags(p)
+    p.add_argument("--mode", choices=["online", "replay"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_run)
 
@@ -412,7 +399,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MissingArtifactError as exc:

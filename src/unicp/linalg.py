@@ -17,10 +17,6 @@ EPS_NORM = 1e-12
 BLOCK = 1 << 16
 
 
-class ShapeError(ValueError):
-    """Operand shapes are incompatible for the requested operation."""
-
-
 def frob(a) -> float:
     """Frobenius norm over all entries (any array shape)."""
     return float(np.sqrt(np.sum(np.square(np.asarray(a, dtype=np.float64)))))
@@ -35,7 +31,7 @@ def rel_l2(a, b) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
-        raise ShapeError(f"rel_l2 shape mismatch: {a.shape} vs {b.shape}")
+        raise ValueError(f"rel_l2 shape mismatch: {a.shape} vs {b.shape}")
     # One BLAS dot per norm and slice: several times faster than frob on
     # attention maps, and equal to it up to the last bits. The difference
     # is formed BLOCK elements at a time in one scratch buffer, so a large

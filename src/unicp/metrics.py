@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .linalg import ShapeError, rel_l2
+from .linalg import rel_l2
 
 PSNR_CAP_DB = 99.0
 SSIM_WINDOW = 8
@@ -141,8 +141,6 @@ class QualityReport:
     ssim: float | None  # None when the token count is not a perfect square
     rel_l2: float
     peak: float
-    ssim_range: float
-    ssim_window: int
 
 
 def psnr(a: np.ndarray, b: np.ndarray, peak: float) -> float:
@@ -150,7 +148,7 @@ def psnr(a: np.ndarray, b: np.ndarray, peak: float) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
-        raise ShapeError(f"psnr shape mismatch: {a.shape} vs {b.shape}")
+        raise ValueError(f"psnr shape mismatch: {a.shape} vs {b.shape}")
     if peak <= 0:
         raise ValueError("peak must be positive")
     mse = float(np.mean(np.square(a - b)))
@@ -169,7 +167,7 @@ def ssim(a: np.ndarray, b: np.ndarray, dynamic_range: float) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
-        raise ShapeError(f"ssim shape mismatch: {a.shape} vs {b.shape}")
+        raise ValueError(f"ssim shape mismatch: {a.shape} vs {b.shape}")
     if dynamic_range <= 0:
         raise ValueError("dynamic_range must be positive")
     frames, tokens, dim = a.shape
@@ -215,8 +213,6 @@ def quality_report(reference: np.ndarray, candidate: np.ndarray) -> QualityRepor
         ssim=ssim(candidate, reference, peak) if square else None,
         rel_l2=rel_l2(candidate, reference),
         peak=peak,
-        ssim_range=peak,
-        ssim_window=SSIM_WINDOW,
     )
 
 
@@ -224,8 +220,9 @@ def report_export(report: QualityReport) -> str:
     lines = [
         "unicp-quality-report v1",
         f"peak={report.peak!r}",
-        f"ssim_range={report.ssim_range!r}",
-        f"ssim_window={report.ssim_window}",
+        # SSIM's dynamic range is the PSNR peak.
+        f"ssim_range={report.peak!r}",
+        f"ssim_window={SSIM_WINDOW}",
         f"psnr_db={report.psnr_db!r}",
         f"ssim={SSIM_NA if report.ssim is None else repr(report.ssim)}",
         f"rel_l2={report.rel_l2!r}",

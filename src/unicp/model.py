@@ -40,11 +40,12 @@ SHIFT_FREE_BOUND = 600.0
 
 
 class NumericError(RuntimeError):
-    """A run produced non-finite values; carries the offending step."""
+    """A run produced non-finite values."""
 
-    def __init__(self, message: str, step: int):
-        super().__init__(message)
-        self.step = step
+
+# Each header and flag key of a model spec, and the ModelConfig field it sets.
+SPEC_KEYS = {"blocks": "num_blocks", "dim": "model_dim", "tokens": "tokens_per_frame",
+             "frames": "num_frames", "steps": "num_steps", "seed": "seed"}
 
 
 @dataclass(frozen=True)
@@ -68,26 +69,12 @@ class ModelConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def header(self) -> dict:
-        return {
-            "blocks": self.num_blocks,
-            "dim": self.model_dim,
-            "tokens": self.tokens_per_frame,
-            "frames": self.num_frames,
-            "steps": self.num_steps,
-            "seed": self.seed,
-        }
+        return {key: getattr(self, name) for key, name in SPEC_KEYS.items()}
 
     @staticmethod
     def from_header(h: dict) -> "ModelConfig":
-        require_keys(h, ("blocks", "dim", "tokens", "frames", "steps", "seed"), "model header")
-        return ModelConfig(
-            num_blocks=as_number(h["blocks"], "blocks"),
-            model_dim=as_number(h["dim"], "dim"),
-            tokens_per_frame=as_number(h["tokens"], "tokens"),
-            num_frames=as_number(h["frames"], "frames"),
-            num_steps=as_number(h["steps"], "steps"),
-            seed=as_number(h["seed"], "seed"),
-        )
+        require_keys(h, SPEC_KEYS, "model header")
+        return ModelConfig(**{name: as_number(h[key], key) for key, name in SPEC_KEYS.items()})
 
 
 @dataclass(frozen=True)
@@ -121,10 +108,11 @@ class AttentionResult:
     output: np.ndarray  # [inst x] seq x m
 
 
-# Attention kinds, in execution order within a block.
-KIND_SPATIAL = "spatial"
-KIND_TEMPORAL = "temporal"
-ATTENTION_KINDS = (KIND_SPATIAL, KIND_TEMPORAL)
+# Each attention kind, in execution order within a block, and the axis order
+# that takes the (frames, tokens, dim) latent to its (instances, sequence,
+# dim) stack. Each order is its own inverse, so it takes a stack back too.
+KIND_AXES = {"spatial": (0, 1, 2), "temporal": (1, 0, 2)}
+ATTENTION_KINDS = tuple(KIND_AXES)
 
 
 def _rng_pair(seed: int):
@@ -240,22 +228,12 @@ def unit_input_stack(state: np.ndarray, kind: str) -> np.ndarray:
     per token position, shape (s, f, m). Each instance is RMS-normalized,
     which is what the unit (and PCAS calibration) actually consumes.
     """
-    if kind == KIND_SPATIAL:
-        raw = state
-    elif kind == KIND_TEMPORAL:
-        raw = np.ascontiguousarray(state.transpose(1, 0, 2))
-    else:
-        raise ValueError(f"unknown attention kind {kind!r}")
-    return rms_normalize(raw)
+    return rms_normalize(np.ascontiguousarray(state.transpose(KIND_AXES[kind])))
 
 
 def apply_unit_output(state: np.ndarray, kind: str, o_stack: np.ndarray) -> np.ndarray:
     """Residual-add a unit's stacked outputs back onto the latent."""
-    if kind == KIND_SPATIAL:
-        return state + o_stack
-    if kind == KIND_TEMPORAL:
-        return state + o_stack.transpose(1, 0, 2)
-    raise ValueError(f"unknown attention kind {kind!r}")
+    return state + o_stack.transpose(KIND_AXES[kind])
 
 
 def apply_mlp(state: np.ndarray, block: BlockWeights):
@@ -266,16 +244,16 @@ def apply_mlp(state: np.ndarray, block: BlockWeights):
 
 
 def attention_weights_for(block: BlockWeights, kind: str) -> AttentionWeights:
-    if kind == KIND_SPATIAL:
+    if kind == "spatial":
         return block.spatial
-    if kind == KIND_TEMPORAL:
+    if kind == "temporal":
         return block.temporal
     raise ValueError(f"unknown attention kind {kind!r}")
 
 
 def check_finite(state: np.ndarray, step: int):
     if not np.all(np.isfinite(state)):
-        raise NumericError(f"non-finite latent values at step {step}", step)
+        raise NumericError(f"non-finite latent values at step {step}")
 
 
 # ---------------------------------------------------------------------------

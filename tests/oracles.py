@@ -247,8 +247,6 @@ def report_parse(text):
         ssim=None if kv["ssim"] == SSIM_NA else float(kv["ssim"]),
         rel_l2=float(kv["rel_l2"]),
         peak=float(kv["peak"]),
-        ssim_range=float(kv["ssim_range"]),
-        ssim_window=int(kv["ssim_window"]),
     )
 
 

@@ -11,7 +11,7 @@ from oracles import attention_rows, calibration_parse, report_parse
 from unicp.cli import build_parser, build_spec, main
 from unicp.edcw import SchedulerConfig
 from unicp.metrics import macs_full_attention, trace_parse
-from unicp.model import ModelConfig, load_state
+from unicp.model import ModelConfig, load_state, save_state
 
 TINY_FLAGS = ["--blocks", "2", "--dim", "16", "--tokens", "16", "--frames", "2",
               "--steps", "8", "--seed", "7"]
@@ -118,6 +118,21 @@ class TestConfigFile:
                                          num_frames=8, num_steps=30, seed=42)
         assert spec.scheduler == SchedulerConfig(delta=0.175, search_window=4)
         assert (spec.ratio_lo, spec.ratio_hi, spec.mode, spec.preset) == (0.1, 0.4, "online", "E5")
+
+    def test_each_model_flag_sets_its_own_field_and_key(self, tmp_path):
+        # Six distinct values, so swapping any two fields or keys shows.
+        argv = ["baseline", "--blocks", "3", "--dim", "12", "--tokens", "9", "--frames", "5",
+                "--steps", "7", "--seed", "11", "--out", "unused"]
+        cfg = build_spec(build_parser().parse_args(argv)).model
+        assert cfg == ModelConfig(num_blocks=3, model_dim=12, tokens_per_frame=9,
+                                  num_frames=5, num_steps=7, seed=11)
+        assert cfg.header() == {"blocks": 3, "dim": 12, "tokens": 9, "frames": 5,
+                                "steps": 7, "seed": 11}
+        state = np.arange(5 * 9 * 12, dtype=np.float64).reshape(5, 9, 12)
+        save_state(tmp_path / "state.bin", state, cfg)
+        loaded, loaded_cfg = load_state(tmp_path / "state.bin")
+        assert loaded_cfg == cfg
+        assert np.array_equal(loaded, state)
 
     def test_preset_sets_delta_and_explicit_delta_wins(self, tmp_path):
         out = tmp_path / "p"
@@ -569,17 +584,21 @@ class TestExitCodes:
         from unicp.model import NumericError
 
         def explode(*args, **kwargs):
-            raise NumericError("non-finite latent values at step 3", 3)
+            raise NumericError("non-finite latent values at step 3")
 
         monkeypatch.setattr(cli_module, "denoise_run", explode)
         assert run_cli("baseline", "--out", str(tmp_path / "o"), *TINY_FLAGS) == 4
 
     def test_spec_too_large_to_allocate_exits_2(self, tmp_path, capsys):
-        # numpy refuses the 10^7 x 10^7 weight matrix at once, allocating nothing.
-        assert run_cli("baseline", "--dim", "10000000", "--blocks", "1", "--tokens", "4",
-                       "--frames", "2", "--steps", "2", "--out", str(tmp_path / "d")) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Unable to allocate" in err
+        # numpy refuses the 10^7 x 10^7 weight matrix at once, allocating
+        # nothing, and the command stops before it makes --out.
+        for command in ("baseline", "calibrate", "run"):
+            out = tmp_path / command
+            assert run_cli(command, "--dim", "10000000", "--blocks", "1", "--tokens", "4",
+                           "--frames", "2", "--steps", "2", "--out", str(out)) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Unable to allocate" in err, command
+            assert not out.exists(), command
 
     @pytest.mark.parametrize("argv", [
         ["compare", "{dir}", "{state}"],

@@ -7,7 +7,6 @@ from oracles import ref_rel_norm
 from unicp.linalg import (
     BLOCK,
     EPS_NORM,
-    ShapeError,
     frob,
     rel_l2,
 )
@@ -105,6 +104,6 @@ class TestRelL2:
         assert rel_l2(x, np.zeros_like(x)) == pytest.approx(frob(x) / EPS_NORM, rel=1e-14)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError, match="rel_l2 shape mismatch"):
             rel_l2(np.ones((2, 2)), np.ones((3, 2)))
 
