@@ -7,7 +7,9 @@ measuring every calibration step, until the unit's sliced output drifts
 past the error threshold at any of them (`sweep_widths`). A unit keeps
 the last width every step accepted, so its sliced output is within the
 threshold at every calibration step. Calibration yields the sliced
-weights and a record of every measurement (`calibration.csv`). Given
+weights and a record of every measurement (`calibration.csv`). The units
+are independent, so they are calibrated on one thread per usable CPU, and
+their results are kept in unit order. Given
 the latents a baseline run kept at the calibration steps
 (`baseline_latents.bin`), it runs just those steps; without them, one
 capture pass from step 0 up to the last calibration step.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import zlib
 from dataclasses import dataclass, field
 
@@ -356,8 +359,12 @@ def dws_calibrate(model, cfg: ModelConfig, sched: SchedulerConfig,
     `ratio_bounds` is the (lo, hi) pruned-fraction range `cli.build_spec`
     has checked.
     """
+    # Imported here so that commands that never calibrate skip its cost.
+    from concurrent.futures import ThreadPoolExecutor
+
     calib_steps = default_calib_steps(cfg.num_steps)
-    capture = CellExecutor(model, capture_steps=calib_steps)
+    # depth=0: the captures are all the sweep reads, so no attention map is kept.
+    capture = CellExecutor(model, depth=0, capture_steps=calib_steps)
     if latents is None:
         # Only the calibration steps' captures are read, so the loop stops
         # at the last of them.
@@ -370,10 +377,15 @@ def dws_calibrate(model, cfg: ModelConfig, sched: SchedulerConfig,
         state = denoise_step(cfg, capture, state, step, RunTrace())
 
     widths = candidate_widths(cfg.model_dim, *ratio_bounds)
-    sliced = {}
-    records = []
-    for unit in ((b, kind) for b in range(len(model)) for kind in ATTENTION_KINDS):
-        sliced[unit], unit_records = _calibrate_unit(model, cfg, sched, capture.captured, unit,
-                                                     widths, calib_steps)
-        records.extend(unit_records)
-    return CalibrationResult(sliced=sliced, records=records)
+    units = [(b, kind) for b in range(len(model)) for kind in ATTENTION_KINDS]
+
+    def calibrate(unit):
+        return _calibrate_unit(model, cfg, sched, capture.captured, unit, widths, calib_steps)
+
+    # Units are independent and numpy's kernels release the GIL, so each
+    # usable CPU sweeps one unit at a time. map yields in unit order,
+    # whatever order the units finish in.
+    with ThreadPoolExecutor(min(len(units), len(os.sched_getaffinity(0)))) as pool:
+        results = list(pool.map(calibrate, units))
+    return CalibrationResult(sliced={unit: sw for unit, (sw, _) in zip(units, results)},
+                             records=[r for _, unit_records in results for r in unit_records])

@@ -244,11 +244,8 @@ def apply_mlp(state: np.ndarray, block: BlockWeights):
 
 
 def attention_weights_for(block: BlockWeights, kind: str) -> AttentionWeights:
-    if kind == "spatial":
-        return block.spatial
-    if kind == "temporal":
-        return block.temporal
-    raise ValueError(f"unknown attention kind {kind!r}")
+    """The weights of `block`'s attention of `kind`, one of ATTENTION_KINDS."""
+    return getattr(block, kind)
 
 
 def check_finite(state: np.ndarray, step: int):

@@ -64,14 +64,14 @@ class CellExecutor:
     """Runs every attention cell of a run and writes its trace row.
 
     Each unit owns a ring of its last `depth` F results (all of them when
-    `depth` is None) as (step, AttentionResult) pairs, oldest first;
-    nothing else holds them. F runs full attention and appends to the
-    ring; O serves the newest entry's output; M reruns the value path under
-    its map; P runs sliced attention, or the full math when the retained
-    dimension equals the width (accounted with the sliced formula, which is
-    equal there). O, M and P leave the
-    ring alone, so its newest entry is the F result that armed any cache an
-    O or M cell serves from.
+    `depth` is None, none when it is 0) as (step, AttentionResult) pairs,
+    oldest first; nothing else holds them. F runs full attention and
+    appends to the ring; O serves the newest entry's output; M reruns the
+    value path under its map; P runs sliced attention, or the full math
+    when the retained dimension equals the width (accounted with the sliced
+    formula, which is equal there). O, M and P leave the ring alone, so its
+    newest entry is the F result that armed any cache an O or M cell serves
+    from.
 
     `letter` gives each cell its letter and window: the cell of `grid`, a
     (block, kind) -> letters map, or F everywhere when `grid` is None. After

@@ -135,6 +135,8 @@ class TestCalibrate:
         dws_calibrate(tiny_model, tiny_cfg, SchedulerConfig(delta=0.075, search_window=4))
         (capture,) = made
         assert capture.steps_run == set(range(max(calib_steps) + 1))
+        # The sweep reads only the captures, so the capture keeps no F result.
+        assert not any(capture.rings.values())
         assert max(calib_steps) + 1 < tiny_cfg.num_steps
         # A full-length capture run sees the same inputs and outputs, bit for bit.
         full = CellExecutor(tiny_model, capture_steps=calib_steps)
@@ -155,6 +157,62 @@ class TestCalibrate:
         assert standalone_capture.steps_run == set(range(max(calib_steps) + 1))
         assert_same_captures(resumed_capture, standalone_capture, calib_steps)
         assert resumed.records == standalone.records
+
+    def test_unit_finishing_last_changes_no_output(self, tiny_cfg, tiny_model, monkeypatch):
+        import threading
+        import unicp.dws
+        sched = SchedulerConfig(delta=0.075, search_window=4)
+        monkeypatch.setattr(unicp.dws.os, "sched_getaffinity", lambda pid: {0})
+        one_cpu = dws_calibrate(tiny_model, tiny_cfg, sched)
+
+        # On two workers, unit (0, spatial) starts first but waits until every
+        # other unit has finished.
+        calibrate_unit = unicp.dws._calibrate_unit
+        last = (0, "spatial")
+        others_done = threading.Semaphore(0)
+        finished = []
+
+        def last_to_finish(model, cfg, sched, captured, unit, *rest):
+            if unit == last:
+                for _ in range(len(one_cpu.sliced) - 1):
+                    assert others_done.acquire(timeout=60)
+            result = calibrate_unit(model, cfg, sched, captured, unit, *rest)
+            finished.append(unit)
+            if unit != last:
+                others_done.release()
+            return result
+
+        monkeypatch.setattr(unicp.dws, "_calibrate_unit", last_to_finish)
+        monkeypatch.setattr(unicp.dws.os, "sched_getaffinity", lambda pid: {0, 1})
+        pooled = dws_calibrate(tiny_model, tiny_cfg, sched)
+        assert finished[-1] == last and len(finished) == len(one_cpu.sliced)
+        assert pooled.records == one_cpu.records
+        assert list(pooled.sliced) == list(one_cpu.sliced)
+        for unit, sw in one_cpu.sliced.items():
+            got = pooled.sliced[unit]
+            assert got.n == sw.n
+            assert got.wq_sliced.tobytes() == sw.wq_sliced.tobytes()
+            assert got.wk_sliced.tobytes() == sw.wk_sliced.tobytes()
+
+    def test_error_in_one_units_sweep_is_raised_unchanged(self, tiny_cfg, tiny_model,
+                                                          monkeypatch):
+        import unicp.dws
+        from unicp.pcas import slice_weights
+
+        class SweepError(Exception):
+            pass
+
+        failing = attention_weights_for(tiny_model[1], "temporal")
+
+        def slice_or_fail(w, rotation, n):
+            if w is failing:
+                raise SweepError("block 1 temporal")
+            return slice_weights(w, rotation, n)
+
+        monkeypatch.setattr(unicp.dws, "slice_weights", slice_or_fail)
+        monkeypatch.setattr(unicp.dws.os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(SweepError, match="block 1 temporal"):
+            dws_calibrate(tiny_model, tiny_cfg, SchedulerConfig(delta=0.075, search_window=4))
 
     def test_latents_read_back_as_views_for_their_model_only(self, tiny_cfg, tiny_model, tmp_path):
         path = tmp_path / "latents.bin"
