@@ -49,7 +49,7 @@ from .model import (
     save_state,
 )
 from .pcas import load_sliced_weights, save_sliced_weights
-from .runner import LETTER_PRUNED, CellExecutor, MissingArtifactError, denoise_run
+from .runner import LETTER_PRUNED, CellExecutor, denoise_run
 
 PRESETS = {"E1": 0.025, "E2": 0.05, "E3": 0.075, "E4": 0.125, "E5": 0.175}
 
@@ -88,6 +88,10 @@ M_MMAP_THRESHOLD = -3
 M_ARENA_MAX = -8
 MMAP_THRESHOLD_BYTES = 32 << 20
 TRIM_THRESHOLD_BYTES = 64 << 20
+
+
+class MissingArtifactError(RuntimeError):
+    """A command needs an artifact that is not available; `main` exits 3."""
 
 
 @dataclass(frozen=True)
@@ -234,10 +238,12 @@ def cmd_run(args) -> int:
         cmap = cache_map_parse(map_path.read_text())
         _check_key(spec, cmap.key, CACHE_MAP_FILE)
         check_cache_map_units(cmap, spec.model)
-        if any(LETTER_PRUNED in row for row in cmap.grid.values()) and sliced is None:
-            raise MissingArtifactError(
-                f"replay map contains pruned cells but {SLICED_WEIGHTS_FILE} is missing")
         weights_n = {unit: sw.n for unit, sw in (sliced or {}).items()}
+        for unit in sorted(cmap.grid):
+            if LETTER_PRUNED in cmap.grid[unit] and unit not in weights_n:
+                lack = "is missing" if sliced is None else "has no weights for that unit"
+                raise MissingArtifactError(f"replay map has pruned cells at block {unit[0]} "
+                                           f"{unit[1]}, but {SLICED_WEIGHTS_FILE} {lack}")
         for unit in sorted(set(cmap.final_n) | set(weights_n)):
             if cmap.final_n.get(unit) != weights_n.get(unit):
                 raise ValueError(

@@ -19,9 +19,7 @@ slicing as the fallback tier); replay is `runner.CellExecutor` reading a
 cache map's grid. Both run every cell through that one executor, which
 writes the trace, and a run's cache map is built from the letters of its
 trace (`run_cache_map`), so a replay of an online run's map reproduces it
-by construction. Cells where the retained dimension equals the full width
-execute the unsliced math (bitwise identical to full attention) while the
-accounting uses the sliced formula, which is equal there.
+by construction.
 """
 
 from __future__ import annotations
@@ -140,9 +138,8 @@ def cache_map_parse(text: str) -> CacheMap:
 
 def check_cache_map_units(cmap: CacheMap, cfg: ModelConfig):
     """Raise ValueError, naming the row, unless the grid has one row of
-    `cfg.num_steps` letters for each unit of the model, no row reuses a
-    cache (O or M) before its first F, and every final_n row names a unit
-    of the model."""
+    `cfg.num_steps` letters for each unit of the model and no row reuses a
+    cache (O or M) before its first F."""
     units = {(b, kind) for b in range(cfg.num_blocks) for kind in ATTENTION_KINDS}
     for (block, kind), letters in sorted(cmap.grid.items()):
         row = f"{block} {kind} {''.join(letters)}"
@@ -161,10 +158,6 @@ def check_cache_map_units(cmap: CacheMap, cfg: ModelConfig):
     if missing:
         block, kind = missing[0]
         raise ValueError(f"cache map has no grid row for block {block} {kind}")
-    for (block, kind), n in sorted(cmap.final_n.items()):
-        if (block, kind) not in units:
-            raise ValueError(f"cache map final_n row '{block} {kind} {n}' "
-                             f"names a unit the model lacks")
 
 
 # ---------------------------------------------------------------------------
@@ -176,20 +169,22 @@ class OnlineDispatcher(CellExecutor):
 
     A decide step executes the fresh full result (recorded as F, with the
     matched window in the trace when it armed a cache). A miss on both cache
-    tiers executes sliced attention when sliced weights with n < m exist,
-    else falls back to full. The fresh F enters the unit's ring before the
-    decide, so the entry at distance K survives. After the decide the ring
-    drops every entry more than K steps before the unit's next decide (at
-    step + k, k the armed window or 1), since no later decide can read it.
-    That trim bounds the ring at K + 1 entries, so it needs no fixed depth.
-    The arming F, the newest entry, always stays for the O and M cells it
-    serves. `armed` maps a unit to the
-    letter, window and last step of the cache its latest hit armed. Its
-    trace rows carry no drift: the decide measures its own distances.
+    tiers executes sliced attention when the unit has sliced weights with
+    n below the width m (the rows of their `wq_sliced`), else falls back to
+    full. The fresh F enters the unit's ring before the decide, so the
+    entry at distance K survives. The rings have no fixed depth: after the
+    decide the ring drops every entry more than K steps before the unit's
+    next decide (at step + k, k the armed window or 1), since no later
+    decide can read it, which bounds it at K + 1 entries. The arming F, the
+    newest entry, always stays for the O and M cells it serves. `armed`
+    maps a unit to the letter, window and last step of the cache its latest
+    hit armed. Its trace rows carry no drift: the decide measures its own
+    distances.
     """
 
     def __init__(self, model, sched: SchedulerConfig, sliced_weights: dict | None = None):
-        super().__init__(model, sliced_weights, depth=None)
+        super().__init__(model, sliced_weights)
+        self.depth = None  # `decide` trims the rings.
         self.sched = sched
         self.armed = {}  # (block, kind) -> (letter, window, last step served)
 
@@ -199,7 +194,7 @@ class OnlineDispatcher(CellExecutor):
             return armed[0], armed[1]
         return LETTER_FULL, None
 
-    def decide(self, unit, step: int, width: int):
+    def decide(self, unit, step: int):
         ring = self.rings[unit]
         decision = edcw_decide(ring, ring[-1][1], step, self.sched)
         window = decision.window
@@ -210,7 +205,7 @@ class OnlineDispatcher(CellExecutor):
         while ring[0][0] < horizon:
             ring.popleft()
         sw = self.sliced.get(unit)
-        if decision.kind is DecisionKind.PRUNED and sw is not None and sw.n < width:
+        if decision.kind is DecisionKind.PRUNED and sw is not None and sw.n < sw.wq_sliced.shape[0]:
             return LETTER_PRUNED, window
         return LETTER_FULL, window
 
@@ -363,8 +358,8 @@ def dws_calibrate(model, cfg: ModelConfig, sched: SchedulerConfig,
     from concurrent.futures import ThreadPoolExecutor
 
     calib_steps = default_calib_steps(cfg.num_steps)
-    # depth=0: the captures are all the sweep reads, so no attention map is kept.
-    capture = CellExecutor(model, depth=0, capture_steps=calib_steps)
+    # Nothing reads its rings, so the capture pass keeps no attention map.
+    capture = CellExecutor(model, capture_steps=calib_steps)
     if latents is None:
         # Only the calibration steps' captures are read, so the loop stops
         # at the last of them.

@@ -56,16 +56,13 @@ DECISION_BY_LETTER = {
 }
 
 
-class MissingArtifactError(RuntimeError):
-    """A dispatch or replay step needed an artifact that is not available."""
-
-
 class CellExecutor:
     """Runs every attention cell of a run and writes its trace row.
 
-    Each unit owns a ring of its last `depth` F results (all of them when
-    `depth` is None, none when it is 0) as (step, AttentionResult) pairs,
-    oldest first; nothing else holds them. F runs full attention and
+    Each unit owns a ring of F results as (step, AttentionResult) pairs,
+    oldest first; nothing else holds them. The ring keeps the newest F when
+    something reads it, `drift` or a `grid`, and none otherwise (a capture
+    pass, whose caller reads only the captures). F runs full attention and
     appends to the ring; O serves the newest entry's output; M reruns the
     value path under its map; P runs sliced attention, or the full math
     when the retained dimension equals the width (accounted with the sliced
@@ -74,18 +71,20 @@ class CellExecutor:
     from.
 
     `letter` gives each cell its letter and window: the cell of `grid`, a
-    (block, kind) -> letters map, or F everywhere when `grid` is None. After
-    an F, `decide` may turn the cell into P. With `drift`, an F cell records
-    the relative distance of its output and map from the unit's previous F.
-    At `capture_steps` the cell's (x_stack, o_stack) goes into
-    `captured[unit][step]`.
+    (block, kind) -> letters map, or F everywhere when `grid` is None. The
+    executor runs the letters it is given: the caller has checked that
+    `grid` holds a cell for every step, an F before any O or M, and sliced
+    weights for every unit with a P. After an F, `decide` may turn the cell
+    into P. With `drift`, an F cell records the relative distance of its
+    output and map from the unit's previous F. At `capture_steps` the
+    cell's (x_stack, o_stack) goes into `captured[unit][step]`.
     """
 
-    def __init__(self, model, sliced_weights: dict | None = None, depth: int | None = 1,
-                 grid: dict | None = None, drift: bool = False, capture_steps=()):
+    def __init__(self, model, sliced_weights: dict | None = None, grid: dict | None = None,
+                 drift: bool = False, capture_steps=()):
         self.model = model
         self.sliced = dict(sliced_weights) if sliced_weights else {}
-        self.depth = depth
+        self.depth = 1 if drift or grid is not None else 0
         self.grid = grid
         self.drift = drift
         self.capture_steps = set(capture_steps)
@@ -96,13 +95,9 @@ class CellExecutor:
         """(letter, window) of a cell before it runs."""
         if self.grid is None:
             return LETTER_FULL, None
-        letters = self.grid.get(unit)
-        if letters is None or step >= len(letters):
-            raise MissingArtifactError(
-                f"cache map has no cell for block {unit[0]} {unit[1]} step {step}")
-        return letters[step], None
+        return self.grid[unit][step], None
 
-    def decide(self, unit, step: int, width: int):
+    def decide(self, unit, step: int):
         """(letter, window) of a cell whose fresh F result is the ring's newest."""
         return LETTER_FULL, None
 
@@ -118,7 +113,7 @@ class CellExecutor:
             if prev is not None:
                 fresh = self.rings[unit][-1][1]
                 drift_o, drift_m = rel_l2(fresh.output, prev.output), rel_l2(fresh.map, prev.map)
-            letter, window = self.decide(unit, step, x_stack.shape[-1])
+            letter, window = self.decide(unit, step)
         if letter != LETTER_FULL:
             o_stack, macs = self.execute_cell(letter, block_idx, kind, x_stack, step)
         if step in self.capture_steps:
@@ -139,24 +134,16 @@ class CellExecutor:
             ring = self.rings.setdefault(unit, deque(maxlen=self.depth))
             ring.append((step, AttentionResult(map=a_stack, output=o_stack)))
             return o_stack, inst * macs_full_attention(seq, m)
-        if letter in (LETTER_OUTPUT, LETTER_MAP):
-            if not self.rings.get(unit):
-                raise MissingArtifactError(
-                    f"reuse cell before any full compute: block {block_idx} {kind} step {step}")
-            cached = self.rings[unit][-1][1]
-            if letter == LETTER_OUTPUT:
-                return cached.output, macs_output_reuse()
-            o_stack, _ = attention(x_stack, w, amap=cached.map)
-            return o_stack, inst * macs_map_reuse(seq, m)
         if letter == LETTER_PRUNED:
-            sw = self.sliced.get(unit)
-            if sw is None:
-                raise MissingArtifactError(
-                    f"pruned cell without sliced weights: block {block_idx} {kind} step {step}")
+            sw = self.sliced[unit]
             qk = (sw.wq_sliced, sw.wk_sliced) if sw.n < m else None
             o_stack, _ = attention(x_stack, w, qk=qk)
             return o_stack, inst * macs_sliced(seq, m, sw.n)
-        raise ValueError(f"unknown cache map letter {letter!r}")
+        cached = self.rings[unit][-1][1]
+        if letter == LETTER_OUTPUT:
+            return cached.output, macs_output_reuse()
+        o_stack, _ = attention(x_stack, w, amap=cached.map)
+        return o_stack, inst * macs_map_reuse(seq, m)
 
 
 def forward_blocks(executor, h: np.ndarray, step: int, trace: RunTrace) -> np.ndarray:

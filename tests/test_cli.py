@@ -1,17 +1,22 @@
 import json
 import re
+import shutil
 import time
 import types
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from oracles import attention_rows, calibration_parse, report_parse
 from unicp.cli import build_parser, build_spec, main
+from unicp.dws import CacheMap, cache_map_export, cache_map_parse
 from unicp.edcw import SchedulerConfig
 from unicp.metrics import macs_full_attention, trace_parse
 from unicp.model import ModelConfig, load_state, save_state
+from unicp.pcas import load_sliced_weights, save_sliced_weights
 
 TINY_FLAGS = ["--blocks", "2", "--dim", "16", "--tokens", "16", "--frames", "2",
               "--steps", "8", "--seed", "7"]
@@ -47,6 +52,20 @@ LATENTS_HEADER = dict(STATE_HEADER, calib_steps=[0, 2, 5],
 # A cache map with an empty grid whose run key TINY_FLAGS (default delta) accepts.
 CACHE_MAP_LINES = ["unicp-cache-map v2", json.dumps(SLICED_RUN_HEADER, sort_keys=True), "grid",
                    "final_n", "end"]
+
+
+def write_replay_inputs(out, grid, sliced):
+    """Write `grid` as the cache map in `out`, and `sliced` as its sliced
+    weights (deleting them when None), with the map's final_n taken from
+    `sliced`, so the two agree and keep the run key the online run wrote."""
+    key = cache_map_parse((out / "cache_map.txt").read_text()).key
+    cmap = CacheMap(key=key, grid=grid,
+                    final_n={unit: sw.n for unit, sw in (sliced or {}).items()})
+    (out / "cache_map.txt").write_text(cache_map_export(cmap))
+    if sliced is None:
+        (out / "sliced_weights.bin").unlink(missing_ok=True)
+    else:
+        save_sliced_weights(out / "sliced_weights.bin", sliced, key)
 
 
 class TestBaseline:
@@ -412,6 +431,37 @@ class TestRun:
         assert ("cache_map.txt gives block 0 spatial final_n=16, but sliced_weights.bin "
                 "holds n=None") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lacking", ["file", "unit"])
+    def test_pruned_cells_without_their_weights_exit_3_before_any_step(
+            self, tmp_path, capsys, monkeypatch, lacking):
+        from unicp import cli as cli_module
+        out = tmp_path / "o"
+        spec = ["--out", str(out), *TINY_FLAGS, "--preset", "E5"]
+        assert run_cli("calibrate", *spec) == 0
+        assert run_cli("run", "--mode", "online", *spec) == 0
+        grid = cache_map_parse((out / "cache_map.txt").read_text()).grid
+        pruned = sorted(unit for unit, letters in grid.items() if "P" in letters)
+        assert len(pruned) > 1
+        if lacking == "file":
+            # The map keeps its final_n rows; the first pruned unit is named.
+            (out / "sliced_weights.bin").unlink()
+            unit, expected = pruned[0], "sliced_weights.bin is missing"
+        else:
+            # Weights and final_n both lack the last pruned unit, so they agree.
+            sliced, _ = load_sliced_weights(out / "sliced_weights.bin", 16)
+            unit, expected = pruned[-1], "sliced_weights.bin has no weights for that unit"
+            del sliced[unit]
+            write_replay_inputs(out, grid, sliced)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(cli_module, "denoise_run", no_step)
+        capsys.readouterr()
+        assert run_cli("run", "--mode", "replay", *spec) == 3
+        assert (f"replay map has pruned cells at block {unit[0]} {unit[1]}, "
+                f"but {expected}") in capsys.readouterr().err
+
     def test_later_sweep_order_reruns_on_existing_artifacts(self, tmp_path):
         # A full sweep, then the order the benchmark's later sweeps run in,
         # each command rewriting what the sweep before left in the directory.
@@ -532,7 +582,9 @@ class TestRun:
          "grid row '0 spatial F' has 1 letters, but the model runs 6 steps"),
         (r"\n1 temporal [FOMP]+\n", r"\n", "cache map has no grid row for block 1 temporal"),
         (r"\n(0 spatial [FOMP]+)\n", r"\n\1\n\1\n", "cache map lists a grid row twice: '0 spatial "),
-        (r"\nend\n", r"\n7 bogus 6\nend\n", "final_n row '7 bogus 6' names a unit the model lacks"),
+        # No weights are loaded for a unit the model lacks, so its final_n differs.
+        (r"\nend\n", r"\n7 bogus 6\nend\n",
+         "cache_map.txt gives block 7 bogus final_n=6, but sliced_weights.bin holds n=None"),
         (r"\n1 temporal [FOMP]+\n", r"\n1 temporal PPOFFF\n",
          "grid row '1 temporal PPOFFF' reuses a cache at step 2 before any F computes one"),
     ], ids=["extra-row", "short-row", "missing-row", "duplicate-row", "foreign-final-n",
@@ -576,6 +628,80 @@ class TestRun:
         trace_tally = Counter(letter_for[r.decision] for r in attention_rows(trace))
         grid_tally = Counter(l for row in cmap.grid.values() for l in row)
         assert trace_tally == grid_tally
+
+
+TINY_UNITS = [(block, kind) for block in range(2) for kind in ("spatial", "temporal")]
+
+
+@st.composite
+def hand_edited_maps(draw):
+    """(grid, units without sliced weights, whether the weights file is
+    deleted) for the tiny model: a row of eight F/O/M/P letters per unit,
+    most starting with F, some left as drawn, cut short or missing."""
+    grid = {}
+    for unit in TINY_UNITS:
+        letters = draw(st.text("FOMP", min_size=8, max_size=8))
+        shape = draw(st.sampled_from(["F first", "F first", "F first", "as drawn", "short",
+                                      "missing"]))
+        if shape == "F first":
+            grid[unit] = ["F", *letters[1:]]
+        elif shape == "as drawn":
+            grid[unit] = list(letters)
+        elif shape == "short":
+            grid[unit] = list(letters[:draw(st.integers(1, 7))])
+    unweighted = draw(st.sets(st.sampled_from(TINY_UNITS)))
+    return grid, unweighted, draw(st.booleans())
+
+
+def expected_replay_exit(grid, weighted):
+    """The exit code of a replay of `grid` with sliced weights for the units
+    in `weighted`: 2 for a missing or short row or a reuse before any F, else
+    3 for a pruned cell of a unit without weights, else 0."""
+    for unit in TINY_UNITS:
+        letters = "".join(grid.get(unit, ""))
+        if len(letters) != 8 or letters.lstrip("P")[:1] in ("O", "M"):
+            return 2
+    if any("P" in grid[unit] and unit not in weighted for unit in TINY_UNITS):
+        return 3
+    return 0
+
+
+class TestHandEditedMaps:
+    @pytest.fixture(scope="class")
+    def online_run(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("online")
+        spec = ["--out", str(out), *TINY_FLAGS, "--preset", "E5"]
+        assert run_cli("calibrate", *spec) == 0
+        assert run_cli("run", "--mode", "online", *spec) == 0
+        # Every example rewrites the weights from this copy.
+        shutil.copy(out / "sliced_weights.bin", out / "calibrated.bin")
+        return out, spec
+
+    @settings(max_examples=150, deadline=None)
+    @given(edit=hand_edited_maps())
+    def test_replay_refuses_before_any_step_or_runs_the_grid(self, online_run, edit):
+        from unicp import cli as cli_module
+        out, spec = online_run
+        grid, unweighted, delete_file = edit
+        sliced, _ = load_sliced_weights(out / "calibrated.bin", 16)
+        kept = None if delete_file else {u: sw for u, sw in sliced.items() if u not in unweighted}
+        write_replay_inputs(out, grid, kept)
+        real_run, calls = cli_module.denoise_run, []
+
+        def recording_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        # A function-scoped monkeypatch would span every example of the test.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli_module, "denoise_run", recording_run)
+            code = run_cli("run", "--mode", "replay", *spec)
+        event(f"exit {code}")
+        assert code == expected_replay_exit(grid, kept or {})
+        assert len(calls) == (code == 0)
+        if code == 0:
+            # The run's map holds the letters of its trace.
+            assert cache_map_parse((out / "run_cache_map.txt").read_text()).grid == grid
 
 
 class TestExitCodes:

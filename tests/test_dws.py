@@ -23,7 +23,7 @@ from unicp.edcw import SchedulerConfig
 from unicp.linalg import rel_l2
 from unicp.metrics import RunTrace, macs_full_attention, macs_map_reuse, macs_sliced, macs_mlp
 from unicp.model import ATTENTION_KINDS, ModelConfig, attention_weights_for, init_model
-from unicp.runner import CellExecutor, MissingArtifactError, denoise_run, forward_blocks
+from unicp.runner import CellExecutor, denoise_run, forward_blocks
 
 
 def count_capture_steps(monkeypatch):
@@ -342,14 +342,6 @@ class TestWidthSweep:
 
 
 class TestDispatch:
-    def test_reuse_before_any_full_compute_raises(self, tiny_cfg, tiny_model):
-        # The executor's own guard, for grids that skip `check_cache_map_units`.
-        grid = {(b, k): ["M"] + ["F"] * (tiny_cfg.num_steps - 1)
-                for b in range(tiny_cfg.num_blocks) for k in ATTENTION_KINDS}
-        with pytest.raises(MissingArtifactError,
-                           match="reuse cell before any full compute: block 0 spatial step 0"):
-            denoise_run(tiny_cfg, CellExecutor(tiny_model, grid=grid))
-
     def test_all_full_grid_step_equals_baseline_step(self, tiny_cfg, tiny_model):
         cmap = CacheMap(key={}, grid={(b, k): ["F"] * tiny_cfg.num_steps
                                       for b in range(tiny_cfg.num_blocks) for k in ATTENTION_KINDS})
@@ -376,20 +368,6 @@ class TestDispatch:
         assert np.array_equal(state_replay, state_base)
         # Nominal accounting via the sliced formula equals full at n = m.
         assert trace_replay.macs_total == trace_base.macs_total
-
-    def test_pruned_cell_without_sliced_weights_errors(self, tiny_cfg, tiny_model):
-        cmap = CacheMap(key={}, grid={(b, k): ["P"] * tiny_cfg.num_steps
-                                      for b in range(tiny_cfg.num_blocks) for k in ATTENTION_KINDS})
-        with pytest.raises(MissingArtifactError):
-            denoise_run(tiny_cfg, CellExecutor(tiny_model, grid=cmap.grid))
-
-    def test_reuse_before_full_compute_errors(self, tiny_cfg, tiny_model):
-        grid = {(b, k): ["F"] * tiny_cfg.num_steps
-                for b in range(tiny_cfg.num_blocks) for k in ATTENTION_KINDS}
-        grid[(0, "spatial")] = ["O"] + ["F"] * (tiny_cfg.num_steps - 1)
-        cmap = CacheMap(key={}, grid=grid)
-        with pytest.raises(MissingArtifactError):
-            denoise_run(tiny_cfg, CellExecutor(tiny_model, grid=cmap.grid))
 
     def test_map_reuse_cells_recompute_value_path(self, tiny_cfg, tiny_model):
         # Hand-built grid: full compute at step 0, map reuse afterwards. The

@@ -1,11 +1,12 @@
 """Seeded mutations of every file a tiny run reads, each run through `cli.main`.
 
 Each case truncates, flips a byte of, deletes a span of or duplicates a span
-of one input: the sliced weights, the cache map, a state file or the
-calibration latents. Four inputs, four mutations and 20 cases each make 320
-mutated runs. A mutated file may still be a valid one (a flipped payload
-digit), so exit 0 is allowed; anything else must be a documented exit code,
-and no exception may escape `main`.
+of one input of one command: the sliced weights (read by an online run and
+by a replay), the cache map, a state file or the calibration latents. Five
+readers, four mutations and 20 cases each make 400 mutated runs. A mutated
+file may still be a valid one (a flipped payload digit), so exit 0 is
+allowed; anything else must be a documented exit code, and no exception may
+escape `main`.
 """
 
 import random
@@ -21,15 +22,19 @@ MUTATIONS = ("truncate", "flip", "delete", "duplicate")
 CASES_PER_MUTATION = 20
 
 
-def command_reading(name, d):
-    """The command that reads input `name` of the artifact directory `d`."""
+def reader(name, d):
+    """(the input it mutates, the command that reads it) of reader `name` in
+    the artifact directory `d`."""
     run = ["run", "--out", str(d), *TINY_FLAGS]
     return {
-        "sliced_weights.bin": [*run, "--mode", "online"],
-        "cache_map.txt": [*run, "--mode", "replay"],
-        "baseline_state.bin": ["compare", str(d / "baseline_state.bin"),
-                               str(d / "run_state.bin")],
-        "baseline_latents.bin": ["calibrate", "--out", str(d), *TINY_FLAGS],
+        "sliced_weights.bin": ("sliced_weights.bin", [*run, "--mode", "online"]),
+        "sliced_weights.bin-replay": ("sliced_weights.bin", [*run, "--mode", "replay"]),
+        "cache_map.txt": ("cache_map.txt", [*run, "--mode", "replay"]),
+        "baseline_state.bin": ("baseline_state.bin",
+                               ["compare", str(d / "baseline_state.bin"),
+                                str(d / "run_state.bin")]),
+        "baseline_latents.bin": ("baseline_latents.bin",
+                                 ["calibrate", "--out", str(d), *TINY_FLAGS]),
     }[name]
 
 
@@ -56,13 +61,15 @@ def pristine(tmp_path_factory):
 
 
 @pytest.mark.parametrize("how", MUTATIONS)
-@pytest.mark.parametrize("name", ["sliced_weights.bin", "cache_map.txt", "baseline_state.bin",
-                                  "baseline_latents.bin"])
+@pytest.mark.parametrize("name", ["sliced_weights.bin", "sliced_weights.bin-replay",
+                                  "cache_map.txt", "baseline_state.bin", "baseline_latents.bin"])
 def test_mutated_input_exits_with_a_documented_code(pristine, tmp_path, capsys, name, how):
     rng = random.Random(f"{name}-{how}")
-    data = (pristine / name).read_bytes()
+    mutated, _ = reader(name, pristine)
+    data = (pristine / mutated).read_bytes()
     for case in range(CASES_PER_MUTATION):
         d = tmp_path / str(case)
         shutil.copytree(pristine, d)
-        (d / name).write_bytes(mutate(data, how, rng))
-        assert main(command_reading(name, d)) in (0, 2, 3, 4), (case, capsys.readouterr().err)
+        (d / mutated).write_bytes(mutate(data, how, rng))
+        _, argv = reader(name, d)
+        assert main(argv) in (0, 2, 3, 4), (case, capsys.readouterr().err)

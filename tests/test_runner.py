@@ -49,19 +49,31 @@ class TestFullWithDrift:
 
 
 class TestRing:
-    def test_ring_keeps_at_most_depth_entries(self):
-        executor, _, xs = executor_and_stacks(6, depth=3)
+    def test_replay_and_baseline_rings_keep_only_the_newest_full(self):
+        # Drift (the baseline) and a grid (replay) read the newest F, so
+        # each keeps exactly that one; O, M and P leave it in place.
+        for letters, options in (("FFFFFF", {"drift": True}),
+                                 ("FOFMPF", {"grid": {UNIT: list("FOFMPF")}})):
+            executor, _, xs = executor_and_stacks(len(letters), **options)
+            newest = None
+            for step, (letter, x) in enumerate(zip(letters, xs)):
+                executor.run_unit(*UNIT, x, step)
+                newest = step if letter == LETTER_FULL else newest
+                assert [s for s, _ in executor.rings[UNIT]] == [newest], (letters, step)
+
+    def test_capture_ring_keeps_nothing(self):
+        # Nothing reads a capture pass's ring, so it holds no F result.
+        executor, w, xs = executor_and_stacks(3, capture_steps=(0, 2))
         for step, x in enumerate(xs):
-            executor.execute_cell(LETTER_FULL, *UNIT, x, step)
-            assert len(executor.rings[UNIT]) <= 3
-        assert [s for s, _ in executor.rings[UNIT]] == [3, 4, 5]
+            executor.run_unit(*UNIT, x, step)
+            assert not executor.rings[UNIT]
+        assert sorted(executor.captured[UNIT]) == [0, 2]
+        assert np.array_equal(executor.captured[UNIT][2][1], attention(xs[2], w)[0])
 
     def test_reuse_cells_serve_the_newest_entry(self):
-        executor, w, xs = executor_and_stacks(4, depth=2)
-        executor.execute_cell(LETTER_FULL, *UNIT, xs[0], 0)
-        executor.execute_cell(LETTER_FULL, *UNIT, xs[1], 1)
+        executor, w, xs = executor_and_stacks(4, grid={UNIT: list("FFOM")})
+        outs = [executor.run_unit(*UNIT, x, step) for step, x in enumerate(xs)]
         o_newest, a_newest = attention(xs[1], w)
-        o_served, macs = executor.execute_cell(LETTER_OUTPUT, *UNIT, xs[2], 2)
-        assert np.array_equal(o_served, o_newest) and macs == 0
-        o_mapped, _ = executor.execute_cell(LETTER_MAP, *UNIT, xs[3], 3)
+        (o_served, row_o), (o_mapped, _) = outs[2], outs[3]
+        assert np.array_equal(o_served, o_newest) and row_o.macs == 0
         assert np.array_equal(o_mapped, attention(xs[3], w, amap=a_newest)[0])
