@@ -23,33 +23,36 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dws import (
-    OnlineDispatcher,
+import numpy as np
+
+from .artifacts import (
+    BASELINE_LATENTS,
+    BASELINE_STATE,
+    BASELINE_TRACE,
+    CACHE_MAP_FILE,
+    CALIBRATION_FILE,
+    HARNESS_REPORT,
+    QUALITY_REPORT,
+    RUN_CACHE_MAP,
+    RUN_STATE,
+    RUN_TRACE,
+    SLICED_WEIGHTS_FILE,
+    MissingArtifactError,
     cache_map_export,
-    cache_map_parse,
     calibration_export,
-    check_cache_map_units,
-    default_calib_steps,
-    dws_calibrate,
     load_calib_latents,
-    run_cache_map,
+    load_run_inputs,
+    load_state,
     save_calib_latents,
+    save_sliced_weights,
+    save_state,
 )
+from .dws import OnlineDispatcher, default_calib_steps, dws_calibrate, run_cache_map
 from .edcw import SchedulerConfig
 from .harness import run_scheduler_on_profile, u_profile
 from .metrics import macs_full_attention, macs_mlp, quality_report, report_export, trace_export
-from .model import (
-    ATTENTION_KINDS,
-    SPEC_KEYS,
-    ModelConfig,
-    NumericError,
-    init_model,
-    load_state,
-    require_keys,
-    save_state,
-)
-from .pcas import load_sliced_weights, save_sliced_weights
-from .runner import LETTER_PRUNED, CellExecutor, denoise_run
+from .model import SPEC_KEYS, ModelConfig, NumericError, init_model
+from .runner import CellExecutor, denoise_run
 
 PRESETS = {"E1": 0.025, "E2": 0.05, "E3": 0.075, "E4": 0.125, "E5": 0.175}
 
@@ -69,18 +72,6 @@ DEFAULTS = {
     "mode": "online",
 }
 
-BASELINE_STATE = "baseline_state.bin"
-BASELINE_TRACE = "baseline_trace.csv"
-BASELINE_LATENTS = "baseline_latents.bin"
-CACHE_MAP_FILE = "cache_map.txt"
-SLICED_WEIGHTS_FILE = "sliced_weights.bin"
-CALIBRATION_FILE = "calibration.csv"
-RUN_STATE = "run_state.bin"
-RUN_TRACE = "run_trace.csv"
-RUN_CACHE_MAP = "run_cache_map.txt"
-HARNESS_REPORT = "harness_report.txt"
-QUALITY_REPORT = "quality_report.txt"
-
 # glibc mallopt parameters and the values its adaptive rule ends at on
 # 64-bit: the mmap threshold caps at 32 MiB, the trim threshold is twice it.
 M_TRIM_THRESHOLD = -1
@@ -88,10 +79,6 @@ M_MMAP_THRESHOLD = -3
 M_ARENA_MAX = -8
 MMAP_THRESHOLD_BYTES = 32 << 20
 TRIM_THRESHOLD_BYTES = 64 << 20
-
-
-class MissingArtifactError(RuntimeError):
-    """A command needs an artifact that is not available; `main` exits 3."""
 
 
 @dataclass(frozen=True)
@@ -147,17 +134,6 @@ def _write_spec(out_dir: Path, name: str, spec: RunSpec):
     _write_text(out_dir / name, json.dumps(spec.as_dict(), sort_keys=True) + "\n")
 
 
-def _check_key(spec: RunSpec, recorded: dict, artifact: str):
-    """Reject an artifact made under another run key than `spec`'s, naming
-    the first field that differs."""
-    key = spec.key()
-    require_keys(recorded, key, f"{artifact} run key")
-    for field, wanted in key.items():
-        if recorded[field] != wanted:
-            raise ValueError(f"{artifact} was made with {field}={recorded[field]!r}, "
-                             f"but this run has {field}={wanted!r}")
-
-
 def _full_cell_macs(cfg: ModelConfig) -> dict:
     """The MACs of one full spatial, temporal and MLP cell of the model."""
     f, s, m = cfg.num_frames, cfg.tokens_per_frame, cfg.model_dim
@@ -168,8 +144,7 @@ def _full_cell_macs(cfg: ModelConfig) -> dict:
 def _out_dir(path: str, names) -> Path:
     """Make a command's output directory, then raise ValueError naming the
     first of `names` that exists there as a directory. Commands call it
-    after `init_model` and before they compute anything else, so a spec
-    too large to allocate or such a directory leaves nothing written."""
+    before they compute anything, so such a directory leaves nothing written."""
     out_dir = Path(path)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in names:
@@ -178,11 +153,18 @@ def _out_dir(path: str, names) -> Path:
     return out_dir
 
 
-def cmd_baseline(args) -> int:
+def _start(args, names):
+    """(spec, weights, out dir) of a model command. The weights and room for
+    the latent, no page of it touched, are allocated before `--out` exists."""
     spec = build_spec(args)
     model = init_model(spec.model)
-    out_dir = _out_dir(args.out, (BASELINE_STATE, BASELINE_TRACE, BASELINE_LATENTS,
-                                  "baseline_spec.json"))
+    np.empty((spec.model.num_frames, spec.model.tokens_per_frame, spec.model.model_dim))
+    return spec, model, _out_dir(args.out, names)
+
+
+def cmd_baseline(args) -> int:
+    spec, model, out_dir = _start(args, (BASELINE_STATE, BASELINE_TRACE, BASELINE_LATENTS,
+                                         "baseline_spec.json"))
     latents = dict.fromkeys(default_calib_steps(spec.model.num_steps))
     state, trace = denoise_run(spec.model, CellExecutor(model, drift=True), latents=latents)
     save_state(out_dir / BASELINE_STATE, state, spec.model)
@@ -194,10 +176,8 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    spec = build_spec(args)
-    model = init_model(spec.model)
-    out_dir = _out_dir(args.out, (SLICED_WEIGHTS_FILE, CALIBRATION_FILE,
-                                  "calibrate_spec.json"))
+    spec, model, out_dir = _start(args, (SLICED_WEIGHTS_FILE, CALIBRATION_FILE,
+                                         "calibrate_spec.json"))
     # A baseline of this model in --out kept the latents at the calibration
     # steps, so calibration runs those steps alone.
     latents_path = out_dir / BASELINE_LATENTS
@@ -213,44 +193,10 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    spec = build_spec(args)
-    model = init_model(spec.model)
-    out_dir = _out_dir(args.out, (RUN_STATE, RUN_TRACE, RUN_CACHE_MAP, CACHE_MAP_FILE,
-                                  "run_spec.json"))
-
-    sliced = None
-    sliced_path = out_dir / SLICED_WEIGHTS_FILE
-    if sliced_path.exists():
-        sliced, header = load_sliced_weights(sliced_path, spec.model.model_dim)
-        _check_key(spec, header, SLICED_WEIGHTS_FILE)
-        foreign = sorted(set(sliced) - {(b, kind) for b in range(spec.model.num_blocks)
-                                        for kind in ATTENTION_KINDS})
-        if foreign:
-            raise ValueError(f"{SLICED_WEIGHTS_FILE} holds " + ", ".join(
-                f"block {b} {kind}" for b, kind in foreign) + ", which the model lacks")
-
+    spec, model, out_dir = _start(args, (RUN_STATE, RUN_TRACE, RUN_CACHE_MAP, CACHE_MAP_FILE,
+                                         "run_spec.json"))
+    sliced, cmap = load_run_inputs(out_dir, spec)
     if spec.mode == "replay":
-        map_path = out_dir / CACHE_MAP_FILE
-        if not map_path.exists():
-            raise MissingArtifactError(
-                f"replay mode needs {CACHE_MAP_FILE} in {out_dir}; "
-                f"run `run --mode online --out {out_dir}` first")
-        cmap = cache_map_parse(map_path.read_text())
-        _check_key(spec, cmap.key, CACHE_MAP_FILE)
-        check_cache_map_units(cmap, spec.model)
-        weights_n = {unit: sw.n for unit, sw in (sliced or {}).items()}
-        for unit in sorted(cmap.grid):
-            if LETTER_PRUNED in cmap.grid[unit] and unit not in weights_n:
-                lack = "is missing" if sliced is None else "has no weights for that unit"
-                raise MissingArtifactError(f"replay map has pruned cells at block {unit[0]} "
-                                           f"{unit[1]}, but {SLICED_WEIGHTS_FILE} {lack}")
-        for unit in sorted(set(cmap.final_n) | set(weights_n)):
-            if cmap.final_n.get(unit) != weights_n.get(unit):
-                raise ValueError(
-                    f"{CACHE_MAP_FILE} gives block {unit[0]} {unit[1]} "
-                    f"final_n={cmap.final_n.get(unit)}, but {SLICED_WEIGHTS_FILE} "
-                    f"holds n={weights_n.get(unit)}: the map was made with other sliced "
-                    f"weights; run `run --mode online --out {out_dir}` again")
         executor = CellExecutor(model, sliced, grid=cmap.grid)
     else:
         executor = OnlineDispatcher(model, spec.scheduler, sliced)

@@ -24,28 +24,14 @@ by construction.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-import zlib
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .edcw import DecisionKind, SchedulerConfig, edcw_decide
 from .linalg import rel_l2
 from .metrics import RunTrace
-from .model import (
-    ATTENTION_KINDS,
-    ModelConfig,
-    as_number,
-    attention,
-    attention_weights_for,
-    init_latent,
-    read_container,
-    require_keys,
-    write_container,
-)
+from .model import ATTENTION_KINDS, ModelConfig, attention, attention_weights_for, init_latent
 from .pcas import compute_basis, slice_weights
 from .runner import (
     DECISION_BY_LETTER,
@@ -56,10 +42,6 @@ from .runner import (
     CellExecutor,
     denoise_step,
 )
-
-CACHE_MAP_MAGIC = "unicp-cache-map v2"
-LATENTS_MAGIC = b"UNICPLT1\n"
-CALIBRATION_HEADER = "block,kind,step,candidate_n,measured_error,accepted"
 
 
 @dataclass(frozen=True)
@@ -75,89 +57,11 @@ class CalibrationRecord:
 @dataclass
 class CacheMap:
     """Block x attention-kind x step grid of executed strategies, with the
-    run key (a JSON value, checked by the caller) of the run that executed it."""
+    run key (a JSON value that `artifacts` checks) of the run that executed it."""
 
     key: dict
     grid: dict = field(default_factory=dict)  # (block, kind) -> list of letters
     final_n: dict = field(default_factory=dict)  # (block, kind) -> retained dim
-
-
-def cache_map_export(cmap: CacheMap) -> str:
-    lines = [CACHE_MAP_MAGIC, json.dumps(cmap.key, sort_keys=True), "grid"]
-    for (block, kind) in sorted(cmap.grid.keys()):
-        lines.append(f"{block} {kind} {''.join(cmap.grid[(block, kind)])}")
-    lines.append("final_n")
-    for (block, kind) in sorted(cmap.final_n.keys()):
-        lines.append(f"{block} {kind} {cmap.final_n[(block, kind)]}")
-    lines.append("end")
-    return "\n".join(lines) + "\n"
-
-
-def _map_row(line: str, section: str, cast=str):
-    """Split a grid or final_n row into (block, kind, cast(value)), naming
-    the row when it is malformed."""
-    try:
-        block, kind, value = line.split()
-        return int(block), kind, cast(value)
-    except ValueError as exc:
-        raise ValueError(f"cache map {section} row {line!r} is malformed: {exc}") from exc
-
-
-def cache_map_parse(text: str) -> CacheMap:
-    lines = text.splitlines() or [""]
-    if lines[0] != CACHE_MAP_MAGIC:
-        raise ValueError(f"cache map starts with {lines[0]!r}, not {CACHE_MAP_MAGIC!r}")
-    if len(lines) < 3 or lines[2] != "grid":
-        raise ValueError("cache map is missing its grid section")
-    try:
-        cmap = CacheMap(key=json.loads(lines[1]))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"cache map key line is not JSON: {exc}") from exc
-    i = 3
-    while i < len(lines) and lines[i] != "final_n":
-        block, kind, letters = _map_row(lines[i], "grid")
-        if any(ch not in DECISION_BY_LETTER for ch in letters):
-            raise ValueError(f"cache map row has letters outside F/O/M/P: {lines[i]!r}")
-        if (block, kind) in cmap.grid:
-            raise ValueError(f"cache map lists a grid row twice: {lines[i]!r}")
-        cmap.grid[(block, kind)] = list(letters)
-        i += 1
-    if i >= len(lines):
-        raise ValueError("cache map is missing its final_n section")
-    i += 1
-    while i < len(lines) and lines[i] != "end":
-        block, kind, n = _map_row(lines[i], "final_n", int)
-        if (block, kind) in cmap.final_n:
-            raise ValueError(f"cache map lists a final_n row twice: {lines[i]!r}")
-        cmap.final_n[(block, kind)] = n
-        i += 1
-    if i >= len(lines):
-        raise ValueError("cache map is missing its end marker")
-    return cmap
-
-
-def check_cache_map_units(cmap: CacheMap, cfg: ModelConfig):
-    """Raise ValueError, naming the row, unless the grid has one row of
-    `cfg.num_steps` letters for each unit of the model and no row reuses a
-    cache (O or M) before its first F."""
-    units = {(b, kind) for b in range(cfg.num_blocks) for kind in ATTENTION_KINDS}
-    for (block, kind), letters in sorted(cmap.grid.items()):
-        row = f"{block} {kind} {''.join(letters)}"
-        if (block, kind) not in units:
-            raise ValueError(f"cache map grid row {row!r} names a unit the model lacks")
-        if len(letters) != cfg.num_steps:
-            raise ValueError(f"cache map grid row {row!r} has {len(letters)} letters, "
-                             f"but the model runs {cfg.num_steps} steps")
-        for step, letter in enumerate(letters):
-            if letter == LETTER_FULL:
-                break
-            if letter in (LETTER_OUTPUT, LETTER_MAP):
-                raise ValueError(f"cache map grid row {row!r} reuses a cache at step {step} "
-                                 f"before any F computes one")
-    missing = sorted(units - set(cmap.grid))
-    if missing:
-        block, kind = missing[0]
-        raise ValueError(f"cache map has no grid row for block {block} {kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -296,50 +200,6 @@ def _calibrate_unit(model, cfg, sched, captured, unit, widths, calib_steps):
     return sw, records
 
 
-def calibration_export(records) -> str:
-    """Render calibration records as CSV, in their order; floats use repr."""
-    lines = [CALIBRATION_HEADER]
-    for r in records:
-        lines.append(f"{r.block},{r.kind},{r.step},{r.candidate_n},"
-                     f"{r.measured_error!r},{int(r.accepted)}")
-    return "\n".join(lines) + "\n"
-
-
-def save_calib_latents(path, cfg: ModelConfig, latents: dict):
-    """Write the latents entering each calibration step of `cfg`, in step
-    order, under the model header plus `calib_steps` and the `crc32` of the
-    payload."""
-    steps = default_calib_steps(cfg.num_steps)
-    payload = np.stack([latents[step] for step in steps]).astype("<f8", copy=False)
-    write_container(path, LATENTS_MAGIC,
-                    dict(cfg.header(), calib_steps=steps, crc32=zlib.crc32(payload)), [payload])
-
-
-def load_calib_latents(path, cfg: ModelConfig) -> dict | None:
-    """step -> the latent entering it, as read-only views of the file, or
-    None when the file was made for another model or other calibration
-    steps. Raise ValueError naming `path` when it is malformed or its
-    payload does not match its checksum."""
-    header, payload = read_container(path, LATENTS_MAGIC)
-    require_keys(header, (*cfg.header(), "calib_steps", "crc32"), f"{path}: header")
-    try:
-        made_for = ModelConfig.from_header(header)
-        if not isinstance(header["calib_steps"], list):
-            raise ValueError(f"calib_steps is {header['calib_steps']!r}, not a list")
-        steps = [as_number(s, "calib_steps") for s in header["calib_steps"]]
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    if made_for != cfg or steps != default_calib_steps(cfg.num_steps):
-        return None
-    shape = (len(steps), cfg.num_frames, cfg.tokens_per_frame, cfg.model_dim)
-    if payload.size != math.prod(shape):
-        raise ValueError(f"{path}: payload holds {payload.size} values, "
-                         f"expected {math.prod(shape)}")
-    if zlib.crc32(payload) != header["crc32"]:
-        raise ValueError(f"{path}: payload does not match its crc32 {header['crc32']!r}")
-    return dict(zip(steps, payload.reshape(shape)))
-
-
 def dws_calibrate(model, cfg: ModelConfig, sched: SchedulerConfig,
                   ratio_bounds=(0.1, 0.4), latents: dict | None = None) -> CalibrationResult:
     """Calibrate per-unit pruning dimensions.
@@ -348,9 +208,9 @@ def dws_calibrate(model, cfg: ModelConfig, sched: SchedulerConfig,
     calibration records. The cache map comes from an online run with these
     weights (`OnlineDispatcher`). One loop of `denoise_step` captures the
     units' inputs: `latents` maps each calibration step to the latent
-    entering it (as `load_calib_latents` reads them), and with it only
-    those steps run; without it the loop runs from `init_latent` at step 0
-    up to the last calibration step. Both capture the same bits.
+    entering it (as `artifacts.load_calib_latents` reads them), and with it
+    only those steps run; without it the loop runs from `init_latent` at
+    step 0 up to the last calibration step. Both capture the same bits.
     `ratio_bounds` is the (lo, hi) pruned-fraction range `cli.build_spec`
     has checked.
     """

@@ -11,15 +11,12 @@ Weights are regenerated deterministically from the config seed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .metrics import macs_mlp
-
-STATE_MAGIC = b"UNICPST1\n"
 
 # Step-size schedule: large at both ends of the run, small in the middle, so
 # adjacent-step attention drift shows the U-shaped profile the cache
@@ -70,11 +67,6 @@ class ModelConfig:
 
     def header(self) -> dict:
         return {key: getattr(self, name) for key, name in SPEC_KEYS.items()}
-
-    @staticmethod
-    def from_header(h: dict) -> "ModelConfig":
-        require_keys(h, SPEC_KEYS, "model header")
-        return ModelConfig(**{name: as_number(h[key], key) for key, name in SPEC_KEYS.items()})
 
 
 @dataclass(frozen=True)
@@ -251,82 +243,3 @@ def attention_weights_for(block: BlockWeights, kind: str) -> AttentionWeights:
 def check_finite(state: np.ndarray, step: int):
     if not np.all(np.isfinite(state)):
         raise NumericError(f"non-finite latent values at step {step}")
-
-
-# ---------------------------------------------------------------------------
-# Binary containers: versioned header line + raw little-endian float64 payload.
-# ---------------------------------------------------------------------------
-
-def require_keys(h, keys, what: str):
-    """Raise ValueError naming every key a parsed JSON header lacks."""
-    if not isinstance(h, dict):
-        raise ValueError(f"{what} is not a JSON object")
-    missing = [k for k in keys if k not in h]
-    if missing:
-        raise ValueError(f"{what} lacks {', '.join(missing)}")
-
-
-def as_number(value, name: str) -> int:
-    """Read a header field as an int.
-
-    Raise ValueError naming the field for a boolean, a non-number, a
-    fraction or a non-finite value.
-    """
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    try:
-        out = int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{name} must be a number, got {value!r}") from exc
-    if isinstance(value, float) and out != value:
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return out
-
-
-def write_container(path, magic: bytes, header: dict, arrays: list[np.ndarray]):
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-
-
-def read_container(path, magic: bytes):
-    """(header, payload) of a container; the payload is a read-only view.
-
-    Raise ValueError naming `path` for a bad magic, a header line that is
-    not JSON, a payload that is not whole float64 values, and a payload
-    holding a non-finite value.
-    """
-    with open(path, "rb") as fh:
-        got = fh.read(len(magic))
-        if got != magic:
-            raise ValueError(f"{path}: bad magic {got!r}, expected {magic!r}")
-        try:
-            header = json.loads(fh.readline().decode("utf-8"))
-        except ValueError as exc:
-            raise ValueError(f"{path}: header is not JSON: {exc}") from exc
-        try:
-            payload = np.frombuffer(fh.read(), dtype="<f8")
-        except ValueError as exc:
-            raise ValueError(f"{path}: payload is not whole float64 values: {exc}") from exc
-    if not np.isfinite(payload).all():
-        raise ValueError(f"{path}: payload holds non-finite values")
-    return header, payload
-
-
-def save_state(path, state: np.ndarray, cfg: ModelConfig):
-    write_container(path, STATE_MAGIC, cfg.header(), [state])
-
-
-def load_state(path):
-    header, payload = read_container(path, STATE_MAGIC)
-    try:
-        cfg = ModelConfig.from_header(header)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    shape = (cfg.num_frames, cfg.tokens_per_frame, cfg.model_dim)
-    if payload.size != math.prod(shape):
-        raise ValueError(f"{path}: payload holds {payload.size} values, "
-                         f"expected {math.prod(shape)}")
-    return payload.reshape(shape).astype(np.float64), cfg

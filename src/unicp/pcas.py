@@ -17,9 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AttentionWeights, as_number, read_container, require_keys, write_container
-
-SLICED_MAGIC = b"UNICPSW1\n"
+from .model import AttentionWeights
 
 
 @dataclass(frozen=True)
@@ -51,65 +49,3 @@ def slice_weights(w: AttentionWeights, rotation: np.ndarray, n: int) -> SlicedWe
         raise ValueError(f"retained dimension n={n} out of range [1, {m}]")
     r_thin = rotation[:, :n]
     return SlicedWeights(n=n, wq_sliced=w.w_q @ r_thin, wk_sliced=w.w_k @ r_thin)
-
-
-# ---------------------------------------------------------------------------
-# Sliced-weight container: same layout as the state container, with the
-# retained dimensions recorded in the header.
-# ---------------------------------------------------------------------------
-
-def save_sliced_weights(path, sliced: dict, header_extra: dict):
-    """Write per-unit sliced projections keyed by (block, kind).
-
-    `sliced` maps (block index, attention kind) -> SlicedWeights; the header
-    records n per unit plus whatever run parameters the caller passes in
-    `header_extra`.
-    """
-    units = []
-    arrays = []
-    for (block, kind) in sorted(sliced.keys()):
-        sw = sliced[(block, kind)]
-        units.append({"block": block, "kind": kind, "n": sw.n})
-        arrays.append(sw.wq_sliced)
-        arrays.append(sw.wk_sliced)
-    header = dict(header_extra)
-    header["units"] = units
-    write_container(path, SLICED_MAGIC, header, arrays)
-
-
-def load_sliced_weights(path, model_dim: int):
-    """Read the sliced-weight container back into a (block, kind) -> SlicedWeights map.
-
-    Other fields of a unit entry are ignored, such as the `calib_steps` that
-    older files record.
-    """
-    header, payload = read_container(path, SLICED_MAGIC)
-    require_keys(header, ("units",), f"{path}: header")
-    if not isinstance(header["units"], list):
-        raise ValueError(f"{path}: header units is not a list")
-    units = []
-    for unit in header["units"]:
-        require_keys(unit, ("block", "kind", "n"), f"{path}: unit entry")
-        try:
-            units.append((as_number(unit["block"], "block"), str(unit["kind"]),
-                          as_number(unit["n"], "n")))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: malformed unit entry {unit!r}: {exc}") from exc
-    for _, _, n in units:
-        if not 1 <= n <= model_dim:
-            raise ValueError(f"{path}: retained dimension n={n} out of range [1, {model_dim}]")
-    expected = sum(2 * model_dim * n for _, _, n in units)
-    if payload.size != expected:
-        raise ValueError(f"{path}: payload holds {payload.size} values, its units need {expected}")
-    cursor = 0
-    out = {}
-    for block, kind, n in units:
-        size = model_dim * n
-        wq = payload[cursor:cursor + size].reshape(model_dim, n).astype(np.float64)
-        cursor += size
-        wk = payload[cursor:cursor + size].reshape(model_dim, n).astype(np.float64)
-        cursor += size
-        if (block, kind) in out:
-            raise ValueError(f"{path}: lists block {block} {kind} twice")
-        out[(block, kind)] = SlicedWeights(n=n, wq_sliced=wq, wk_sliced=wk)
-    return out, header

@@ -11,12 +11,19 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from oracles import attention_rows, calibration_parse, report_parse
+from unicp.artifacts import (
+    cache_map_export,
+    cache_map_parse,
+    load_sliced_weights,
+    load_state,
+    save_sliced_weights,
+    save_state,
+)
 from unicp.cli import build_parser, build_spec, main
-from unicp.dws import CacheMap, cache_map_export, cache_map_parse
+from unicp.dws import CacheMap
 from unicp.edcw import SchedulerConfig
 from unicp.metrics import macs_full_attention, trace_parse
-from unicp.model import ModelConfig, load_state, save_state
-from unicp.pcas import load_sliced_weights, save_sliced_weights
+from unicp.model import ModelConfig
 
 TINY_FLAGS = ["--blocks", "2", "--dim", "16", "--tokens", "16", "--frames", "2",
               "--steps", "8", "--seed", "7"]
@@ -353,7 +360,7 @@ class TestRun:
 
     def test_weights_with_calib_steps_in_their_units_still_run(self, tmp_path):
         # Sliced weights written before the unit entries dropped calib_steps.
-        from unicp.pcas import load_sliced_weights
+        from unicp.artifacts import load_sliced_weights
         new, old = tmp_path / "new", tmp_path / "old"
         assert run_cli("calibrate", "--out", str(new), *TINY_FLAGS, "--preset", "E5") == 0
         magic, header, payload = read(new / "sliced_weights.bin").split(b"\n", 2)
@@ -397,7 +404,7 @@ class TestRun:
         assert b"aggregation" not in read(old / "run_cache_map.txt")
 
     def test_weights_header_and_map_record_one_run_key(self, tmp_path):
-        from unicp.model import read_container
+        from unicp.artifacts import read_container
         out = tmp_path / "o"
         spec = ["--out", str(out), *TINY_FLAGS, "--preset", "E5"]
         assert run_cli("calibrate", *spec) == 0
@@ -615,7 +622,7 @@ class TestRun:
 
     def test_decision_counts_match_map_tallies_in_replay(self, tmp_path):
         from collections import Counter
-        from unicp.dws import cache_map_parse
+        from unicp.artifacts import cache_map_parse
         out = tmp_path / "o"
         run_cli("calibrate", "--out", str(out), *TINY_FLAGS, "--preset", "E4")
         run_cli("run", "--out", str(out), *TINY_FLAGS, "--preset", "E4",
@@ -716,15 +723,18 @@ class TestExitCodes:
         assert run_cli("baseline", "--out", str(tmp_path / "o"), *TINY_FLAGS) == 4
 
     def test_spec_too_large_to_allocate_exits_2(self, tmp_path, capsys):
-        # numpy refuses the 10^7 x 10^7 weight matrix at once, allocating
-        # nothing, and the command stops before it makes --out.
-        for command in ("baseline", "calibrate", "run"):
-            out = tmp_path / command
-            assert run_cli(command, "--dim", "10000000", "--blocks", "1", "--tokens", "4",
-                           "--frames", "2", "--steps", "2", "--out", str(out)) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and "Unable to allocate" in err, command
-            assert not out.exists(), command
+        # numpy refuses the 10^7 x 10^7 weight matrix, or the 5.68 PiB
+        # latent of 10^14 tokens, at once, allocating nothing, and the
+        # command stops before it makes --out.
+        for size in (["--dim", "10000000", "--tokens", "4"],
+                     ["--dim", "4", "--tokens", "100000000000000"]):
+            for command in ("baseline", "calibrate", "run"):
+                out = tmp_path / f"{command}{size[1]}"
+                assert run_cli(command, *size, "--blocks", "1", "--frames", "2", "--steps", "2",
+                               "--out", str(out)) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and "Unable to allocate" in err, command
+                assert not out.exists(), (command, size)
 
     @pytest.mark.parametrize("argv", [
         ["compare", "{dir}", "{state}"],

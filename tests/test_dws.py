@@ -6,17 +6,19 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (attention_rows, drive_unit, exhaustive_n_sweep, ref_width_sweep,
                      unit_letters)
+from unicp.artifacts import (
+    cache_map_export,
+    cache_map_parse,
+    load_calib_latents,
+    save_calib_latents,
+)
 from unicp.dws import (
     CacheMap,
     OnlineDispatcher,
-    cache_map_export,
-    cache_map_parse,
     candidate_widths,
     default_calib_steps,
     dws_calibrate,
-    load_calib_latents,
     run_cache_map,
-    save_calib_latents,
     sweep_widths,
 )
 from unicp.edcw import SchedulerConfig

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import attention_rows, ref_attention, ref_mlp, ref_sliced_attention_via_reconstruction
+from unicp.artifacts import load_state, read_model_config, save_state
 from unicp.linalg import rel_l2
 from unicp.metrics import macs_full_attention, macs_mlp
 from unicp.model import (
@@ -20,10 +21,8 @@ from unicp.model import (
     BlockWeights,
     init_latent,
     init_model,
-    load_state,
     mlp_forward,
     rms_normalize,
-    save_state,
     time_embedding,
     unit_input_stack,
 )
@@ -64,7 +63,7 @@ class TestModelConfig:
 
     def test_header_round_trip(self):
         cfg = small_cfg()
-        assert ModelConfig.from_header(cfg.header()) == cfg
+        assert read_model_config(cfg.header(), "state.bin") == cfg
 
 
 class TestInitModel:

@@ -7,15 +7,11 @@ from oracles import (
     ref_pca_basis,
     ref_sliced_attention_via_reconstruction,
 )
+from unicp.artifacts import load_sliced_weights, save_sliced_weights
 from unicp.linalg import frob, rel_l2
 from unicp.metrics import macs_full_attention, macs_sliced
 from unicp.model import AttentionWeights, BlockWeights, attention
-from unicp.pcas import (
-    compute_basis,
-    load_sliced_weights,
-    save_sliced_weights,
-    slice_weights,
-)
+from unicp.pcas import compute_basis, slice_weights
 from unicp.runner import CellExecutor
 
 
