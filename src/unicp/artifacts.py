@@ -13,13 +13,13 @@ from pathlib import Path
 import numpy as np
 
 from .dws import CacheMap, default_calib_steps
-from .model import ATTENTION_KINDS, SPEC_KEYS, ModelConfig
+from .model import ATTENTION_KINDS, KIND_AXES, SPEC_KEYS, ModelConfig
 from .pcas import SlicedWeights
 from .runner import DECISION_BY_LETTER, LETTER_MAP, LETTER_OUTPUT, LETTER_PRUNED
 
 BASELINE_STATE = "baseline_state.bin"
 BASELINE_TRACE = "baseline_trace.csv"
-BASELINE_LATENTS = "baseline_latents.bin"
+BASELINE_CAPTURES = "baseline_captures.bin"
 CACHE_MAP_FILE = "cache_map.txt"
 SLICED_WEIGHTS_FILE = "sliced_weights.bin"
 CALIBRATION_FILE = "calibration.csv"
@@ -30,7 +30,7 @@ HARNESS_REPORT = "harness_report.txt"
 QUALITY_REPORT = "quality_report.txt"
 
 STATE_MAGIC = b"UNICPST1\n"
-LATENTS_MAGIC = b"UNICPLT1\n"
+CAPTURES_MAGIC = b"UNICPCX1\n"
 SLICED_MAGIC = b"UNICPSW1\n"
 CACHE_MAP_MAGIC = "unicp-cache-map v2"
 CALIBRATION_HEADER = "block,kind,step,candidate_n,measured_error,accepted"
@@ -84,7 +84,7 @@ def write_container(path, magic: bytes, header: dict, arrays: list[np.ndarray]):
         fh.write(magic)
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         for a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(a, dtype="<f8"))
 
 
 def read_container(path, magic: bytes):
@@ -112,7 +112,8 @@ def read_container(path, magic: bytes):
 
 
 def _latents(path, payload: np.ndarray, cfg: ModelConfig, count: int) -> np.ndarray:
-    """`payload` as `count` latents of `cfg`, or ValueError naming `path`."""
+    """`payload` as `count` arrays of the shape of `cfg`'s latent, or
+    ValueError naming `path`."""
     shape = (count, cfg.num_frames, cfg.tokens_per_frame, cfg.model_dim)
     if payload.size != math.prod(shape):
         raise ValueError(f"{path}: payload holds {payload.size} values, "
@@ -130,22 +131,32 @@ def load_state(path):
     return _latents(path, payload, cfg, 1)[0].astype(np.float64), cfg
 
 
-def save_calib_latents(path, cfg: ModelConfig, latents: dict):
-    """Write the latents entering each calibration step of `cfg`, in step
-    order, under the model header plus `calib_steps` and the `crc32` of the
-    payload."""
+def _units(cfg: ModelConfig) -> list:
+    """Every (block, kind) attention unit of `cfg`, in sorted order."""
+    return sorted((b, kind) for b in range(cfg.num_blocks) for kind in ATTENTION_KINDS)
+
+
+def save_calib_captures(path, cfg: ModelConfig, captured: dict):
+    """Write the input stack of every attention unit of `cfg` at each of its
+    calibration steps, as `CellExecutor.captured` holds them: units in
+    sorted (block, kind) order, steps ascending within a unit. The header
+    is the model header plus `calib_steps` and the `crc32` of the payload."""
     steps = default_calib_steps(cfg.num_steps)
-    payload = np.stack([latents[step] for step in steps]).astype("<f8", copy=False)
-    write_container(path, LATENTS_MAGIC,
-                    dict(cfg.header(), calib_steps=steps, crc32=zlib.crc32(payload)), [payload])
+    arrays = [np.ascontiguousarray(captured[unit][step], dtype="<f8")
+              for unit in _units(cfg) for step in steps]
+    crc = 0
+    for a in arrays:
+        crc = zlib.crc32(a, crc)
+    write_container(path, CAPTURES_MAGIC, dict(cfg.header(), calib_steps=steps, crc32=crc),
+                    arrays)
 
 
-def load_calib_latents(path, cfg: ModelConfig) -> dict | None:
-    """step -> the latent entering it, as read-only views of the file, or
-    None when the file was made for another model or other calibration
-    steps. Raise ValueError naming `path` when it is malformed or its
-    payload does not match its checksum."""
-    header, payload = read_container(path, LATENTS_MAGIC)
+def load_calib_captures(path, cfg: ModelConfig) -> dict | None:
+    """(block, kind) -> {calibration step: input stack}, the stacks
+    read-only views of the file, or None when the file was made for another
+    model or other calibration steps. Raise ValueError naming `path` when it
+    is malformed or its payload does not match its checksum."""
+    header, payload = read_container(path, CAPTURES_MAGIC)
     require_keys(header, (*cfg.header(), "calib_steps", "crc32"), f"{path}: header")
     made_for = read_model_config(header, path)
     if not isinstance(header["calib_steps"], list):
@@ -153,10 +164,15 @@ def load_calib_latents(path, cfg: ModelConfig) -> dict | None:
     steps = [as_number(s, f"{path}: calib_steps") for s in header["calib_steps"]]
     if made_for != cfg or steps != default_calib_steps(cfg.num_steps):
         return None
-    values = _latents(path, payload, cfg, len(steps))
+    units = _units(cfg)
+    stacks = iter(_latents(path, payload, cfg, len(units) * len(steps)))
     if zlib.crc32(payload) != header["crc32"]:
         raise ValueError(f"{path}: payload does not match its crc32 {header['crc32']!r}")
-    return dict(zip(steps, values))
+    # Each stack holds a latent's values in its kind's axis order.
+    latent_shape = (cfg.num_frames, cfg.tokens_per_frame, cfg.model_dim)
+    shape = {kind: tuple(latent_shape[a] for a in KIND_AXES[kind]) for kind in ATTENTION_KINDS}
+    return {unit: {step: next(stacks).reshape(shape[unit[1]]) for step in steps}
+            for unit in units}
 
 
 def save_sliced_weights(path, sliced: dict, header_extra: dict):
@@ -293,7 +309,7 @@ def load_run_inputs(out_dir: Path, spec):
     replay without a map or the weights of a P cell raises
     MissingArtifactError; every other mismatch, ValueError."""
     cfg, key = spec.model, spec.key()
-    units = {(b, kind) for b in range(cfg.num_blocks) for kind in ATTENTION_KINDS}
+    units = set(_units(cfg))
     sliced = None
     sliced_path = out_dir / SLICED_WEIGHTS_FILE
     if sliced_path.exists():

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import (
-    BASELINE_LATENTS,
+    BASELINE_CAPTURES,
     BASELINE_STATE,
     BASELINE_TRACE,
     CACHE_MAP_FILE,
@@ -40,10 +40,10 @@ from .artifacts import (
     MissingArtifactError,
     cache_map_export,
     calibration_export,
-    load_calib_latents,
+    load_calib_captures,
     load_run_inputs,
     load_state,
-    save_calib_latents,
+    save_calib_captures,
     save_sliced_weights,
     save_state,
 )
@@ -163,12 +163,13 @@ def _start(args, names):
 
 
 def cmd_baseline(args) -> int:
-    spec, model, out_dir = _start(args, (BASELINE_STATE, BASELINE_TRACE, BASELINE_LATENTS,
+    spec, model, out_dir = _start(args, (BASELINE_STATE, BASELINE_TRACE, BASELINE_CAPTURES,
                                          "baseline_spec.json"))
-    latents = dict.fromkeys(default_calib_steps(spec.model.num_steps))
-    state, trace = denoise_run(spec.model, CellExecutor(model, drift=True), latents=latents)
+    executor = CellExecutor(model, drift=True,
+                            capture_steps=default_calib_steps(spec.model.num_steps))
+    state, trace = denoise_run(spec.model, executor)
     save_state(out_dir / BASELINE_STATE, state, spec.model)
-    save_calib_latents(out_dir / BASELINE_LATENTS, spec.model, latents)
+    save_calib_captures(out_dir / BASELINE_CAPTURES, spec.model, executor.captured)
     _write_text(out_dir / BASELINE_TRACE, trace_export(trace))
     _write_spec(out_dir, "baseline_spec.json", spec)
     print(f"baseline complete: steps={spec.model.num_steps} macs_total={trace.macs_total}")
@@ -178,12 +179,13 @@ def cmd_baseline(args) -> int:
 def cmd_calibrate(args) -> int:
     spec, model, out_dir = _start(args, (SLICED_WEIGHTS_FILE, CALIBRATION_FILE,
                                          "calibrate_spec.json"))
-    # A baseline of this model in --out kept the latents at the calibration
-    # steps, so calibration runs those steps alone.
-    latents_path = out_dir / BASELINE_LATENTS
-    latents = load_calib_latents(latents_path, spec.model) if latents_path.exists() else None
+    # A baseline of this model in --out captured the units' inputs at the
+    # calibration steps, so calibration runs no forward step.
+    captures_path = out_dir / BASELINE_CAPTURES
+    captured = (load_calib_captures(captures_path, spec.model) if captures_path.exists()
+                else None)
     result = dws_calibrate(model, spec.model, spec.scheduler,
-                           ratio_bounds=(spec.ratio_lo, spec.ratio_hi), latents=latents)
+                           ratio_bounds=(spec.ratio_lo, spec.ratio_hi), captured=captured)
     save_sliced_weights(out_dir / SLICED_WEIGHTS_FILE, result.sliced, spec.key())
     _write_text(out_dir / CALIBRATION_FILE, calibration_export(result.records))
     _write_spec(out_dir, "calibrate_spec.json", spec)

@@ -1,18 +1,18 @@
 """Dynamic weight shift: calibration, the cache map, and online dispatch.
 
-Calibration captures every unit's inputs at the calibration steps with
-all-F cells, fits a PCA basis per (block, attention-kind) unit from them,
+Calibration reads every unit's input stacks at the calibration steps of
+an all-F run, fits a PCA basis per (block, attention-kind) unit from them,
 and sweeps the retained width downward, one distinct width at a time,
-measuring every calibration step, until the unit's sliced output drifts
-past the error threshold at any of them (`sweep_widths`). A unit keeps
-the last width every step accepted, so its sliced output is within the
-threshold at every calibration step. Calibration yields the sliced
-weights and a record of every measurement (`calibration.csv`). The units
-are independent, so they are calibrated on one thread per usable CPU, and
-their results are kept in unit order. Given
-the latents a baseline run kept at the calibration steps
-(`baseline_latents.bin`), it runs just those steps; without them, one
-capture pass from step 0 up to the last calibration step.
+measuring every calibration step against full attention on the same
+inputs, until the unit's sliced output drifts past the error threshold at
+any of them (`sweep_widths`). A unit keeps the last width every step
+accepted, so its sliced output is within the threshold at every
+calibration step. Calibration yields the sliced weights and a record of
+every measurement (`calibration.csv`). The units are independent, so they
+are calibrated on one thread per usable CPU, and their results are kept in
+unit order. The inputs are the ones a baseline run captured
+(`baseline_captures.bin`), with no forward step; without them, one capture
+pass runs from step 0 up to the last calibration step.
 
 Online dispatch decides live per the cache-window scheduler (caching first,
 slicing as the fallback tier); replay is `runner.CellExecutor` reading a
@@ -177,17 +177,18 @@ def sweep_widths(measure, widths, steps, delta: float, m: int):
 def _calibrate_unit(model, cfg, sched, captured, unit, widths, calib_steps):
     block_idx, kind = unit
     w = attention_weights_for(model[block_idx], kind)
-    per_step = captured[unit]
-    instances = [x for step in calib_steps for x in per_step[step][0]]
-    rotation = compute_basis(instances)
+    x_by_step = captured[unit]
+    rotation = compute_basis([x_by_step[step] for step in calib_steps])
+    # The all-F run computed these outputs from the same inputs, bit for bit.
+    o_full = {step: attention(x_by_step[step], w)[0] for step in calib_steps}
     slices = {}  # n -> SlicedWeights, made when the sweep first reaches n
 
     def measure(step, n):
         if n not in slices:
             slices[n] = slice_weights(w, rotation, n)
-        x_stack, o_full = per_step[step]
-        o_sliced, _ = attention(x_stack, w, qk=(slices[n].wq_sliced, slices[n].wk_sliced))
-        return rel_l2(o_sliced, o_full)
+        o_sliced, _ = attention(x_by_step[step], w,
+                                qk=(slices[n].wq_sliced, slices[n].wk_sliced))
+        return rel_l2(o_sliced, o_full[step])
 
     final_n, errors = sweep_widths(measure, widths, calib_steps, sched.delta,
                                    cfg.model_dim)
@@ -201,41 +202,37 @@ def _calibrate_unit(model, cfg, sched, captured, unit, widths, calib_steps):
 
 
 def dws_calibrate(model, cfg: ModelConfig, sched: SchedulerConfig,
-                  ratio_bounds=(0.1, 0.4), latents: dict | None = None) -> CalibrationResult:
+                  ratio_bounds=(0.1, 0.4), captured: dict | None = None) -> CalibrationResult:
     """Calibrate per-unit pruning dimensions.
 
     Returns the sliced weights of each unit and the per-candidate
     calibration records. The cache map comes from an online run with these
-    weights (`OnlineDispatcher`). One loop of `denoise_step` captures the
-    units' inputs: `latents` maps each calibration step to the latent
-    entering it (as `artifacts.load_calib_latents` reads them), and with it
-    only those steps run; without it the loop runs from `init_latent` at
-    step 0 up to the last calibration step. Both capture the same bits.
-    `ratio_bounds` is the (lo, hi) pruned-fraction range `cli.build_spec`
-    has checked.
+    weights (`OnlineDispatcher`). `captured` maps each (block, kind) unit
+    to {calibration step: its input stack}, as a baseline's
+    `CellExecutor.captured` holds them and `artifacts.load_calib_captures`
+    reads them back; with it, no forward step runs. Without it, one loop of
+    `denoise_step` from `init_latent` at step 0 up to the last calibration
+    step captures the same bits. `ratio_bounds` is the (lo, hi)
+    pruned-fraction range `cli.build_spec` has checked.
     """
     # Imported here so that commands that never calibrate skip its cost.
     from concurrent.futures import ThreadPoolExecutor
 
     calib_steps = default_calib_steps(cfg.num_steps)
-    # Nothing reads its rings, so the capture pass keeps no attention map.
-    capture = CellExecutor(model, capture_steps=calib_steps)
-    if latents is None:
-        # Only the calibration steps' captures are read, so the loop stops
-        # at the last of them.
-        steps, state = range(max(calib_steps) + 1), init_latent(cfg)
-    else:
-        steps = calib_steps
-    for step in steps:
-        if latents is not None:
-            state = latents[step]
-        state = denoise_step(cfg, capture, state, step, RunTrace())
+    if captured is None:
+        # Nothing reads its rings, so the capture pass keeps no attention
+        # map, and it stops at the last calibration step.
+        capture = CellExecutor(model, capture_steps=calib_steps)
+        state = init_latent(cfg)
+        for step in range(max(calib_steps) + 1):
+            state = denoise_step(cfg, capture, state, step, RunTrace())
+        captured = capture.captured
 
     widths = candidate_widths(cfg.model_dim, *ratio_bounds)
     units = [(b, kind) for b in range(len(model)) for kind in ATTENTION_KINDS]
 
     def calibrate(unit):
-        return _calibrate_unit(model, cfg, sched, capture.captured, unit, widths, calib_steps)
+        return _calibrate_unit(model, cfg, sched, captured, unit, widths, calib_steps)
 
     # Units are independent and numpy's kernels release the GIL, so each
     # usable CPU sweeps one unit at a time. map yields in unit order,

@@ -111,26 +111,6 @@ def trace_export(trace: RunTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def trace_parse(text: str) -> RunTrace:
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != TRACE_HEADER:
-        raise ValueError("trace CSV is missing the expected header")
-    trace = RunTrace()
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 8:
-            raise ValueError(f"malformed trace row: {ln!r}")
-        step, block, kind, decision, window, d_out, d_map, macs = parts
-        trace.add(TraceRow(
-            step=int(step), block=int(block), kind=kind, decision=decision,
-            window=int(window) if window else None,
-            drift_output=float(d_out) if d_out else None,
-            drift_map=float(d_map) if d_map else None,
-            macs=int(macs),
-        ))
-    return trace
-
-
 # ---------------------------------------------------------------------------
 # Quality metrics.
 # ---------------------------------------------------------------------------
@@ -197,21 +177,35 @@ def ssim(a: np.ndarray, b: np.ndarray, dynamic_range: float) -> float:
     return float(np.mean(num / den))
 
 
+def _in_range(name: str, compute):
+    """compute(), or OverflowError naming `name` when a step of it overflows
+    float64 (numpy raises instead of warning) or its value is infinite."""
+    try:
+        with np.errstate(over="raise"):
+            value = compute()
+    except (FloatingPointError, OverflowError):
+        value = math.inf
+    if math.isinf(value):
+        raise OverflowError(f"{name} overflows float64 for these states")
+    return value
+
+
 def quality_report(reference: np.ndarray, candidate: np.ndarray) -> QualityReport:
     """PSNR/SSIM/relative-L2 of a candidate against a reference run.
 
     The PSNR peak and SSIM dynamic range are the reference's value range
     (max - min), falling back to 1.0 for a constant reference. SSIM is None
-    when the token count does not form a square grid.
+    when the token count does not form a square grid. A quantity that
+    overflows float64 raises OverflowError naming it.
     """
-    spread = float(np.max(reference) - np.min(reference))
+    spread = _in_range("peak", lambda: float(np.max(reference) - np.min(reference)))
     peak = spread if spread > 0 else 1.0
     tokens = reference.shape[1]
     square = math.isqrt(tokens) ** 2 == tokens
     return QualityReport(
-        psnr_db=psnr(candidate, reference, peak),
-        ssim=ssim(candidate, reference, peak) if square else None,
-        rel_l2=rel_l2(candidate, reference),
+        psnr_db=_in_range("psnr_db", lambda: psnr(candidate, reference, peak)),
+        ssim=_in_range("ssim", lambda: ssim(candidate, reference, peak)) if square else None,
+        rel_l2=_in_range("rel_l2", lambda: rel_l2(candidate, reference)),
         peak=peak,
     )
 

@@ -19,6 +19,9 @@ import numpy as np
 
 from .model import AttentionWeights
 
+# Instances per X^T X matmul in compute_basis.
+BATCH = 64
+
 
 @dataclass(frozen=True)
 class SlicedWeights:
@@ -27,16 +30,28 @@ class SlicedWeights:
     wk_sliced: np.ndarray  # m x n
 
 
-def compute_basis(calib_inputs: list[np.ndarray]) -> np.ndarray:
+def compute_basis(calib_inputs) -> np.ndarray:
     """The m x m rotation whose columns are the eigenvectors of sum(X^T X)
     over the calibration inputs, eigenvalues descending.
 
-    Each column's largest-magnitude entry is made positive, so reruns give
-    the same signs.
+    Each input is one (L, m) instance X or a stack (inst, L, m) of them,
+    summed in order. Each column's largest-magnitude entry is made positive,
+    so reruns give the same signs.
     """
-    # Each X^T X comes out exactly symmetric, so the lower triangle eigh
-    # reads is the whole covariance.
-    eigenvalues, v = np.linalg.eigh(sum(x.T @ x for x in calib_inputs))
+    # X^T X comes BATCH instances to one matmul. The running sum goes into
+    # the first product before the batch is summed along its first axis,
+    # which adds in order, so the total has the bits of a left-to-right sum
+    # of the single products. Each X^T X comes out exactly symmetric, so the
+    # lower triangle eigh reads is the whole covariance.
+    total = 0.0
+    for stack in calib_inputs:
+        stack = stack.reshape(-1, *stack.shape[-2:])
+        for lo in range(0, len(stack), BATCH):
+            x = stack[lo:lo + BATCH]
+            part = np.matmul(x.transpose(0, 2, 1), x)
+            part[0] += total
+            total = part.sum(axis=0)
+    eigenvalues, v = np.linalg.eigh(total)
     v = v[:, np.argsort(-eigenvalues, kind="stable")]
     lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
     return np.where(lead < 0, -v, v)

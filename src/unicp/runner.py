@@ -3,12 +3,13 @@
 Walks execution steps 0..T-1 (physical step t = T..1), conditioning the
 latent with a sinusoidal embedding of t, running every block through a
 `CellExecutor`, and applying x <- x - eta(t) * residual. `denoise_step` is
-the loop's one body, so a caller that holds the latent entering a step can
-run that step alone. The executor is the only code that evaluates an
+the loop's one body, so a caller can stop the loop early, as calibration's
+capture pass does. The executor is the only code that evaluates an
 attention cell, and it writes one trace row per unit; the driver appends
 one MLP row per block. The executor takes each cell's letter from a
 source: a cache map grid, F everywhere, or a subclass's online decide. The
-baseline is F everywhere with drifts.
+baseline is F everywhere with drifts, and it captures every unit's input
+stacks at the calibration steps.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ class CellExecutor:
     weights for every unit with a P. After an F, `decide` may turn the cell
     into P. With `drift`, an F cell records the relative distance of its
     output and map from the unit's previous F. At `capture_steps` the
-    cell's (x_stack, o_stack) goes into `captured[unit][step]`.
+    cell's input stack goes into `captured[unit][step]`: the inputs PCAS
+    calibration fits and sweeps on, which the baseline writes to disk.
     """
 
     def __init__(self, model, sliced_weights: dict | None = None, grid: dict | None = None,
@@ -88,7 +90,7 @@ class CellExecutor:
         self.grid = grid
         self.drift = drift
         self.capture_steps = set(capture_steps)
-        self.captured = {}  # (block, kind) -> {step: (x_stack, o_stack)}
+        self.captured = {}  # (block, kind) -> {step: x_stack}
         self.rings = {}  # (block, kind) -> deque of (step, AttentionResult)
 
     def letter(self, unit, step: int):
@@ -117,7 +119,7 @@ class CellExecutor:
         if letter != LETTER_FULL:
             o_stack, macs = self.execute_cell(letter, block_idx, kind, x_stack, step)
         if step in self.capture_steps:
-            self.captured.setdefault(unit, {})[step] = (x_stack, o_stack)
+            self.captured.setdefault(unit, {})[step] = x_stack
         row = TraceRow(step=step, block=block_idx, kind=kind,
                        decision=DECISION_BY_LETTER[letter], window=window,
                        drift_output=drift_o, drift_map=drift_m, macs=macs)
@@ -186,17 +188,14 @@ def denoise_step(cfg: ModelConfig, executor, state: np.ndarray, step: int,
     return state
 
 
-def denoise_run(cfg: ModelConfig, executor, latents: dict | None = None):
+def denoise_run(cfg: ModelConfig, executor):
     """Run the reverse loop over steps 0..T-1 and return (final latent, trace).
 
-    Each execution step that is a key of `latents` gets the latent entering
-    it as its value. The baseline is
-    `denoise_run(cfg, CellExecutor(model, drift=True))`.
+    The baseline is `denoise_run(cfg, CellExecutor(model, drift=True,
+    capture_steps=...))`, which also keeps the calibration inputs.
     """
     state = init_latent(cfg)
     trace = RunTrace()
     for step in range(cfg.num_steps):
-        if latents is not None and step in latents:
-            latents[step] = state
         state = denoise_step(cfg, executor, state, step, trace)
     return state, trace

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from unicp.dws import CalibrationRecord
-from unicp.metrics import SSIM_NA, QualityReport
+from unicp.metrics import SSIM_NA, TRACE_HEADER, QualityReport, RunTrace, TraceRow
 
 
 def ref_rel_norm(a, b):
@@ -248,6 +248,27 @@ def report_parse(text):
         rel_l2=float(kv["rel_l2"]),
         peak=float(kv["peak"]),
     )
+
+
+def trace_parse(text: str) -> RunTrace:
+    """Read a trace CSV document back into a RunTrace."""
+    lines = [ln for ln in text.splitlines() if ln]
+    if not lines or lines[0] != TRACE_HEADER:
+        raise ValueError("trace CSV is missing the expected header")
+    trace = RunTrace()
+    for ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != 8:
+            raise ValueError(f"malformed trace row: {ln!r}")
+        step, block, kind, decision, window, d_out, d_map, macs = parts
+        trace.add(TraceRow(
+            step=int(step), block=int(block), kind=kind, decision=decision,
+            window=int(window) if window else None,
+            drift_output=float(d_out) if d_out else None,
+            drift_map=float(d_map) if d_map else None,
+            macs=int(macs),
+        ))
+    return trace
 
 
 def calibration_parse(text):

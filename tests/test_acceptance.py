@@ -20,6 +20,7 @@ from oracles import (
     brute_force_cache_decision_at,
     reconstruction_error,
     ref_pca_basis,
+    trace_parse,
     window_spans_step,
 )
 from unicp.cli import main as cli_main
@@ -32,7 +33,6 @@ from unicp.metrics import (
     psnr,
     ssim,
     trace_export,
-    trace_parse,
 )
 from unicp.model import attention
 from unicp.pcas import compute_basis, slice_weights
@@ -170,7 +170,8 @@ def test_07_calibration_soundness(desk_cfg, desk_model, desk_calibrations):
                 if sw.n == desk_cfg.model_dim:
                     continue
                 w = attention_weights_for(desk_model[block], kind)
-                for step, (x_stack, o_full) in cap.captured[(block, kind)].items():
+                for step, x_stack in cap.captured[(block, kind)].items():
+                    o_full, _ = attention(x_stack, w)
                     o_sliced, _ = attention(x_stack, w, qk=(sw.wq_sliced, sw.wk_sliced))
                     err = rel_l2(o_sliced, o_full)
                     assert err <= sched.delta, (preset, block, kind, step, err)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oracles import attention_rows, calibration_parse, report_parse
+from oracles import attention_rows, calibration_parse, report_parse, trace_parse
 from unicp.artifacts import (
     cache_map_export,
     cache_map_parse,
@@ -22,7 +22,7 @@ from unicp.artifacts import (
 from unicp.cli import build_parser, build_spec, main
 from unicp.dws import CacheMap
 from unicp.edcw import SchedulerConfig
-from unicp.metrics import macs_full_attention, trace_parse
+from unicp.metrics import macs_full_attention
 from unicp.model import ModelConfig
 
 TINY_FLAGS = ["--blocks", "2", "--dim", "16", "--tokens", "16", "--frames", "2",
@@ -50,12 +50,14 @@ STATE_HEADER = {"blocks": 2, "dim": 16, "tokens": 16, "frames": 2, "steps": 8, "
 # The run parameters of a sliced-weight header that TINY_FLAGS accepts.
 SLICED_RUN_HEADER = {"model": STATE_HEADER, "delta": 0.05, "window": 4, "ratio_lo": 0.1,
                      "ratio_hi": 0.4}
-# The value count of the calibration latents a baseline at TINY_FLAGS writes,
-# three latents of 2 frames x 16 tokens x 16 channels, and their header for
-# an all-zero payload.
-LATENT_VALUES = 3 * 2 * 16 * 16
-LATENTS_HEADER = dict(STATE_HEADER, calib_steps=[0, 2, 5],
-                      crc32=zlib.crc32(bytes(8 * LATENT_VALUES)))
+# The value count of the calibration captures a baseline at TINY_FLAGS
+# writes, the input stacks of 2 blocks x 2 kinds at 3 steps, each holding a
+# latent's 2 frames x 16 tokens x 16 channels, and their header for an
+# all-zero payload. The calibrate tests named for latents cover this file:
+# it holds what the calibration steps read of the baseline's latents.
+CAPTURE_VALUES = 2 * 2 * 3 * 2 * 16 * 16
+CAPTURES_HEADER = dict(STATE_HEADER, calib_steps=[0, 2, 5],
+                       crc32=zlib.crc32(bytes(8 * CAPTURE_VALUES)))
 # A cache map with an empty grid whose run key TINY_FLAGS (default delta) accepts.
 CACHE_MAP_LINES = ["unicp-cache-map v2", json.dumps(SLICED_RUN_HEADER, sort_keys=True), "grid",
                    "final_n", "end"]
@@ -82,7 +84,7 @@ class TestBaseline:
         assert (out / "baseline_state.bin").exists()
         assert (out / "baseline_trace.csv").exists()
         assert (out / "baseline_spec.json").exists()
-        assert (out / "baseline_latents.bin").exists()
+        assert (out / "baseline_captures.bin").exists()
         assert "baseline complete" in capsys.readouterr().out
 
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -90,7 +92,7 @@ class TestBaseline:
         b = tmp_path / "b"
         run_cli("baseline", "--out", str(a), *TINY_FLAGS)
         run_cli("baseline", "--out", str(b), *TINY_FLAGS)
-        for name in ("baseline_state.bin", "baseline_trace.csv", "baseline_latents.bin",
+        for name in ("baseline_state.bin", "baseline_trace.csv", "baseline_captures.bin",
                      "baseline_spec.json"):
             assert read(a / name) == read(b / name)
 
@@ -205,15 +207,17 @@ class TestCalibrate:
 
         resumed, alone = tmp_path / "resumed", tmp_path / "alone"
         assert run_cli("baseline", "--out", str(resumed), *TINY_FLAGS) == 0
-        assert (resumed / "baseline_latents.bin").exists()
+        assert (resumed / "baseline_captures.bin").exists()
         capsys.readouterr()
         monkeypatch.setattr(unicp.dws, "denoise_step", recording_step)
         assert run_cli("calibrate", "--out", str(resumed), *TINY_FLAGS, *flags) == 0
-        monkeypatch.undo()
-        # No capture pass ran from step 0: only the calibration steps ran.
-        assert steps_run == LATENTS_HEADER["calib_steps"]
+        # Calibration read the captured inputs: no step ran.
+        assert steps_run == []
         resumed_out = capsys.readouterr().out
         assert run_cli("calibrate", "--out", str(alone), *TINY_FLAGS, *flags) == 0
+        monkeypatch.undo()
+        # Without a baseline, the capture pass ran up to the last calibration step.
+        assert steps_run == list(range(max(CAPTURES_HEADER["calib_steps"]) + 1))
         assert capsys.readouterr().out == resumed_out
         for name in ("sliced_weights.bin", "calibrate_spec.json"):
             assert read(resumed / name) == read(alone / name)
@@ -232,24 +236,24 @@ class TestCalibrate:
             assert read(out / name) == read(alone / name)
 
     @pytest.mark.parametrize("content, expected", [
-        (container(b"UNICPST1\n", LATENTS_HEADER, values=LATENT_VALUES), "bad magic"),
-        (b"UNICPLT1\n{blocks\n", "header is not JSON"),
-        (container(b"UNICPLT1\n", [2, 16], values=LATENT_VALUES), "header is not a JSON object"),
-        (container(b"UNICPLT1\n", {k: v for k, v in LATENTS_HEADER.items() if k != "seed"},
-                   values=LATENT_VALUES), "header lacks seed"),
-        (container(b"UNICPLT1\n", dict(LATENTS_HEADER, calib_steps=0), values=LATENT_VALUES),
+        (container(b"UNICPLT1\n", CAPTURES_HEADER, values=CAPTURE_VALUES), "bad magic"),
+        (b"UNICPCX1\n{blocks\n", "header is not JSON"),
+        (container(b"UNICPCX1\n", [2, 16], values=CAPTURE_VALUES), "header is not a JSON object"),
+        (container(b"UNICPCX1\n", {k: v for k, v in CAPTURES_HEADER.items() if k != "seed"},
+                   values=CAPTURE_VALUES), "header lacks seed"),
+        (container(b"UNICPCX1\n", dict(CAPTURES_HEADER, calib_steps=0), values=CAPTURE_VALUES),
          "calib_steps is 0, not a list"),
-        (container(b"UNICPLT1\n", LATENTS_HEADER, values=LATENT_VALUES - 1),
-         f"payload holds {LATENT_VALUES - 1} values, expected {LATENT_VALUES}"),
-        (container(b"UNICPLT1\n", LATENTS_HEADER, values=LATENT_VALUES)[:-1],
+        (container(b"UNICPCX1\n", CAPTURES_HEADER, values=CAPTURE_VALUES - 1),
+         f"payload holds {CAPTURE_VALUES - 1} values, expected {CAPTURE_VALUES}"),
+        (container(b"UNICPCX1\n", CAPTURES_HEADER, values=CAPTURE_VALUES)[:-1],
          "payload is not whole float64 values"),
-        (container(b"UNICPLT1\n", LATENTS_HEADER)
-         + np.full(LATENT_VALUES, np.nan).astype("<f8").tobytes(),
+        (container(b"UNICPCX1\n", CAPTURES_HEADER)
+         + np.full(CAPTURE_VALUES, np.nan).astype("<f8").tobytes(),
          "payload holds non-finite values"),
     ], ids=["bad-magic", "header-not-json", "header-not-object", "header-lacks-key",
             "calib-steps-not-list", "short-payload", "ragged-payload", "nan-payload"])
     def test_malformed_latents_exit_2(self, tmp_path, capsys, content, expected):
-        path = tmp_path / "baseline_latents.bin"
+        path = tmp_path / "baseline_captures.bin"
         path.write_bytes(content)
         assert run_cli("calibrate", "--out", str(tmp_path), *TINY_FLAGS) == 2
         captured = capsys.readouterr()
@@ -264,10 +268,10 @@ class TestCalibrate:
             raise AssertionError("a step ran")
 
         assert run_cli("baseline", "--out", str(tmp_path), *TINY_FLAGS) == 0
-        path = tmp_path / "baseline_latents.bin"
+        path = tmp_path / "baseline_captures.bin"
         data = bytearray(path.read_bytes())
-        # The lowest mantissa bit of the first latent value: still finite.
-        data[len(data) - 8 * LATENT_VALUES] ^= 1
+        # The lowest mantissa bit of the first captured value: still finite.
+        data[len(data) - 8 * CAPTURE_VALUES] ^= 1
         path.write_bytes(bytes(data))
         monkeypatch.setattr(unicp.dws, "denoise_step", no_step)
         capsys.readouterr()
@@ -752,7 +756,7 @@ class TestExitCodes:
         paths["dir"].mkdir()
         paths["file"].write_text("")
         paths["state"].write_bytes(container(b"UNICPST1\n", STATE_HEADER, values=2 * 16 * 16))
-        outputs = ["baseline_latents.bin", "harness_report.txt", "quality_report.txt",
+        outputs = ["baseline_captures.bin", "harness_report.txt", "quality_report.txt",
                    "run_trace.csv"]
         for name in outputs:
             (paths["busy"] / name).mkdir(parents=True)
@@ -990,7 +994,25 @@ class TestCompare:
         path.write_bytes(container(b"UNICPST1\n", STATE_HEADER)
                          + values.astype("<f8").tobytes())
         assert run_cli("compare", str(path), str(path)) == 4
-        assert "error: " in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: ssim overflows float64 for these states\n"
+
+    def test_squared_difference_that_overflows_exits_4(self, tmp_path, capsys):
+        # pytest turns a numpy warning into an exception that escapes main,
+        # so exit 4 here also means no warning was printed.
+        flags = ["--blocks", "1", "--dim", "8", "--tokens", "4", "--frames", "2", "--steps", "4"]
+        assert run_cli("baseline", "--out", str(tmp_path), *flags) == 0
+        assert run_cli("run", "--mode", "online", "--out", str(tmp_path), *flags) == 0
+        path = tmp_path / "baseline_state.bin"
+        data = bytearray(path.read_bytes())
+        first = len(data) - 8 * 2 * 4 * 8
+        data[first:first + 8] = np.array([1e300]).astype("<f8").tobytes()
+        path.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert run_cli("compare", str(path), str(tmp_path / "run_state.bin"),
+                       "--out", str(tmp_path)) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "error: psnr_db overflows float64 for these states\n"
+        assert captured.out == "" and not (tmp_path / "quality_report.txt").exists()
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_non_finite_state_exits_2(self, tmp_path, capsys, bad):

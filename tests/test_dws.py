@@ -9,8 +9,8 @@ from oracles import (attention_rows, drive_unit, exhaustive_n_sweep, ref_width_s
 from unicp.artifacts import (
     cache_map_export,
     cache_map_parse,
-    load_calib_latents,
-    save_calib_latents,
+    load_calib_captures,
+    save_calib_captures,
 )
 from unicp.dws import (
     CacheMap,
@@ -24,7 +24,7 @@ from unicp.dws import (
 from unicp.edcw import SchedulerConfig
 from unicp.linalg import rel_l2
 from unicp.metrics import RunTrace, macs_full_attention, macs_map_reuse, macs_sliced, macs_mlp
-from unicp.model import ATTENTION_KINDS, ModelConfig, attention_weights_for, init_model
+from unicp.model import ATTENTION_KINDS, ModelConfig, attention, attention_weights_for, init_model
 from unicp.runner import CellExecutor, denoise_run, forward_blocks
 
 
@@ -49,23 +49,23 @@ def count_capture_steps(monkeypatch):
 
 
 def assert_same_captures(got, want, calib_steps):
-    """Both executors captured the same inputs and outputs at exactly the
+    """Both capture maps hold the same input stacks at exactly the
     calibration steps, bit for bit."""
-    assert got.captured.keys() == want.captured.keys()
-    for unit, per_step in want.captured.items():
-        assert sorted(got.captured[unit]) == calib_steps == sorted(per_step)
-        for step, (x_stack, o_stack) in per_step.items():
-            got_x, got_o = got.captured[unit][step]
-            assert np.array_equal(got_x, x_stack) and np.array_equal(got_o, o_stack)
+    assert got.keys() == want.keys()
+    for unit, per_step in want.items():
+        assert sorted(got[unit]) == calib_steps == sorted(per_step)
+        for step, x_stack in per_step.items():
+            assert got[unit][step].shape == x_stack.shape
+            assert got[unit][step].tobytes() == x_stack.tobytes()
 
 
-def write_baseline_latents(cfg, model, path):
-    """Write the latents a baseline run keeps at the calibration steps, as
-    `baseline` does, and return them."""
-    kept = dict.fromkeys(default_calib_steps(cfg.num_steps))
-    denoise_run(cfg, CellExecutor(model, drift=True), latents=kept)
-    save_calib_latents(path, cfg, kept)
-    return kept
+def write_baseline_captures(cfg, model, path):
+    """Write the unit inputs a baseline run captures at the calibration
+    steps, as `baseline` does, and return them."""
+    executor = CellExecutor(model, drift=True, capture_steps=default_calib_steps(cfg.num_steps))
+    denoise_run(cfg, executor)
+    save_calib_captures(path, cfg, executor.captured)
+    return executor.captured
 
 
 def tiny(**overrides):
@@ -124,9 +124,8 @@ class TestCalibrate:
         denoise_run(tiny_cfg, cap)
         for (block, kind), sw in calib.sliced.items():
             w = attention_weights_for(tiny_model[block], kind)
-            per_step = cap.captured[(block, kind)]
-            x_by_step = {s: per_step[s][0] for s in per_step}
-            o_by_step = {s: per_step[s][1] for s in per_step}
+            x_by_step = cap.captured[(block, kind)]
+            o_by_step = {s: attention(x, w)[0] for s, x in x_by_step.items()}
             oracle_n = exhaustive_n_sweep(x_by_step, o_by_step, w.w_q, w.w_k,
                                           w.w_v, w.w_o, sched.delta, n_candidates)
             assert sw.n == oracle_n, (block, kind)
@@ -140,25 +139,37 @@ class TestCalibrate:
         # The sweep reads only the captures, so the capture keeps no F result.
         assert not any(capture.rings.values())
         assert max(calib_steps) + 1 < tiny_cfg.num_steps
-        # A full-length capture run sees the same inputs and outputs, bit for bit.
+        # A full-length capture run sees the same inputs, bit for bit.
         full = CellExecutor(tiny_model, capture_steps=calib_steps)
         denoise_run(tiny_cfg, full)
-        assert_same_captures(capture, full, calib_steps)
+        assert_same_captures(capture.captured, full.captured, calib_steps)
 
-    def test_resumed_capture_runs_only_the_calibration_steps(self, tiny_cfg, tiny_model,
-                                                             monkeypatch, tmp_path):
+    def test_resumed_calibration_runs_no_step(self, tiny_cfg, tiny_model, monkeypatch,
+                                              tmp_path):
+        import unicp.dws
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran")
+
         calib_steps = default_calib_steps(tiny_cfg.num_steps)
-        write_baseline_latents(tiny_cfg, tiny_model, tmp_path / "latents.bin")
-        latents = load_calib_latents(tmp_path / "latents.bin", tiny_cfg)
+        write_baseline_captures(tiny_cfg, tiny_model, tmp_path / "captures.bin")
+        captured = load_calib_captures(tmp_path / "captures.bin", tiny_cfg)
         made = count_capture_steps(monkeypatch)
         sched = SchedulerConfig(delta=0.075, search_window=4)
-        resumed = dws_calibrate(tiny_model, tiny_cfg, sched, latents=latents)
+        with monkeypatch.context() as mp:
+            mp.setattr(unicp.dws, "denoise_step", no_step)
+            resumed = dws_calibrate(tiny_model, tiny_cfg, sched, captured=captured)
+        assert made == []
         standalone = dws_calibrate(tiny_model, tiny_cfg, sched)
-        resumed_capture, standalone_capture = made
-        assert resumed_capture.steps_run == set(calib_steps)
+        (standalone_capture,) = made
         assert standalone_capture.steps_run == set(range(max(calib_steps) + 1))
-        assert_same_captures(resumed_capture, standalone_capture, calib_steps)
+        assert_same_captures(captured, standalone_capture.captured, calib_steps)
         assert resumed.records == standalone.records
+        for unit, sw in standalone.sliced.items():
+            got = resumed.sliced[unit]
+            assert got.n == sw.n
+            assert got.wq_sliced.tobytes() == sw.wq_sliced.tobytes()
+            assert got.wk_sliced.tobytes() == sw.wk_sliced.tobytes()
 
     def test_unit_finishing_last_changes_no_output(self, tiny_cfg, tiny_model, monkeypatch):
         import threading
@@ -216,16 +227,25 @@ class TestCalibrate:
         with pytest.raises(SweepError, match="block 1 temporal"):
             dws_calibrate(tiny_model, tiny_cfg, SchedulerConfig(delta=0.075, search_window=4))
 
-    def test_latents_read_back_as_views_for_their_model_only(self, tiny_cfg, tiny_model, tmp_path):
-        path = tmp_path / "latents.bin"
-        kept = write_baseline_latents(tiny_cfg, tiny_model, path)
-        latents = load_calib_latents(path, tiny_cfg)
-        assert sorted(latents) == default_calib_steps(tiny_cfg.num_steps)
-        for step, latent in latents.items():
-            assert np.array_equal(latent, kept[step])
-            assert not latent.flags.owndata and not latent.flags.writeable
+    def test_captures_read_back_as_views_for_their_model_only(self, tiny_cfg, tiny_model,
+                                                              tmp_path):
+        path = tmp_path / "captures.bin"
+        kept = write_baseline_captures(tiny_cfg, tiny_model, path)
+        captured = load_calib_captures(path, tiny_cfg)
+        calib_steps = default_calib_steps(tiny_cfg.num_steps)
+        assert list(captured) == sorted(kept)
+        assert_same_captures(captured, kept, calib_steps)
+        for per_step in captured.values():
+            assert list(per_step) == calib_steps
+            for x_stack in per_step.values():
+                assert not x_stack.flags.owndata and not x_stack.flags.writeable
+        # Units go in sorted (block, kind) order and steps ascend: the file
+        # is the stacks' bytes in that order after its header line.
+        payload = b"".join(kept[unit][step].tobytes() for unit in sorted(kept)
+                           for step in calib_steps)
+        assert path.read_bytes().endswith(b"}\n" + payload)
         for other in (tiny(seed=8), tiny(num_steps=10), tiny(num_frames=4)):
-            assert load_calib_latents(path, other) is None
+            assert load_calib_captures(path, other) is None
 
     def test_records_mark_acceptance_against_threshold(self, tiny_calibration):
         sched, calib, _ = tiny_calibration
@@ -236,7 +256,6 @@ class TestCalibrate:
     def test_threshold_soundness_at_calibration_steps(self, tiny_calibration, tiny_cfg, tiny_model):
         # Post-hoc recomputation: the final sliced weights stay within delta
         # of full compute at every calibration step.
-        from unicp.model import attention
         sched, calib, _ = tiny_calibration
         cap = CellExecutor(tiny_model, capture_steps=default_calib_steps(tiny_cfg.num_steps))
         denoise_run(tiny_cfg, cap)
@@ -244,7 +263,8 @@ class TestCalibrate:
             if sw.n == tiny_cfg.model_dim:
                 continue
             w = attention_weights_for(tiny_model[block], kind)
-            for step, (x_stack, o_full) in cap.captured[(block, kind)].items():
+            for step, x_stack in cap.captured[(block, kind)].items():
+                o_full, _ = attention(x_stack, w)
                 o_sliced, _ = attention(x_stack, w, qk=(sw.wq_sliced, sw.wk_sliced))
                 assert rel_l2(o_sliced, o_full) <= sched.delta
 
@@ -464,7 +484,6 @@ class TestOnlineRing:
     def test_map_hit_serves_the_arming_map(self, tiny_cfg, tiny_model, monkeypatch):
         import unicp.dws
         from unicp.edcw import Decision, DecisionKind
-        from unicp.model import attention
         hit = Decision(kind=DecisionKind.REUSE_MAP, window=3)
         monkeypatch.setattr(unicp.dws, "edcw_decide", lambda history, current, step, cfg: hit)
         online = OnlineDispatcher(tiny_model, SchedulerConfig(delta=0.0, search_window=3))

@@ -2,7 +2,7 @@
 
 Each case truncates, flips a byte of, deletes a span of or duplicates a span
 of one input of one command: the sliced weights (read by an online run and
-by a replay), the cache map, a state file or the calibration latents. Five
+by a replay), the cache map, a state file or the calibration captures. Five
 readers, four mutations and 20 cases each make 400 mutated runs. A mutated
 file may still be a valid one (a flipped payload digit), so exit 0 is
 allowed; anything else must be a documented exit code, and no exception may
@@ -33,7 +33,8 @@ def reader(name, d):
         "baseline_state.bin": ("baseline_state.bin",
                                ["compare", str(d / "baseline_state.bin"),
                                 str(d / "run_state.bin")]),
-        "baseline_latents.bin": ("baseline_latents.bin",
+        # Named for the baseline's calibration inputs, kept as unit captures.
+        "baseline_latents.bin": ("baseline_captures.bin",
                                  ["calibrate", "--out", str(d), *TINY_FLAGS]),
     }[name]
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import ref_mse, ref_ssim, report_parse
+from oracles import ref_mse, ref_ssim, report_parse, trace_parse
 from unicp.metrics import (
     PSNR_CAP_DB,
     QualityReport,
@@ -17,7 +17,6 @@ from unicp.metrics import (
     report_export,
     ssim,
     trace_export,
-    trace_parse,
 )
 
 
@@ -164,6 +163,16 @@ class TestQualityReport:
         assert rep.ssim == 1.0
         assert rep.rel_l2 == 0.0
         assert rep.peak == pytest.approx(float(x.max() - x.min()))
+
+    @pytest.mark.parametrize("reference, candidate, quantity", [
+        (np.array([[[1.7e308]], [[-1.7e308]]]), np.zeros((2, 1, 1)), "peak"),
+        (np.zeros((1, 4, 2)), np.full((1, 4, 2), 1e200), "psnr_db"),
+        (np.full((1, 4, 2), 1e200), np.full((1, 4, 2), 1e200), "ssim"),
+    ], ids=["peak", "psnr", "ssim"])
+    def test_overflow_raises_naming_the_quantity(self, reference, candidate, quantity):
+        # No numpy warning either: pytest would turn it into an error.
+        with pytest.raises(OverflowError, match=f"^{quantity} overflows float64 for these states$"):
+            quality_report(reference, candidate)
 
     def test_report_document_round_trip(self):
         rep = QualityReport(psnr_db=23.5, ssim=0.875, rel_l2=0.0625,

@@ -79,6 +79,18 @@ class TestComputeBasis:
         assert np.allclose(np.abs(basis[:, 1]), [inv_sqrt2, inv_sqrt2], atol=1e-10)
         assert abs(float(basis[:, 0] @ basis[:, 1])) < 1e-12
 
+    @pytest.mark.parametrize("shape", [(130, 3, 5), (8, 64, 16)], ids=["batches", "one-batch"])
+    def test_stacks_give_the_bits_of_a_one_by_one_sum(self, shape):
+        # X^T X goes BATCH (64) instances to a product, and the products
+        # must add in the order of a plain loop over the instances.
+        rng = np.random.default_rng(12)
+        stacks = [rng.standard_normal(shape) for _ in range(3)]
+        instances = [x for stack in stacks for x in stack]
+        basis = compute_basis(stacks)
+        assert basis.tobytes() == compute_basis(instances).tobytes()
+        _, loop_vectors = ref_pca_basis(instances)
+        assert np.abs(basis).tobytes() == np.abs(loop_vectors).tobytes()
+
     def test_sign_convention_is_deterministic(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((10, 6))

@@ -63,12 +63,13 @@ class TestRing:
 
     def test_capture_ring_keeps_nothing(self):
         # Nothing reads a capture pass's ring, so it holds no F result.
-        executor, w, xs = executor_and_stacks(3, capture_steps=(0, 2))
+        executor, _, xs = executor_and_stacks(3, capture_steps=(0, 2))
         for step, x in enumerate(xs):
             executor.run_unit(*UNIT, x, step)
             assert not executor.rings[UNIT]
+        # A capture is the cell's input stack itself, not a copy.
         assert sorted(executor.captured[UNIT]) == [0, 2]
-        assert np.array_equal(executor.captured[UNIT][2][1], attention(xs[2], w)[0])
+        assert executor.captured[UNIT][0] is xs[0] and executor.captured[UNIT][2] is xs[2]
 
     def test_reuse_cells_serve_the_newest_entry(self):
         executor, w, xs = executor_and_stacks(4, grid={UNIT: list("FFOM")})
