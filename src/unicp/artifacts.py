@@ -281,6 +281,8 @@ def cache_map_parse(text: str) -> CacheMap:
         i += 1
     if i >= len(lines):
         raise ValueError("cache map is missing its end marker")
+    if i + 1 < len(lines):
+        raise ValueError(f"cache map has a line after its end marker: {lines[i + 1]!r}")
     return cmap
 
 

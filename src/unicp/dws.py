@@ -236,8 +236,11 @@ def dws_calibrate(model, cfg: ModelConfig, sched: SchedulerConfig,
 
     # Units are independent and numpy's kernels release the GIL, so each
     # usable CPU sweeps one unit at a time. map yields in unit order,
-    # whatever order the units finish in.
-    with ThreadPoolExecutor(min(len(units), len(os.sched_getaffinity(0)))) as pool:
+    # whatever order the units finish in. macOS and Windows have no
+    # sched_getaffinity.
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    with ThreadPoolExecutor(min(len(units), cpus)) as pool:
         results = list(pool.map(calibrate, units))
     return CalibrationResult(sliced={unit: sw for unit, (sw, _) in zip(units, results)},
                              records=[r for _, unit_records in results for r in unit_records])

@@ -12,9 +12,11 @@ import numpy as np
 # Relative-norm floor: rel_l2 divides by max(||ref||, EPS_NORM).
 EPS_NORM = 1e-12
 
-# rel_l2 works in slices of this many elements: 512 KiB of float64, small
-# enough to stay in a typical L2 cache.
-BLOCK = 1 << 16
+# rel_l2 works in slices of this many elements. OpenBLAS splits a single
+# ddot across threads once it has more than 4096 to 16384 elements, which
+# moves the sum's last bits with the BLAS thread count; at 8192 elements
+# the dot stays on one thread.
+BLOCK = 1 << 13
 
 
 def frob(a) -> float:

