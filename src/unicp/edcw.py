@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .linalg import rel_l2
+from .linalg import rel_l2_at_most
 from .model import AttentionResult
 
 
@@ -51,15 +51,17 @@ def edcw_decide(history, current: AttentionResult, step: int,
     absent distances are skipped, so the first steps of a run cannot match
     at the full window. Scans the distances present in 1..K, largest first,
     on the output tier, then on the map tier; the first hit (largest k)
-    wins. A miss on both tiers defers to pruning.
+    wins. A miss on both tiers defers to pruning. Each distance stops as
+    soon as it exceeds delta, and each reference's norm is summed once per
+    ring entry (`AttentionResult.output_sq`, `map_sq`).
     """
     by_distance = {step - s: result for s, result in history}
     candidates = [(k, by_distance[k]) for k in sorted(by_distance, reverse=True)
                   if 1 <= k <= cfg.search_window]
     for k, candidate in candidates:
-        if rel_l2(current.output, candidate.output) <= cfg.delta:
+        if rel_l2_at_most(current.output, candidate.output, cfg.delta, candidate.output_sq):
             return Decision(kind=DecisionKind.REUSE_OUTPUT, window=k)
     for k, candidate in candidates:
-        if rel_l2(current.map, candidate.map) <= cfg.delta:
+        if rel_l2_at_most(current.map, candidate.map, cfg.delta, candidate.map_sq):
             return Decision(kind=DecisionKind.REUSE_MAP, window=k)
     return Decision(kind=DecisionKind.PRUNED)

@@ -29,20 +29,21 @@ SSIM_NA = "n/a"
 # ---------------------------------------------------------------------------
 
 def macs_full_attention(s: int, m: int) -> int:
-    """Q, K, V, output projections plus the two score/value matmuls."""
-    return 4 * s * m * m + 2 * s * s * m
+    """Q, K and the folded value-output projections, plus the two
+    score/value matmuls."""
+    return 3 * s * m * m + 2 * s * s * m
 
 
 def macs_sliced(s: int, m: int, n: int) -> int:
     """Sliced Q/K projections and scores; full value path."""
     if n > m:
         raise ValueError(f"retained dimension n={n} exceeds width m={m}")
-    return 2 * s * m * n + 2 * s * m * m + s * s * n + s * s * m
+    return 2 * s * m * n + s * m * m + s * s * n + s * s * m
 
 
 def macs_map_reuse(s: int, m: int) -> int:
-    """Value projection, map application, output projection."""
-    return 2 * s * m * m + s * s * m
+    """Folded value-output projection and map application."""
+    return s * m * m + s * s * m
 
 
 def macs_output_reuse() -> int:

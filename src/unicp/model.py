@@ -11,11 +11,13 @@ Weights are regenerated deterministically from the config seed.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import sq_norm
 from .metrics import macs_mlp
 
 # Step-size schedule: large at both ends of the run, small in the middle, so
@@ -75,6 +77,12 @@ class AttentionWeights:
     w_k: np.ndarray
     w_v: np.ndarray
     w_o: np.ndarray
+    # The value and output projections folded into one m x m matrix, formed
+    # once here, so the value path of every cell is one projection.
+    w_vo: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "w_vo", self.w_v @ self.w_o)
 
 
 @dataclass(frozen=True)
@@ -98,6 +106,16 @@ class AttentionResult:
 
     map: np.ndarray  # [inst x] seq x seq
     output: np.ndarray  # [inst x] seq x m
+
+    # Squared norms for the decide, which reads a result as the reference
+    # of up to K distances per tier: each is summed once, when first read.
+    @functools.cached_property
+    def map_sq(self) -> float:
+        return sq_norm(self.map)
+
+    @functools.cached_property
+    def output_sq(self) -> float:
+        return sq_norm(self.output)
 
 
 # Each attention kind, in execution order within a block, and the axis order
@@ -164,9 +182,10 @@ def attention(x_stack: np.ndarray, w: AttentionWeights, qk=None, amap=None):
     Returns (o_stack, a_stack). `qk=(wq_sliced, wk_sliced)` computes the
     scores from the PCAS-sliced query/key projections; `amap` reuses a cached
     map and skips Q/K entirely. Scores keep the full-width 1/sqrt(m) scale,
-    so slicing at n = m reproduces full attention. A single (L, m) instance
-    works as well. MACs are not computed here: the closed forms in
-    `metrics` are the only accounting.
+    so slicing at n = m reproduces full attention. Every path applies the
+    map to x @ w.w_vo, the value and output projections in one product. A
+    single (L, m) instance works as well. MACs are not computed here: the
+    closed forms in `metrics` are the only accounting.
     """
     if amap is None:
         wq, wk = qk if qk is not None else (w.w_q, w.w_k)
@@ -189,28 +208,41 @@ def attention(x_stack: np.ndarray, w: AttentionWeights, qk=None, amap=None):
             amap -= amap.max(axis=-1, keepdims=True)
         np.exp(amap, out=amap)
         amap /= amap.sum(axis=-1, keepdims=True)
-    return (amap @ (x_stack @ w.w_v)) @ w.w_o, amap
+    return amap @ (x_stack @ w.w_vo), amap
+
+
+# The tanh GELU 0.5 * h * (1 + tanh(sqrt(2/pi) * (h + 0.044715 * h^3))) is
+# h / (1 + exp(h * (GELU_C0 + GELU_C1 * h^2))).
+GELU_C0 = -2.0 * math.sqrt(2.0 / math.pi)
+GELU_C1 = 0.044715 * GELU_C0
+
+
+def gelu_in_place(h: np.ndarray) -> np.ndarray:
+    """The tanh GELU of h, written over h, in its exp form: numpy's exp
+    costs well under half its tanh. Returns h.
+
+    Overflow is harmless here. Far below zero the exponent is +inf, and
+    h / inf is the -0 the GELU tends to; far above zero it is -inf, and
+    the quotient is h.
+    """
+    with np.errstate(over="ignore"):
+        g = h * h
+        g *= GELU_C1
+        g += GELU_C0
+        g *= h
+        np.exp(g, out=g)
+    g += 1.0
+    return np.divide(h, g, out=h)
 
 
 def mlp_forward(x: np.ndarray, w: MlpWeights) -> np.ndarray:
-    """Two-layer MLP with a smooth GELU-style nonlinearity.
-
-    The GELU, 0.5 * h * (1 + tanh(sqrt(2/pi) * (h + 0.044715 * h^3))), runs
-    in place on two buffers and cubes by multiplication: `h ** 3` goes to
-    libm `pow`, which costs more than both matmuls together.
-    """
+    """Two-layer MLP with the tanh-approximated GELU, which runs in place
+    on the hidden activations and one buffer of their size."""
     h = x @ w.w1
     h += w.b1
-    g = h * h
-    g *= h
-    g *= 0.044715
-    g += h
-    g *= np.sqrt(2.0 / np.pi)
-    np.tanh(g, out=g)
-    g += 1.0
-    g *= h
-    g *= 0.5
-    return g @ w.w2 + w.b2
+    out = gelu_in_place(h) @ w.w2
+    out += w.b2
+    return out
 
 
 def unit_input_stack(state: np.ndarray, kind: str) -> np.ndarray:

@@ -6,9 +6,9 @@ top-n eigendirections and folding the truncated rotation into W_q and W_k
 shrinks the score matmul from s x m by m x s to s x n by n x s. Because the
 rotation is orthonormal and truncation only drops trailing columns, the
 scores computed in the reduced space equal the scores of the reconstructed
-full-width queries and keys, so no reconstruction happens at inference. V
-and the output projection are never sliced. Sliced attention itself is
-`model.attention` called with `qk=(wq_sliced, wk_sliced)`.
+full-width queries and keys, so no reconstruction happens at inference.
+The folded value-output projection W_v W_o is never sliced. Sliced
+attention itself is `model.attention` called with `qk=(wq_sliced, wk_sliced)`.
 """
 
 from __future__ import annotations

@@ -25,7 +25,8 @@ from unicp.artifacts import (
 )
 from unicp.cli import build_parser, build_spec, main
 from unicp.dws import CacheMap
-from unicp.edcw import SchedulerConfig
+from unicp.edcw import Decision, DecisionKind, SchedulerConfig
+from unicp.linalg import rel_l2
 from unicp.metrics import macs_full_attention
 from unicp.model import ModelConfig
 
@@ -340,7 +341,42 @@ class TestCalibrate:
         assert captured.out == "" and not (tmp_path / "sliced_weights.bin").exists()
 
 
+def full_distance_decide(history, current, step, cfg):
+    """`edcw_decide` with every distance computed in full by rel_l2."""
+    by_distance = {step - s: result for s, result in history}
+    windows = [k for k in range(cfg.search_window, 0, -1) if k in by_distance]
+    for kind, tier in ((DecisionKind.REUSE_OUTPUT, "output"), (DecisionKind.REUSE_MAP, "map")):
+        for k in windows:
+            if rel_l2(getattr(current, tier), getattr(by_distance[k], tier)) <= cfg.delta:
+                return Decision(kind=kind, window=k)
+    return Decision(kind=DecisionKind.PRUNED)
+
+
 class TestRun:
+    def test_online_run_computes_no_rel_l2(self, tmp_path, monkeypatch):
+        # The decide stops each distance at delta and decides as rel_l2
+        # would: its map is the one a decide of full distances writes.
+        import unicp.dws
+        out = tmp_path / "o"
+        spec = [*TINY_FLAGS, "--preset", "E3", "--out", str(out)]
+        assert run_cli("calibrate", *spec) == 0
+        with monkeypatch.context() as mp:
+            mp.setattr(unicp.dws, "edcw_decide", full_distance_decide)
+            assert run_cli("run", "--mode", "online", *spec) == 0
+        expected = read(out / "cache_map.txt")
+        letters = {c for row in cache_map_parse(expected.decode()).grid.values() for c in row}
+        assert letters == set("FOMP")
+
+        def no_rel_l2(a, b):
+            raise AssertionError("an online run computed rel_l2")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "unicp" and getattr(module, "rel_l2", None) is rel_l2:
+                monkeypatch.setattr(module, "rel_l2", no_rel_l2)
+        (out / "cache_map.txt").unlink()
+        assert run_cli("run", "--mode", "online", *spec) == 0
+        assert read(out / "cache_map.txt") == expected
+
     def test_zero_delta_without_artifacts_matches_baseline_bytes(self, tmp_path):
         base = tmp_path / "base"
         run_out = tmp_path / "run"

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
+import unicp.model
 from oracles import brute_force_cache_decision_at, drive_unit, unit_letters
 from unicp.dws import OnlineDispatcher
 from unicp.edcw import DecisionKind, SchedulerConfig, edcw_decide
+from unicp.linalg import BLOCK, rel_l2
 from unicp.model import AttentionResult
 
 
@@ -114,6 +118,44 @@ class TestDecide:
         decision = edcw_decide(history, result_from(base.output.copy()), step=3, cfg=sched)
         assert decision.kind is DecisionKind.REUSE_OUTPUT
         assert decision.window == 3
+
+
+class TestStopAtDelta:
+    def test_output_distance_equal_to_delta_arms_the_full_window(self):
+        # Outputs of three slices; at k = K the output distance is exactly
+        # delta, every other distance on either tier is far above it.
+        rng = np.random.default_rng(8)
+        K = 3
+        out = rng.standard_normal((3, BLOCK))
+        near = result_from(out + rng.standard_normal(out.shape) * 1e-3, rng_dirichlet(rng))
+        far = [result_from(out * 3.0, rng_dirichlet(rng)) for _ in range(K - 1)]
+        history = history_of([near, *far])
+        current = result_from(out, rng_dirichlet(rng))
+        delta = rel_l2(current.output, near.output)
+        at = SchedulerConfig(delta=delta, search_window=K)
+        below = SchedulerConfig(delta=math.nextafter(delta, 0.0), search_window=K)
+        decision = edcw_decide(history, current, step=K, cfg=at)
+        assert (decision.kind, decision.window) == (DecisionKind.REUSE_OUTPUT, K)
+        assert edcw_decide(history, current, step=K, cfg=below).kind is DecisionKind.PRUNED
+
+    def test_each_ring_entry_norm_is_summed_at_most_once(self, tiny_cfg, tiny_model,
+                                                         monkeypatch):
+        # At delta 0 every decide misses and reads each entry of its ring,
+        # up to K of them, as the reference on both tiers.
+        summed = []
+        sq_norm = unicp.model.sq_norm
+
+        def counting_sq_norm(r):
+            summed.append(r)
+            return sq_norm(r)
+
+        monkeypatch.setattr(unicp.model, "sq_norm", counting_sq_norm)
+        online = OnlineDispatcher(tiny_model, SchedulerConfig(delta=0.0, search_window=3))
+        _, out, _ = drive_unit(online, tiny_cfg, 8)
+        assert set(unit_letters(out)) == {"F"}
+        # The F results of steps 0..6 are references; step 7's never is.
+        assert len(summed) == 2 * 7
+        assert len({id(r) for r in summed}) == len(summed)
 
 
 def rng_dirichlet(rng, s=4):

@@ -9,6 +9,8 @@ from unicp.linalg import (
     EPS_NORM,
     frob,
     rel_l2,
+    rel_l2_at_most,
+    sq_norm,
 )
 from unicp.model import AttentionWeights, attention
 
@@ -107,3 +109,37 @@ class TestRelL2:
         with pytest.raises(ValueError, match="rel_l2 shape mismatch"):
             rel_l2(np.ones((2, 2)), np.ones((3, 2)))
 
+
+class TestRelL2AtMost:
+    """The decide's threshold test gives the decision `rel_l2(a, b) <= delta`
+    gives, bit for bit, also where it stops early."""
+
+    @pytest.mark.parametrize("size", [1, BLOCK, BLOCK + 1, 5 * BLOCK + 3],
+                             ids=["one", "block", "block-plus-one", "five-blocks-ragged"])
+    @pytest.mark.parametrize("case", ["random", "zero-reference", "nan"])
+    def test_equals_rel_l2_at_delta_and_one_ulp_around_it(self, size, case):
+        rng = np.random.default_rng(size)
+        b = rng.standard_normal(size)
+        a = b + rng.standard_normal(size) * 0.1
+        if case == "zero-reference":
+            b = np.zeros(size)
+        if case == "nan":
+            a[size // 2] = np.nan
+        exact = rel_l2(a, b)
+        rr = sq_norm(b)
+        deltas = [exact, math.nextafter(exact, -math.inf), math.nextafter(exact, math.inf),
+                  0.0, math.inf]
+        for delta in deltas:
+            assert rel_l2_at_most(a, b, delta, rr) is (exact <= delta), delta
+        if case != "nan":
+            assert rel_l2_at_most(a, b, exact, rr)
+            assert not rel_l2_at_most(a, b, math.nextafter(exact, -math.inf), rr)
+
+    def test_sq_norm_is_the_square_of_the_reference_norm(self):
+        b = np.random.default_rng(10).standard_normal((3, BLOCK + 7))
+        assert sq_norm(b) == pytest.approx(frob(b) ** 2, rel=1e-14)
+        assert sq_norm(np.zeros(4)) == 0.0
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="rel_l2 shape mismatch"):
+            rel_l2_at_most(np.ones((2, 2)), np.ones((3, 2)), 1.0, 4.0)

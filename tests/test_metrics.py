@@ -26,8 +26,8 @@ def latent(rng, f=2, s=16, m=4):
 
 class TestMacFormulas:
     def test_hand_counted_full(self):
-        # s=2, m=4: 4*2*16 + 2*4*4 = 160.
-        assert macs_full_attention(2, 4) == 160
+        # s=2, m=4: 3*2*16 + 2*4*4 = 128.
+        assert macs_full_attention(2, 4) == 128
 
     def test_sliced_equals_full_at_n_eq_m(self):
         for s, m in [(2, 4), (8, 16), (64, 64)]:

@@ -19,6 +19,7 @@ from unicp.model import (
     attention,
     attention_weights_for,
     BlockWeights,
+    gelu_in_place,
     init_latent,
     init_model,
     mlp_forward,
@@ -123,7 +124,7 @@ class TestAttentionForward:
         model = init_model(cfg)
         s, m = 5, cfg.model_dim
         _, r = CellExecutor(model, drift=True).run_unit(0, "spatial", np.ones((1, s, m)), 0)
-        assert r.macs == 4 * s * m * m + 2 * s * s * m == macs_full_attention(s, m)
+        assert r.macs == 3 * s * m * m + 2 * s * s * m == macs_full_attention(s, m)
 
     def test_maps_are_row_stochastic(self):
         rng = np.random.default_rng(1)
@@ -143,7 +144,7 @@ def out_of_place_attention(x, w, qk=None, shift=False):
         scores = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(scores)
     amap = e / e.sum(axis=-1, keepdims=True)
-    return (amap @ (x @ w.w_v)) @ w.w_o, amap
+    return amap @ (x @ w.w_vo), amap
 
 
 def score_bound(x, w, qk=None):
@@ -342,6 +343,24 @@ class TestMlp:
         w = init_model(small_cfg(model_dim=m))[0].mlp
         x = rms_normalize(np.random.default_rng(rows).standard_normal((rows, m)))
         assert rel_l2(mlp_forward(x, w), ref_mlp(x, w.w1, w.b1, w.w2, w.b2)) <= 1e-14
+
+    def test_extreme_pre_activations(self):
+        # With x = 0 the pre-activations are b1, and w2 passes the first m
+        # GELU values through. Far above zero the GELU is h, far below it
+        # -0.0 (summed to 0.0 by the matmul), though its exponent or h^2
+        # overflow; the suite turns any warning into an error.
+        m = 4
+        h = np.array([1e3, -1e3, 1e300, -1e300, 0.5, 0.5, 0.5, 0.5])
+        w = MlpWeights(w1=np.zeros((m, 2 * m)), b1=h, w2=np.eye(2 * m, m), b2=np.zeros(m))
+        out = mlp_forward(np.zeros((1, m)), w)
+        assert np.array_equal(out, [[1e3, 0.0, 1e300, 0.0]])
+
+    def test_gelu_limits_are_h_and_negative_zero(self):
+        # The exponent overflows to +inf below zero and to -inf above it.
+        h = np.array([1e3, -1e3, 1e300, -1e300])
+        g = gelu_in_place(h.copy())
+        assert np.array_equal(g, [1e3, 0.0, 1e300, 0.0])
+        assert np.array_equal(np.signbit(g), [False, True, False, True])
 
 
 class TestDenoiseRun:

@@ -222,7 +222,7 @@ class TestSlicedAttention:
                               grid={(0, "spatial"): ["P"]})
         _, r = replay.run_unit(0, "spatial", x[None], 0)
         assert r.macs == macs_sliced(s, m, n)
-        assert r.macs == 2 * s * m * n + 2 * s * m * m + s * s * n + s * s * m
+        assert r.macs == 2 * s * m * n + s * m * m + s * s * n + s * s * m
 
 
 class TestReconstructionError:
