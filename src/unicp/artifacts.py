@@ -151,19 +151,20 @@ def save_calib_captures(path, cfg: ModelConfig, captured: dict):
                     arrays)
 
 
-def load_calib_captures(path, cfg: ModelConfig) -> dict | None:
+def load_calib_captures(path, cfg: ModelConfig) -> dict:
     """(block, kind) -> {calibration step: input stack}, the stacks
-    read-only views of the file, or None when the file was made for another
-    model or other calibration steps. Raise ValueError naming `path` when it
-    is malformed or its payload does not match its checksum."""
+    read-only views of the file. Raise ValueError naming `path` when it is
+    malformed, was made for another model or other calibration steps (naming
+    the first field that differs), or its payload does not match its
+    checksum."""
     header, payload = read_container(path, CAPTURES_MAGIC)
     require_keys(header, (*cfg.header(), "calib_steps", "crc32"), f"{path}: header")
     made_for = read_model_config(header, path)
     if not isinstance(header["calib_steps"], list):
         raise ValueError(f"{path}: calib_steps is {header['calib_steps']!r}, not a list")
     steps = [as_number(s, f"{path}: calib_steps") for s in header["calib_steps"]]
-    if made_for != cfg or steps != default_calib_steps(cfg.num_steps):
-        return None
+    _check_key(dict(cfg.header(), calib_steps=default_calib_steps(cfg.num_steps)),
+               dict(made_for.header(), calib_steps=steps), str(path))
     units = _units(cfg)
     stacks = iter(_latents(path, payload, cfg, len(units) * len(steps)))
     if zlib.crc32(payload) != header["crc32"]:

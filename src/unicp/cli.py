@@ -182,10 +182,12 @@ def cmd_calibrate(args) -> int:
     # A baseline of this model in --out captured the units' inputs at the
     # calibration steps, so calibration runs no forward step.
     captures_path = out_dir / BASELINE_CAPTURES
-    captured = (load_calib_captures(captures_path, spec.model) if captures_path.exists()
-                else None)
+    if not captures_path.exists():
+        raise MissingArtifactError(f"calibrate needs {BASELINE_CAPTURES} in {out_dir}; "
+                                   f"run `baseline --out {out_dir}` first")
     result = dws_calibrate(model, spec.model, spec.scheduler,
-                           ratio_bounds=(spec.ratio_lo, spec.ratio_hi), captured=captured)
+                           load_calib_captures(captures_path, spec.model),
+                           ratio_bounds=(spec.ratio_lo, spec.ratio_hi))
     save_sliced_weights(out_dir / SLICED_WEIGHTS_FILE, result.sliced, spec.key())
     _write_text(out_dir / CALIBRATION_FILE, calibration_export(result.records))
     _write_spec(out_dir, "calibrate_spec.json", spec)
@@ -301,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_baseline)
 
-    p = sub.add_parser("calibrate", help="calibrate pruning dims; writes the sliced weights")
+    p = sub.add_parser("calibrate", help="calibrate pruning dims from the baseline's captures "
+                                         "in --out; writes the sliced weights")
     _add_spec_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_calibrate)

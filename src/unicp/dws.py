@@ -11,8 +11,7 @@ calibration step. Calibration yields the sliced weights and a record of
 every measurement (`calibration.csv`). The units are independent, so they
 are calibrated on one thread per usable CPU, and their results are kept in
 unit order. The inputs are the ones a baseline run captured
-(`baseline_captures.bin`), with no forward step; without them, one capture
-pass runs from step 0 up to the last calibration step.
+(`baseline_captures.bin`), so calibration runs no forward step.
 
 Online dispatch decides live per the cache-window scheduler (caching first,
 slicing as the fallback tier); replay is `runner.CellExecutor` reading a
@@ -31,7 +30,7 @@ from dataclasses import dataclass, field
 from .edcw import DecisionKind, SchedulerConfig, edcw_decide
 from .linalg import rel_l2
 from .metrics import RunTrace
-from .model import ATTENTION_KINDS, ModelConfig, attention, attention_weights_for, init_latent
+from .model import ATTENTION_KINDS, ModelConfig, attention, attention_weights_for
 from .pcas import compute_basis, slice_weights
 from .runner import (
     DECISION_BY_LETTER,
@@ -40,7 +39,6 @@ from .runner import (
     LETTER_OUTPUT,
     LETTER_PRUNED,
     CellExecutor,
-    denoise_step,
 )
 
 
@@ -201,8 +199,8 @@ def _calibrate_unit(model, cfg, sched, captured, unit, widths, calib_steps):
     return sw, records
 
 
-def dws_calibrate(model, cfg: ModelConfig, sched: SchedulerConfig,
-                  ratio_bounds=(0.1, 0.4), captured: dict | None = None) -> CalibrationResult:
+def dws_calibrate(model, cfg: ModelConfig, sched: SchedulerConfig, captured: dict,
+                  ratio_bounds=(0.1, 0.4)) -> CalibrationResult:
     """Calibrate per-unit pruning dimensions.
 
     Returns the sliced weights of each unit and the per-candidate
@@ -210,24 +208,13 @@ def dws_calibrate(model, cfg: ModelConfig, sched: SchedulerConfig,
     weights (`OnlineDispatcher`). `captured` maps each (block, kind) unit
     to {calibration step: its input stack}, as a baseline's
     `CellExecutor.captured` holds them and `artifacts.load_calib_captures`
-    reads them back; with it, no forward step runs. Without it, one loop of
-    `denoise_step` from `init_latent` at step 0 up to the last calibration
-    step captures the same bits. `ratio_bounds` is the (lo, hi)
+    reads them back; no forward step runs. `ratio_bounds` is the (lo, hi)
     pruned-fraction range `cli.build_spec` has checked.
     """
     # Imported here so that commands that never calibrate skip its cost.
     from concurrent.futures import ThreadPoolExecutor
 
     calib_steps = default_calib_steps(cfg.num_steps)
-    if captured is None:
-        # Nothing reads its rings, so the capture pass keeps no attention
-        # map, and it stops at the last calibration step.
-        capture = CellExecutor(model, capture_steps=calib_steps)
-        state = init_latent(cfg)
-        for step in range(max(calib_steps) + 1):
-            state = denoise_step(cfg, capture, state, step, RunTrace())
-        captured = capture.captured
-
     widths = candidate_widths(cfg.model_dim, *ratio_bounds)
     units = [(b, kind) for b in range(len(model)) for kind in ATTENTION_KINDS]
 

@@ -2,9 +2,8 @@
 
 Walks execution steps 0..T-1 (physical step t = T..1), conditioning the
 latent with a sinusoidal embedding of t, running every block through a
-`CellExecutor`, and applying x <- x - eta(t) * residual. `denoise_step` is
-the loop's one body, so a caller can stop the loop early, as calibration's
-capture pass does. The executor is the only code that evaluates an
+`CellExecutor`, and applying x <- x - eta(t) * residual; `denoise_step` is
+the loop's body. The executor is the only code that evaluates an
 attention cell, and it writes one trace row per unit; the driver appends
 one MLP row per block. The executor takes each cell's letter from a
 source: a cache map grid, F everywhere, or a subclass's online decide. The
@@ -61,9 +60,8 @@ class CellExecutor:
     """Runs every attention cell of a run and writes its trace row.
 
     Each unit owns a ring of F results as (step, AttentionResult) pairs,
-    oldest first; nothing else holds them. The ring keeps the newest F when
-    something reads it, `drift` or a `grid`, and none otherwise (a capture
-    pass, whose caller reads only the captures). F runs full attention and
+    oldest first; nothing else holds them. The ring keeps the newest F, which
+    `drift` and the O and M cells of a `grid` read. F runs full attention and
     appends to the ring; O serves the newest entry's output; M reruns the
     value path under its map; P runs sliced attention, or the full math
     when the retained dimension equals the width (accounted with the sliced
@@ -79,14 +77,15 @@ class CellExecutor:
     into P. With `drift`, an F cell records the relative distance of its
     output and map from the unit's previous F. At `capture_steps` the
     cell's input stack goes into `captured[unit][step]`: the inputs PCAS
-    calibration fits and sweeps on, which the baseline writes to disk.
+    calibration fits and sweeps on, which the baseline writes to disk and
+    `calibrate` reads back.
     """
 
     def __init__(self, model, sliced_weights: dict | None = None, grid: dict | None = None,
                  drift: bool = False, capture_steps=()):
         self.model = model
         self.sliced = dict(sliced_weights) if sliced_weights else {}
-        self.depth = 1 if drift or grid is not None else 0
+        self.depth = 1
         self.grid = grid
         self.drift = drift
         self.capture_steps = set(capture_steps)
@@ -192,7 +191,7 @@ def denoise_run(cfg: ModelConfig, executor):
     """Run the reverse loop over steps 0..T-1 and return (final latent, trace).
 
     The baseline is `denoise_run(cfg, CellExecutor(model, drift=True,
-    capture_steps=...))`, which also keeps the calibration inputs.
+    capture_steps=...))`, whose captures calibration reads.
     """
     state = init_latent(cfg)
     trace = RunTrace()

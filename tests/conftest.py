@@ -7,11 +7,12 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import unicp.dws
+from oracles import baseline_run
 from unicp.cli import PRESETS, RunSpec
 from unicp.dws import OnlineDispatcher, dws_calibrate, run_cache_map
 from unicp.edcw import SchedulerConfig, edcw_decide
 from unicp.model import ModelConfig, init_model
-from unicp.runner import CellExecutor, denoise_run
+from unicp.runner import denoise_run
 
 DESK = dict(num_blocks=6, model_dim=64, tokens_per_frame=64, num_frames=8,
             num_steps=30, seed=42)
@@ -51,9 +52,13 @@ def tiny_model(tiny_cfg):
 
 
 @pytest.fixture(scope="session")
-def desk_baseline(desk_cfg, desk_model):
-    state, trace = denoise_run(desk_cfg, CellExecutor(desk_model, drift=True))
-    return state, trace
+def desk_baseline_run(desk_cfg, desk_model):
+    return baseline_run(desk_cfg, desk_model)
+
+
+@pytest.fixture(scope="session")
+def desk_baseline(desk_baseline_run):
+    return desk_baseline_run.state, desk_baseline_run.trace
 
 
 @pytest.fixture(scope="session")
@@ -64,9 +69,9 @@ def desk_decide_events():
 
 
 @pytest.fixture(scope="session")
-def desk_calibrations(desk_cfg, desk_model, desk_decide_events):
+def desk_calibrations(desk_cfg, desk_model, desk_baseline_run, desk_decide_events):
     """preset -> (sched, calibration, online pass); the expensive shared
-    fixture."""
+    fixture. Every preset calibrates from the one baseline's captures."""
     out = {}
     for preset, delta in PRESETS.items():
         sched = SchedulerConfig(delta=delta, search_window=4)
@@ -80,13 +85,18 @@ def desk_calibrations(desk_cfg, desk_model, desk_decide_events):
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(unicp.dws, "edcw_decide", recording_decide)
-            calib = dws_calibrate(desk_model, desk_cfg, sched)
+            calib = dws_calibrate(desk_model, desk_cfg, sched, desk_baseline_run.captured)
             out[preset] = (sched, calib, online_pass(desk_model, desk_cfg, sched, calib))
     return out
 
 
 @pytest.fixture(scope="session")
-def tiny_calibration(tiny_cfg, tiny_model):
+def tiny_captures(tiny_cfg, tiny_model):
+    return baseline_run(tiny_cfg, tiny_model).captured
+
+
+@pytest.fixture(scope="session")
+def tiny_calibration(tiny_cfg, tiny_model, tiny_captures):
     sched = SchedulerConfig(delta=0.075, search_window=4)
-    calib = dws_calibrate(tiny_model, tiny_cfg, sched)
+    calib = dws_calibrate(tiny_model, tiny_cfg, sched, tiny_captures)
     return sched, calib, online_pass(tiny_model, tiny_cfg, sched, calib)

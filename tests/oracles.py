@@ -3,15 +3,18 @@
 Everything here is deliberately written from scratch against the algorithm
 definitions (plain numpy, no imports from the package's compute paths) so a
 bug in the engine cannot hide in its own oracle. The end of the file holds
-the document readers and writers that only the tests need.
+the document readers and writers and the run helpers that only the tests
+need.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from unicp.dws import CalibrationRecord
+from unicp.dws import CalibrationRecord, default_calib_steps
 from unicp.metrics import SSIM_NA, TRACE_HEADER, QualityReport, RunTrace, TraceRow
+from unicp.runner import CellExecutor, denoise_run
 
 
 def ref_rel_norm(a, b):
@@ -305,3 +308,12 @@ def drive_unit(dispatcher, cfg, steps, seed=0):
         out.append(dispatcher.run_unit(0, "spatial", xs[-1], step))
         rings.append([s for s, _ in dispatcher.rings[(0, "spatial")]])
     return xs, out, rings
+
+
+def baseline_run(cfg, model):
+    """What `baseline` computes: its final latent, its trace, and the unit
+    input stacks it captures at the calibration steps, which `dws_calibrate`
+    reads."""
+    executor = CellExecutor(model, drift=True, capture_steps=default_calib_steps(cfg.num_steps))
+    state, trace = denoise_run(cfg, executor)
+    return SimpleNamespace(state=state, trace=trace, captured=executor.captured)

@@ -218,6 +218,9 @@ def test_10_determinism(tmp_path):
             cal = root / "cal"
             har = root / "har"
             assert cli_main(["baseline", "--out", str(base), *TINY_FLAGS]) == 0
+            # Calibrate reads the inputs the baseline captured.
+            cal.mkdir()
+            (cal / "baseline_captures.bin").write_bytes((base / "baseline_captures.bin").read_bytes())
             assert cli_main(["calibrate", "--out", str(cal), *TINY_FLAGS,
                              "--preset", "E5"]) == 0
             assert cli_main(["run", "--out", str(cal), *TINY_FLAGS,

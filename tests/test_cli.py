@@ -29,6 +29,7 @@ from unicp.edcw import Decision, DecisionKind, SchedulerConfig
 from unicp.linalg import rel_l2
 from unicp.metrics import macs_full_attention
 from unicp.model import ModelConfig
+from unicp.runner import CellExecutor
 
 TINY_FLAGS = ["--blocks", "2", "--dim", "16", "--tokens", "16", "--frames", "2",
               "--steps", "8", "--seed", "7"]
@@ -36,6 +37,17 @@ TINY_FLAGS = ["--blocks", "2", "--dim", "16", "--tokens", "16", "--frames", "2",
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def calibrate(*argv):
+    """`calibrate` with `argv`, after a `baseline` with the same flags wrote
+    into its --out the captures calibrate reads."""
+    assert run_cli("baseline", *argv) == 0
+    return run_cli("calibrate", *argv)
+
+
+def no_cell(*args, **kwargs):
+    raise AssertionError("a cell ran")
 
 
 def read(path):
@@ -58,8 +70,8 @@ SLICED_RUN_HEADER = {"model": STATE_HEADER, "delta": 0.05, "window": 4, "ratio_l
 # The value count of the calibration captures a baseline at TINY_FLAGS
 # writes, the input stacks of 2 blocks x 2 kinds at 3 steps, each holding a
 # latent's 2 frames x 16 tokens x 16 channels, and their header for an
-# all-zero payload. The calibrate tests named for latents cover this file:
-# it holds what the calibration steps read of the baseline's latents.
+# all-zero payload. The calibrate tests named for latents, an earlier name
+# of this file, cover it.
 CAPTURE_VALUES = 2 * 2 * 3 * 2 * 16 * 16
 CAPTURES_HEADER = dict(STATE_HEADER, calib_steps=[0, 2, 5],
                        crc32=zlib.crc32(bytes(8 * CAPTURE_VALUES)))
@@ -180,9 +192,14 @@ class TestConfigFile:
 
 
 class TestCalibrate:
-    def test_writes_weights_not_map_and_echoes_table(self, tmp_path, capsys):
+    def test_writes_weights_not_map_and_echoes_table(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "c"
-        assert run_cli("calibrate", "--out", str(out), *TINY_FLAGS, "--preset", "E5") == 0
+        flags = ["--out", str(out), *TINY_FLAGS, "--preset", "E5"]
+        assert run_cli("baseline", *flags) == 0
+        capsys.readouterr()
+        # Calibrate reads the baseline's captures and runs no cell.
+        monkeypatch.setattr(CellExecutor, "run_unit", no_cell)
+        assert run_cli("calibrate", *flags) == 0
         assert not (out / "cache_map.txt").exists()
         assert (out / "sliced_weights.bin").exists()
         stdout = capsys.readouterr().out
@@ -192,47 +209,25 @@ class TestCalibrate:
         a = tmp_path / "a"
         b = tmp_path / "b"
         for out in (a, b):
-            run_cli("calibrate", "--out", str(out), *TINY_FLAGS, "--preset", "E5")
+            calibrate("--out", str(out), *TINY_FLAGS, "--preset", "E5")
         for name in ("sliced_weights.bin", "calibrate_spec.json"):
             assert read(a / name) == read(b / name)
         assert not (a / "cache_map.txt").exists() and not (b / "cache_map.txt").exists()
 
-    @pytest.mark.parametrize("flags", [["--preset", "E1"], ["--preset", "E5"]],
-                             ids=["E1", "E5"])
-    def test_from_baseline_latents_matches_standalone(self, tmp_path, capsys, monkeypatch,
-                                                      flags):
-        import unicp.dws
-
-        real_step = unicp.dws.denoise_step
-        steps_run = []
-
-        def recording_step(cfg, executor, state, step, trace):
-            steps_run.append(step)
-            return real_step(cfg, executor, state, step, trace)
-
-        resumed, alone = tmp_path / "resumed", tmp_path / "alone"
-        assert run_cli("baseline", "--out", str(resumed), *TINY_FLAGS) == 0
-        assert (resumed / "baseline_captures.bin").exists()
-        capsys.readouterr()
-        monkeypatch.setattr(unicp.dws, "denoise_step", recording_step)
-        assert run_cli("calibrate", "--out", str(resumed), *TINY_FLAGS, *flags) == 0
-        # Calibration read the captured inputs: no step ran.
-        assert steps_run == []
-        resumed_out = capsys.readouterr().out
-        assert run_cli("calibrate", "--out", str(alone), *TINY_FLAGS, *flags) == 0
-        monkeypatch.undo()
-        # Without a baseline, the capture pass ran up to the last calibration step.
-        assert steps_run == list(range(max(CAPTURES_HEADER["calib_steps"]) + 1))
-        assert capsys.readouterr().out == resumed_out
-        for name in ("sliced_weights.bin", "calibrate_spec.json"):
-            assert read(resumed / name) == read(alone / name)
+    def test_without_captures_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        assert run_cli("calibrate", "--out", str(out), *TINY_FLAGS) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: calibrate needs baseline_captures.bin in {out}; "
+                                f"run `baseline --out {out}` first\n")
+        assert captured.out == "" and list(out.iterdir()) == []
 
     def test_without_sched_getaffinity_writes_the_one_cpu_bytes(self, tmp_path, monkeypatch):
         import unicp.dws
         one, fallback = tmp_path / "one", tmp_path / "fallback"
         with monkeypatch.context() as mp:
             mp.setattr(unicp.dws.os, "sched_getaffinity", lambda pid: {0})
-            assert run_cli("calibrate", "--out", str(one), *TINY_FLAGS, "--preset", "E5") == 0
+            assert calibrate("--out", str(one), *TINY_FLAGS, "--preset", "E5") == 0
         # As on macOS and Windows: the pool is sized by os.cpu_count instead.
         monkeypatch.delattr(unicp.dws.os, "sched_getaffinity")
         counted = []
@@ -242,23 +237,25 @@ class TestCalibrate:
             return 2
 
         monkeypatch.setattr(unicp.dws.os, "cpu_count", cpu_count)
-        assert run_cli("calibrate", "--out", str(fallback), *TINY_FLAGS, "--preset", "E5") == 0
+        assert calibrate("--out", str(fallback), *TINY_FLAGS, "--preset", "E5") == 0
         assert counted
         for name in ("sliced_weights.bin", "calibration.csv", "calibrate_spec.json"):
             assert read(one / name) == read(fallback / name)
 
-    def test_latents_of_another_model_are_skipped(self, tmp_path, capsys):
-        out, alone = tmp_path / "out", tmp_path / "alone"
-        assert run_cli("baseline", "--out", str(out), *TINY_FLAGS) == 0  # 8 steps
-        stdout = []
-        for d in (out, alone):
-            capsys.readouterr()
-            assert run_cli("calibrate", "--out", str(d), *TINY_FLAGS, "--steps", "10",
-                           "--preset", "E5") == 0
-            stdout.append(capsys.readouterr().out)
-        assert stdout[0] == stdout[1]
-        for name in ("sliced_weights.bin", "calibrate_spec.json"):
-            assert read(out / name) == read(alone / name)
+    @pytest.mark.parametrize("field, value", [("seed", 8), ("steps", 10), ("frames", 4)])
+    def test_captures_of_another_model_exit_2(self, tmp_path, capsys, monkeypatch, field,
+                                              value):
+        assert run_cli("baseline", "--out", str(tmp_path), *TINY_FLAGS) == 0
+        written = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        monkeypatch.setattr(CellExecutor, "run_unit", no_cell)
+        assert run_cli("calibrate", "--out", str(tmp_path), *TINY_FLAGS,
+                       f"--{field}", str(value)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {tmp_path / 'baseline_captures.bin'} was made with "
+                                f"{field}={STATE_HEADER[field]}, but this run has "
+                                f"{field}={value}\n")
+        assert captured.out == "" and sorted(tmp_path.iterdir()) == written
 
     @pytest.mark.parametrize("content, expected", [
         (container(b"UNICPLT1\n", CAPTURES_HEADER, values=CAPTURE_VALUES), "bad magic"),
@@ -287,18 +284,13 @@ class TestCalibrate:
         assert not (tmp_path / "sliced_weights.bin").exists()
 
     def test_damaged_latents_exit_2(self, tmp_path, capsys, monkeypatch):
-        import unicp.dws
-
-        def no_step(*args, **kwargs):
-            raise AssertionError("a step ran")
-
         assert run_cli("baseline", "--out", str(tmp_path), *TINY_FLAGS) == 0
         path = tmp_path / "baseline_captures.bin"
         data = bytearray(path.read_bytes())
         # The lowest mantissa bit of the first captured value: still finite.
         data[len(data) - 8 * CAPTURE_VALUES] ^= 1
         path.write_bytes(bytes(data))
-        monkeypatch.setattr(unicp.dws, "denoise_step", no_step)
+        monkeypatch.setattr(CellExecutor, "run_unit", no_cell)
         capsys.readouterr()
         assert run_cli("calibrate", "--out", str(tmp_path), *TINY_FLAGS) == 2
         captured = capsys.readouterr()
@@ -309,7 +301,7 @@ class TestCalibrate:
     def test_writes_calibration_records(self, tmp_path, tiny_calibration):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            assert run_cli("calibrate", "--out", str(out), *TINY_FLAGS, "--preset", "E3") == 0
+            assert calibrate("--out", str(out), *TINY_FLAGS, "--preset", "E3") == 0
         text = (a / "calibration.csv").read_text()
         assert calibration_parse(text) == tiny_calibration[1].records
         assert text.splitlines()[0] == "block,kind,step,candidate_n,measured_error,accepted"
@@ -317,7 +309,7 @@ class TestCalibrate:
 
     @pytest.mark.parametrize("preset", ["E1", "E3", "E5"])
     def test_conservative_rows_stop_at_the_first_rejected_width(self, tmp_path, preset):
-        assert run_cli("calibrate", "--out", str(tmp_path), *TINY_FLAGS, "--preset", preset) == 0
+        assert calibrate("--out", str(tmp_path), *TINY_FLAGS, "--preset", preset) == 0
         records = calibration_parse((tmp_path / "calibration.csv").read_text())
         for unit in {(r.block, r.kind) for r in records}:
             rows = [r for r in records if (r.block, r.kind) == unit]
@@ -327,14 +319,9 @@ class TestCalibrate:
                 assert min(r.candidate_n for r in rows) == rejected[0], unit
 
     def test_calibration_csv_that_is_a_directory_exits_2(self, tmp_path, capsys, monkeypatch):
-        import unicp.dws
-
-        def no_step(*args, **kwargs):
-            raise AssertionError("a step ran")
-
         path = tmp_path / "calibration.csv"
         path.mkdir()
-        monkeypatch.setattr(unicp.dws, "denoise_step", no_step)
+        monkeypatch.setattr(CellExecutor, "run_unit", no_cell)
         assert run_cli("calibrate", "--out", str(tmp_path), *TINY_FLAGS) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {path} is a directory, not a file\n"
@@ -359,7 +346,7 @@ class TestRun:
         import unicp.dws
         out = tmp_path / "o"
         spec = [*TINY_FLAGS, "--preset", "E3", "--out", str(out)]
-        assert run_cli("calibrate", *spec) == 0
+        assert calibrate(*spec) == 0
         with monkeypatch.context() as mp:
             mp.setattr(unicp.dws, "edcw_decide", full_distance_decide)
             assert run_cli("run", "--mode", "online", *spec) == 0
@@ -392,7 +379,7 @@ class TestRun:
         assert run_cli("run", "--out", str(out), *TINY_FLAGS, "--mode", "replay") == 3
         assert "run --mode online" in capsys.readouterr().err
         # Calibrate writes the sliced weights only; the map comes from online.
-        assert run_cli("calibrate", "--out", str(out), *TINY_FLAGS) == 0
+        assert calibrate("--out", str(out), *TINY_FLAGS) == 0
         capsys.readouterr()
         assert run_cli("run", "--out", str(out), *TINY_FLAGS, "--mode", "replay") == 3
         err = capsys.readouterr().err
@@ -400,7 +387,7 @@ class TestRun:
 
     def test_online_writes_the_cache_map(self, tmp_path):
         out = tmp_path / "o"
-        run_cli("calibrate", "--out", str(out), *TINY_FLAGS, "--preset", "E5")
+        calibrate("--out", str(out), *TINY_FLAGS, "--preset", "E5")
         maps = []
         for _ in range(2):
             assert run_cli("run", "--out", str(out), *TINY_FLAGS, "--preset", "E5",
@@ -412,7 +399,7 @@ class TestRun:
 
     def test_dispatched_traces_carry_no_drift(self, tmp_path):
         out = tmp_path / "o"
-        run_cli("calibrate", "--out", str(out), *TINY_FLAGS, "--preset", "E5")
+        calibrate("--out", str(out), *TINY_FLAGS, "--preset", "E5")
         for mode in ("online", "replay"):
             assert run_cli("run", "--out", str(out), *TINY_FLAGS, "--preset", "E5",
                            "--mode", mode) == 0
@@ -426,7 +413,7 @@ class TestRun:
         # Sliced weights written before the unit entries dropped calib_steps.
         from unicp.artifacts import load_sliced_weights
         new, old = tmp_path / "new", tmp_path / "old"
-        assert run_cli("calibrate", "--out", str(new), *TINY_FLAGS, "--preset", "E5") == 0
+        assert calibrate("--out", str(new), *TINY_FLAGS, "--preset", "E5") == 0
         magic, header, payload = read(new / "sliced_weights.bin").split(b"\n", 2)
         header = json.loads(header)
         assert all("calib_steps" not in unit for unit in header["units"])
@@ -450,7 +437,7 @@ class TestRun:
         # Sliced weights and maps written while the run key held "aggregation".
         new, old = tmp_path / "new", tmp_path / "old"
         spec = [*TINY_FLAGS, "--preset", "E5"]
-        assert run_cli("calibrate", "--out", str(new), *spec) == 0
+        assert calibrate("--out", str(new), *spec) == 0
         assert run_cli("run", "--mode", "online", "--out", str(new), *spec) == 0
         old.mkdir()
         magic, header, payload = read(new / "sliced_weights.bin").split(b"\n", 2)
@@ -471,7 +458,7 @@ class TestRun:
         from unicp.artifacts import read_container
         out = tmp_path / "o"
         spec = ["--out", str(out), *TINY_FLAGS, "--preset", "E5"]
-        assert run_cli("calibrate", *spec) == 0
+        assert calibrate(*spec) == 0
         assert run_cli("run", "--mode", "online", *spec) == 0
         header, _ = read_container(out / "sliced_weights.bin", b"UNICPSW1\n")
         del header["units"]
@@ -482,7 +469,7 @@ class TestRun:
         out = tmp_path / "o"
         spec = ["--out", str(out), *TINY_FLAGS, "--preset", "E5"]
         assert run_cli("run", "--mode", "online", *spec) == 0
-        assert run_cli("calibrate", *spec) == 0
+        assert calibrate(*spec) == 0
         capsys.readouterr()
         assert run_cli("run", "--mode", "replay", *spec) == 2
         err = capsys.readouterr().err
@@ -494,7 +481,7 @@ class TestRun:
         # At delta 0 every unit keeps n = m, so the map has final_n rows and no P cell.
         out = tmp_path / "o"
         spec = ["--out", str(out), *TINY_FLAGS, "--delta", "0"]
-        assert run_cli("calibrate", *spec) == 0
+        assert calibrate(*spec) == 0
         assert run_cli("run", "--mode", "online", *spec) == 0
         (out / "sliced_weights.bin").unlink()
         capsys.readouterr()
@@ -508,7 +495,7 @@ class TestRun:
         from unicp import cli as cli_module
         out = tmp_path / "o"
         spec = ["--out", str(out), *TINY_FLAGS, "--preset", "E5"]
-        assert run_cli("calibrate", *spec) == 0
+        assert calibrate(*spec) == 0
         assert run_cli("run", "--mode", "online", *spec) == 0
         grid = cache_map_parse((out / "cache_map.txt").read_text()).grid
         pruned = sorted(unit for unit, letters in grid.items() if "P" in letters)
@@ -557,7 +544,7 @@ class TestRun:
 
     def test_replay_reproduces_online_run(self, tmp_path):
         out = tmp_path / "o"
-        run_cli("calibrate", "--out", str(out), *TINY_FLAGS, "--preset", "E5")
+        calibrate("--out", str(out), *TINY_FLAGS, "--preset", "E5")
         assert run_cli("run", "--out", str(out), *TINY_FLAGS, "--preset", "E5",
                        "--mode", "online") == 0
         online_state = read(out / "run_state.bin")
@@ -602,7 +589,7 @@ class TestRun:
 
     def test_online_prints_executed_macs(self, tmp_path, capsys):
         out = tmp_path / "r"
-        assert run_cli("calibrate", "--out", str(out), *TINY_FLAGS, "--preset", "E5") == 0
+        assert calibrate("--out", str(out), *TINY_FLAGS, "--preset", "E5") == 0
         capsys.readouterr()
         assert run_cli("run", "--out", str(out), *TINY_FLAGS, "--preset", "E5") == 0
         lines = capsys.readouterr().out.splitlines()
@@ -621,7 +608,7 @@ class TestRun:
 
     def test_spec_mismatch_with_artifacts_exits_2(self, tmp_path, capsys):
         out = tmp_path / "o"
-        run_cli("calibrate", "--out", str(out), *TINY_FLAGS, "--preset", "E5")
+        calibrate("--out", str(out), *TINY_FLAGS, "--preset", "E5")
         assert run_cli("run", "--out", str(out), *TINY_FLAGS, "--preset", "E5",
                        "--mode", "online") == 0
         # The rejected runs below must write no run spec of their own.
@@ -666,7 +653,7 @@ class TestRun:
         flags = ["--blocks", "2", "--dim", "8", "--tokens", "16", "--frames", "2",
                  "--steps", "6", "--preset", "E3"]
         out = tmp_path / "o"
-        assert run_cli("calibrate", "--out", str(out), *flags) == 0
+        assert calibrate("--out", str(out), *flags) == 0
         assert run_cli("run", "--out", str(out), *flags, "--mode", "online") == 0
         # The rejected replay below must write no run map of its own.
         (out / "run_cache_map.txt").unlink()
@@ -688,7 +675,7 @@ class TestRun:
         from collections import Counter
         from unicp.artifacts import cache_map_parse
         out = tmp_path / "o"
-        run_cli("calibrate", "--out", str(out), *TINY_FLAGS, "--preset", "E4")
+        calibrate("--out", str(out), *TINY_FLAGS, "--preset", "E4")
         run_cli("run", "--out", str(out), *TINY_FLAGS, "--preset", "E4",
                 "--mode", "online")
         run_cli("run", "--out", str(out), *TINY_FLAGS, "--preset", "E4",
@@ -742,7 +729,7 @@ class TestHandEditedMaps:
     def online_run(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("online")
         spec = ["--out", str(out), *TINY_FLAGS, "--preset", "E5"]
-        assert run_cli("calibrate", *spec) == 0
+        assert calibrate(*spec) == 0
         assert run_cli("run", "--mode", "online", *spec) == 0
         # Every example rewrites the weights from this copy.
         shutil.copy(out / "sliced_weights.bin", out / "calibrated.bin")
@@ -1045,7 +1032,7 @@ class TestCompare:
         base = tmp_path / "base"
         run_out = tmp_path / "run"
         run_cli("baseline", "--out", str(base), *TINY_FLAGS)
-        run_cli("calibrate", "--out", str(run_out), *TINY_FLAGS, "--preset", "E5")
+        calibrate("--out", str(run_out), *TINY_FLAGS, "--preset", "E5")
         run_cli("run", "--out", str(run_out), *TINY_FLAGS, "--preset", "E5")
         capsys.readouterr()
         run_cli("compare", str(base / "baseline_state.bin"), str(run_out / "run_state.bin"))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import (attention_rows, drive_unit, exhaustive_n_sweep, ref_width_sweep,
-                     unit_letters)
+from oracles import (attention_rows, baseline_run, drive_unit, exhaustive_n_sweep,
+                     ref_width_sweep, unit_letters)
 from unicp.artifacts import (
     cache_map_export,
     cache_map_parse,
@@ -28,26 +28,6 @@ from unicp.model import ATTENTION_KINDS, ModelConfig, attention, attention_weigh
 from unicp.runner import CellExecutor, denoise_run, forward_blocks
 
 
-def count_capture_steps(monkeypatch):
-    """Make `dws` build capture executors that record the steps they run;
-    returns the list the executors are appended to as they are made."""
-    import unicp.dws
-    made = []
-
-    class StepCountingCapture(CellExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.steps_run = set()
-            made.append(self)
-
-        def run_unit(self, block_idx, kind, x_stack, step):
-            self.steps_run.add(step)
-            return super().run_unit(block_idx, kind, x_stack, step)
-
-    monkeypatch.setattr(unicp.dws, "CellExecutor", StepCountingCapture)
-    return made
-
-
 def assert_same_captures(got, want, calib_steps):
     """Both capture maps hold the same input stacks at exactly the
     calibration steps, bit for bit."""
@@ -62,10 +42,9 @@ def assert_same_captures(got, want, calib_steps):
 def write_baseline_captures(cfg, model, path):
     """Write the unit inputs a baseline run captures at the calibration
     steps, as `baseline` does, and return them."""
-    executor = CellExecutor(model, drift=True, capture_steps=default_calib_steps(cfg.num_steps))
-    denoise_run(cfg, executor)
-    save_calib_captures(path, cfg, executor.captured)
-    return executor.captured
+    captured = baseline_run(cfg, model).captured
+    save_calib_captures(path, cfg, captured)
+    return captured
 
 
 def tiny(**overrides):
@@ -92,25 +71,21 @@ class TestFractionGrid:
 
 
 class TestCalibrate:
-    def test_huge_delta_accepts_max_fraction(self):
-        cfg = tiny()
-        model = init_model(cfg)
+    def test_huge_delta_accepts_max_fraction(self, tiny_cfg, tiny_model, tiny_captures):
         sched = SchedulerConfig(delta=1e9, search_window=4)
-        calib = dws_calibrate(model, cfg, sched, ratio_bounds=(0.1, 0.4))
-        expected_n = math.ceil(cfg.model_dim * 0.6)
+        calib = dws_calibrate(tiny_model, tiny_cfg, sched, tiny_captures, ratio_bounds=(0.1, 0.4))
+        expected_n = math.ceil(tiny_cfg.model_dim * 0.6)
         for sw in calib.sliced.values():
             assert sw.n == expected_n
 
-    def test_zero_delta_rejects_everything(self):
-        cfg = tiny()
-        model = init_model(cfg)
+    def test_zero_delta_rejects_everything(self, tiny_cfg, tiny_model, tiny_captures):
         sched = SchedulerConfig(delta=0.0, search_window=4)
-        calib = dws_calibrate(model, cfg, sched)
+        calib = dws_calibrate(tiny_model, tiny_cfg, sched, tiny_captures)
         for sw in calib.sliced.values():
-            assert sw.n == cfg.model_dim
+            assert sw.n == tiny_cfg.model_dim
         # With nothing accepted, pruned cells fall back to full compute.
-        online = OnlineDispatcher(model, sched, calib.sliced)
-        _, trace = denoise_run(cfg, online)
+        online = OnlineDispatcher(tiny_model, sched, calib.sliced)
+        _, trace = denoise_run(tiny_cfg, online)
         cmap = run_cache_map(trace, {}, calib.sliced)
         letters = {l for row in cmap.grid.values() for l in row}
         assert "P" not in letters
@@ -120,63 +95,41 @@ class TestCalibrate:
         m = tiny_cfg.model_dim
         n_candidates = candidate_widths(m, 0.1, 0.4)
         # Re-capture the baseline inputs independently of the calibration.
-        cap = CellExecutor(tiny_model, capture_steps=default_calib_steps(tiny_cfg.num_steps))
-        denoise_run(tiny_cfg, cap)
+        captured = baseline_run(tiny_cfg, tiny_model).captured
         for (block, kind), sw in calib.sliced.items():
             w = attention_weights_for(tiny_model[block], kind)
-            x_by_step = cap.captured[(block, kind)]
+            x_by_step = captured[(block, kind)]
             o_by_step = {s: attention(x, w)[0] for s, x in x_by_step.items()}
             oracle_n = exhaustive_n_sweep(x_by_step, o_by_step, w.w_q, w.w_k,
                                           w.w_v, w.w_o, sched.delta, n_candidates)
             assert sw.n == oracle_n, (block, kind)
 
-    def test_capture_pass_stops_at_last_calibration_step(self, tiny_cfg, tiny_model, monkeypatch):
-        calib_steps = default_calib_steps(tiny_cfg.num_steps)
-        made = count_capture_steps(monkeypatch)
-        dws_calibrate(tiny_model, tiny_cfg, SchedulerConfig(delta=0.075, search_window=4))
-        (capture,) = made
-        assert capture.steps_run == set(range(max(calib_steps) + 1))
-        # The sweep reads only the captures, so the capture keeps no F result.
-        assert not any(capture.rings.values())
-        assert max(calib_steps) + 1 < tiny_cfg.num_steps
-        # A full-length capture run sees the same inputs, bit for bit.
-        full = CellExecutor(tiny_model, capture_steps=calib_steps)
-        denoise_run(tiny_cfg, full)
-        assert_same_captures(capture.captured, full.captured, calib_steps)
+    def test_resumed_calibration_runs_no_step(self, tiny_cfg, tiny_model, tiny_captures,
+                                              tiny_calibration, monkeypatch, tmp_path):
+        # Calibrating from the captures read back from their file runs no
+        # cell and gives the bits of the in-memory captures.
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
 
-    def test_resumed_calibration_runs_no_step(self, tiny_cfg, tiny_model, monkeypatch,
-                                              tmp_path):
-        import unicp.dws
-
-        def no_step(*args, **kwargs):
-            raise AssertionError("a step ran")
-
-        calib_steps = default_calib_steps(tiny_cfg.num_steps)
-        write_baseline_captures(tiny_cfg, tiny_model, tmp_path / "captures.bin")
+        save_calib_captures(tmp_path / "captures.bin", tiny_cfg, tiny_captures)
         captured = load_calib_captures(tmp_path / "captures.bin", tiny_cfg)
-        made = count_capture_steps(monkeypatch)
-        sched = SchedulerConfig(delta=0.075, search_window=4)
-        with monkeypatch.context() as mp:
-            mp.setattr(unicp.dws, "denoise_step", no_step)
-            resumed = dws_calibrate(tiny_model, tiny_cfg, sched, captured=captured)
-        assert made == []
-        standalone = dws_calibrate(tiny_model, tiny_cfg, sched)
-        (standalone_capture,) = made
-        assert standalone_capture.steps_run == set(range(max(calib_steps) + 1))
-        assert_same_captures(captured, standalone_capture.captured, calib_steps)
-        assert resumed.records == standalone.records
-        for unit, sw in standalone.sliced.items():
+        sched, in_memory, _ = tiny_calibration
+        monkeypatch.setattr(CellExecutor, "run_unit", no_cell)
+        resumed = dws_calibrate(tiny_model, tiny_cfg, sched, captured)
+        assert resumed.records == in_memory.records
+        for unit, sw in in_memory.sliced.items():
             got = resumed.sliced[unit]
             assert got.n == sw.n
             assert got.wq_sliced.tobytes() == sw.wq_sliced.tobytes()
             assert got.wk_sliced.tobytes() == sw.wk_sliced.tobytes()
 
-    def test_unit_finishing_last_changes_no_output(self, tiny_cfg, tiny_model, monkeypatch):
+    def test_unit_finishing_last_changes_no_output(self, tiny_cfg, tiny_model, tiny_captures,
+                                                   monkeypatch):
         import threading
         import unicp.dws
         sched = SchedulerConfig(delta=0.075, search_window=4)
         monkeypatch.setattr(unicp.dws.os, "sched_getaffinity", lambda pid: {0})
-        one_cpu = dws_calibrate(tiny_model, tiny_cfg, sched)
+        one_cpu = dws_calibrate(tiny_model, tiny_cfg, sched, tiny_captures)
 
         # On two workers, unit (0, spatial) starts first but waits until every
         # other unit has finished.
@@ -197,7 +150,7 @@ class TestCalibrate:
 
         monkeypatch.setattr(unicp.dws, "_calibrate_unit", last_to_finish)
         monkeypatch.setattr(unicp.dws.os, "sched_getaffinity", lambda pid: {0, 1})
-        pooled = dws_calibrate(tiny_model, tiny_cfg, sched)
+        pooled = dws_calibrate(tiny_model, tiny_cfg, sched, tiny_captures)
         assert finished[-1] == last and len(finished) == len(one_cpu.sliced)
         assert pooled.records == one_cpu.records
         assert list(pooled.sliced) == list(one_cpu.sliced)
@@ -208,7 +161,7 @@ class TestCalibrate:
             assert got.wk_sliced.tobytes() == sw.wk_sliced.tobytes()
 
     def test_error_in_one_units_sweep_is_raised_unchanged(self, tiny_cfg, tiny_model,
-                                                          monkeypatch):
+                                                          tiny_captures, monkeypatch):
         import unicp.dws
         from unicp.pcas import slice_weights
 
@@ -225,7 +178,8 @@ class TestCalibrate:
         monkeypatch.setattr(unicp.dws, "slice_weights", slice_or_fail)
         monkeypatch.setattr(unicp.dws.os, "sched_getaffinity", lambda pid: {0, 1})
         with pytest.raises(SweepError, match="block 1 temporal"):
-            dws_calibrate(tiny_model, tiny_cfg, SchedulerConfig(delta=0.075, search_window=4))
+            dws_calibrate(tiny_model, tiny_cfg, SchedulerConfig(delta=0.075, search_window=4),
+                          tiny_captures)
 
     def test_captures_read_back_as_views_for_their_model_only(self, tiny_cfg, tiny_model,
                                                               tmp_path):
@@ -244,8 +198,12 @@ class TestCalibrate:
         payload = b"".join(kept[unit][step].tobytes() for unit in sorted(kept)
                            for step in calib_steps)
         assert path.read_bytes().endswith(b"}\n" + payload)
-        for other in (tiny(seed=8), tiny(num_steps=10), tiny(num_frames=4)):
-            assert load_calib_captures(path, other) is None
+        for other, field in ((tiny(seed=8), "seed"), (tiny(num_steps=10), "steps"),
+                             (tiny(num_frames=4), "frames")):
+            made, wanted = tiny_cfg.header()[field], other.header()[field]
+            with pytest.raises(ValueError, match=f"was made with {field}={made}, "
+                                                 f"but this run has {field}={wanted}$"):
+                load_calib_captures(path, other)
 
     def test_records_mark_acceptance_against_threshold(self, tiny_calibration):
         sched, calib, _ = tiny_calibration
@@ -257,13 +215,12 @@ class TestCalibrate:
         # Post-hoc recomputation: the final sliced weights stay within delta
         # of full compute at every calibration step.
         sched, calib, _ = tiny_calibration
-        cap = CellExecutor(tiny_model, capture_steps=default_calib_steps(tiny_cfg.num_steps))
-        denoise_run(tiny_cfg, cap)
+        captured = baseline_run(tiny_cfg, tiny_model).captured
         for (block, kind), sw in calib.sliced.items():
             if sw.n == tiny_cfg.model_dim:
                 continue
             w = attention_weights_for(tiny_model[block], kind)
-            for step, x_stack in cap.captured[(block, kind)].items():
+            for step, x_stack in captured[(block, kind)].items():
                 o_full, _ = attention(x_stack, w)
                 o_sliced, _ = attention(x_stack, w, qk=(sw.wq_sliced, sw.wk_sliced))
                 assert rel_l2(o_sliced, o_full) <= sched.delta
@@ -298,8 +255,8 @@ class TestCalibrate:
         cfg = tiny()
         model = init_model(cfg)
         sched = SchedulerConfig(delta=0.075, search_window=4)
-        a = dws_calibrate(model, cfg, sched)
-        b = dws_calibrate(model, cfg, sched)
+        a = dws_calibrate(model, cfg, sched, baseline_run(cfg, model).captured)
+        b = dws_calibrate(model, cfg, sched, baseline_run(cfg, model).captured)
         assert {k: sw.n for k, sw in a.sliced.items()} == {k: sw.n for k, sw in b.sliced.items()}
         maps = []
         for calib in (a, b):
@@ -310,9 +267,10 @@ class TestCalibrate:
         for unit in a.sliced:
             assert np.array_equal(a.sliced[unit].wq_sliced, b.sliced[unit].wq_sliced)
 
-    def test_each_width_measured_once(self, tiny_cfg, tiny_model):
+    def test_each_width_measured_once(self, tiny_cfg, tiny_model, tiny_captures):
         # At m=16 the pruned fractions 0.25 and 0.3 both give width 12.
-        calib = dws_calibrate(tiny_model, tiny_cfg, SchedulerConfig(delta=0.175, search_window=4))
+        calib = dws_calibrate(tiny_model, tiny_cfg, SchedulerConfig(delta=0.175, search_window=4),
+                              tiny_captures)
         keys = [(r.block, r.kind, r.step, r.candidate_n) for r in calib.records]
         assert any(n == 12 for *_, n in keys)
         assert len(keys) == len(set(keys))

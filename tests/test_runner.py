@@ -62,13 +62,11 @@ class TestRing:
                 newest = step if letter == LETTER_FULL else newest
                 assert [s for s, _ in executor.rings[UNIT]] == [newest], (letters, step)
 
-    def test_capture_ring_keeps_nothing(self):
-        # Nothing reads a capture pass's ring, so it holds no F result.
+    def test_capture_is_the_input_stack_itself(self):
+        # A capture is the cell's input stack, not a copy, kept at its steps.
         executor, _, xs = executor_and_stacks(3, capture_steps=(0, 2))
         for step, x in enumerate(xs):
             executor.run_unit(*UNIT, x, step)
-            assert not executor.rings[UNIT]
-        # A capture is the cell's input stack itself, not a copy.
         assert sorted(executor.captured[UNIT]) == [0, 2]
         assert executor.captured[UNIT][0] is xs[0] and executor.captured[UNIT][2] is xs[2]
 
