@@ -80,19 +80,26 @@ def read_model_config(header, path) -> ModelConfig:
 # ---------------------------------------------------------------------------
 
 def write_container(path, magic: bytes, header: dict, arrays: list[np.ndarray]):
+    """Write `magic`, `header` plus the `crc32` of the payload as one sorted
+    JSON line, then `arrays` in order as the little-endian float64 payload."""
+    arrays = [np.ascontiguousarray(a, dtype="<f8") for a in arrays]
+    crc = 0
+    for a in arrays:
+        crc = zlib.crc32(a, crc)
     with open(path, "wb") as fh:
         fh.write(magic)
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        fh.write(json.dumps(dict(header, crc32=crc), sort_keys=True).encode("utf-8") + b"\n")
         for a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f8"))
+            fh.write(a)
 
 
 def read_container(path, magic: bytes):
     """(header, payload) of a container; the payload is a read-only view.
 
     Raise ValueError naming `path` for a bad magic, a header line that is
-    not JSON, a payload that is not whole float64 values, and a payload
-    holding a non-finite value.
+    not JSON, a payload that is not whole float64 values, a payload holding
+    a non-finite value, a header that is not an object or lacks `crc32`, and
+    a payload whose CRC-32 differs from the header's `crc32`, in that order.
     """
     with open(path, "rb") as fh:
         got = fh.read(len(magic))
@@ -108,6 +115,9 @@ def read_container(path, magic: bytes):
             raise ValueError(f"{path}: payload is not whole float64 values: {exc}") from exc
     if not np.isfinite(payload).all():
         raise ValueError(f"{path}: payload holds non-finite values")
+    require_keys(header, ("crc32",), f"{path}: header")
+    if zlib.crc32(payload) != header["crc32"]:
+        raise ValueError(f"{path}: payload does not match its crc32 {header['crc32']!r}")
     return header, payload
 
 
@@ -140,25 +150,19 @@ def save_calib_captures(path, cfg: ModelConfig, captured: dict):
     """Write the input stack of every attention unit of `cfg` at each of its
     calibration steps, as `CellExecutor.captured` holds them: units in
     sorted (block, kind) order, steps ascending within a unit. The header
-    is the model header plus `calib_steps` and the `crc32` of the payload."""
+    is the model header plus `calib_steps`."""
     steps = default_calib_steps(cfg.num_steps)
-    arrays = [np.ascontiguousarray(captured[unit][step], dtype="<f8")
-              for unit in _units(cfg) for step in steps]
-    crc = 0
-    for a in arrays:
-        crc = zlib.crc32(a, crc)
-    write_container(path, CAPTURES_MAGIC, dict(cfg.header(), calib_steps=steps, crc32=crc),
-                    arrays)
+    write_container(path, CAPTURES_MAGIC, dict(cfg.header(), calib_steps=steps),
+                    [captured[unit][step] for unit in _units(cfg) for step in steps])
 
 
 def load_calib_captures(path, cfg: ModelConfig) -> dict:
     """(block, kind) -> {calibration step: input stack}, the stacks
     read-only views of the file. Raise ValueError naming `path` when it is
-    malformed, was made for another model or other calibration steps (naming
-    the first field that differs), or its payload does not match its
-    checksum."""
+    malformed or was made for another model or other calibration steps
+    (naming the first field that differs)."""
     header, payload = read_container(path, CAPTURES_MAGIC)
-    require_keys(header, (*cfg.header(), "calib_steps", "crc32"), f"{path}: header")
+    require_keys(header, (*cfg.header(), "calib_steps"), f"{path}: header")
     made_for = read_model_config(header, path)
     if not isinstance(header["calib_steps"], list):
         raise ValueError(f"{path}: calib_steps is {header['calib_steps']!r}, not a list")
@@ -167,8 +171,6 @@ def load_calib_captures(path, cfg: ModelConfig) -> dict:
                dict(made_for.header(), calib_steps=steps), str(path))
     units = _units(cfg)
     stacks = iter(_latents(path, payload, cfg, len(units) * len(steps)))
-    if zlib.crc32(payload) != header["crc32"]:
-        raise ValueError(f"{path}: payload does not match its crc32 {header['crc32']!r}")
     # Each stack holds a latent's values in its kind's axis order.
     latent_shape = (cfg.num_frames, cfg.tokens_per_frame, cfg.model_dim)
     shape = {kind: tuple(latent_shape[a] for a in KIND_AXES[kind]) for kind in ATTENTION_KINDS}
@@ -198,8 +200,7 @@ def save_sliced_weights(path, sliced: dict, header_extra: dict):
 def load_sliced_weights(path, model_dim: int):
     """Read the sliced-weight container back into a (block, kind) -> SlicedWeights map.
 
-    Other fields of a unit entry are ignored, such as the `calib_steps` that
-    older files record.
+    Other fields of a unit entry, such as a `calib_steps`, are ignored.
     """
     header, payload = read_container(path, SLICED_MAGIC)
     require_keys(header, ("units",), f"{path}: header")

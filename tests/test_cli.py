@@ -55,7 +55,12 @@ def read(path):
 
 
 def container(magic, header, values=0):
-    return magic + json.dumps(header).encode() + b"\n" + np.zeros(values).astype("<f8").tobytes()
+    """A container of `values` zeros; a dict header gets their crc32, as the
+    container writer adds it."""
+    payload = np.zeros(values).astype("<f8").tobytes()
+    if isinstance(header, dict):
+        header = dict(header, crc32=zlib.crc32(payload))
+    return magic + json.dumps(header).encode() + b"\n" + payload
 
 
 def text_doc(lines):
@@ -69,12 +74,10 @@ SLICED_RUN_HEADER = {"model": STATE_HEADER, "delta": 0.05, "window": 4, "ratio_l
                      "ratio_hi": 0.4}
 # The value count of the calibration captures a baseline at TINY_FLAGS
 # writes, the input stacks of 2 blocks x 2 kinds at 3 steps, each holding a
-# latent's 2 frames x 16 tokens x 16 channels, and their header for an
-# all-zero payload. The calibrate tests named for latents, an earlier name
-# of this file, cover it.
+# latent's 2 frames x 16 tokens x 16 channels, and their header. The
+# calibrate tests named for latents, an earlier name of this file, cover it.
 CAPTURE_VALUES = 2 * 2 * 3 * 2 * 16 * 16
-CAPTURES_HEADER = dict(STATE_HEADER, calib_steps=[0, 2, 5],
-                       crc32=zlib.crc32(bytes(8 * CAPTURE_VALUES)))
+CAPTURES_HEADER = dict(STATE_HEADER, calib_steps=[0, 2, 5])
 # A cache map with an empty grid whose run key TINY_FLAGS (default delta) accepts.
 CACHE_MAP_LINES = ["unicp-cache-map v2", json.dumps(SLICED_RUN_HEADER, sort_keys=True), "grid",
                    "final_n", "end"]
@@ -283,21 +286,6 @@ class TestCalibrate:
         assert "Traceback" not in captured.err and captured.out == ""
         assert not (tmp_path / "sliced_weights.bin").exists()
 
-    def test_damaged_latents_exit_2(self, tmp_path, capsys, monkeypatch):
-        assert run_cli("baseline", "--out", str(tmp_path), *TINY_FLAGS) == 0
-        path = tmp_path / "baseline_captures.bin"
-        data = bytearray(path.read_bytes())
-        # The lowest mantissa bit of the first captured value: still finite.
-        data[len(data) - 8 * CAPTURE_VALUES] ^= 1
-        path.write_bytes(bytes(data))
-        monkeypatch.setattr(CellExecutor, "run_unit", no_cell)
-        capsys.readouterr()
-        assert run_cli("calibrate", "--out", str(tmp_path), *TINY_FLAGS) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: {path}: payload does not match its crc32")
-        assert "Traceback" not in captured.err and captured.out == ""
-        assert not (tmp_path / "sliced_weights.bin").exists()
-
     def test_writes_calibration_records(self, tmp_path, tiny_calibration):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -461,7 +449,7 @@ class TestRun:
         assert calibrate(*spec) == 0
         assert run_cli("run", "--mode", "online", *spec) == 0
         header, _ = read_container(out / "sliced_weights.bin", b"UNICPSW1\n")
-        del header["units"]
+        del header["units"], header["crc32"]
         key_line = (out / "cache_map.txt").read_text().splitlines()[1]
         assert key_line == json.dumps(header, sort_keys=True)
 
@@ -821,6 +809,33 @@ class TestExitCodes:
         assert captured.out == ""
         assert sorted(p.name for p in paths["busy"].iterdir()) == outputs
 
+    @pytest.mark.parametrize("name, argv", [
+        ("baseline_captures.bin", ["calibrate", "--out", "{out}", *TINY_FLAGS]),
+        ("baseline_state.bin", ["compare", "{out}/baseline_state.bin", "{out}/run_state.bin",
+                                "--out", "{out}"]),
+        ("run_state.bin", ["compare", "{out}/baseline_state.bin", "{out}/run_state.bin",
+                           "--out", "{out}"]),
+        ("sliced_weights.bin", ["run", "--mode", "online", "--out", "{out}", *TINY_FLAGS]),
+        ("sliced_weights.bin", ["run", "--mode", "replay", "--out", "{out}", *TINY_FLAGS]),
+    ], ids=["baseline_captures.bin", "baseline_state.bin", "run_state.bin",
+            "sliced_weights.bin-online", "sliced_weights.bin-replay"])
+    def test_damaged_container_exits_2(self, tmp_path, capsys, monkeypatch, name, argv):
+        for command in (["baseline"], ["calibrate"], ["run", "--mode", "online"]):
+            assert run_cli(*command, "--out", str(tmp_path), *TINY_FLAGS) == 0
+        path = tmp_path / name
+        data = bytearray(path.read_bytes())
+        # The lowest mantissa bit of the last payload value: still finite.
+        data[-8] ^= 1
+        path.write_bytes(bytes(data))
+        written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        monkeypatch.setattr(CellExecutor, "run_unit", no_cell)
+        capsys.readouterr()
+        assert run_cli(*[arg.format(out=tmp_path) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: payload does not match its crc32")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == written
+
     @pytest.mark.parametrize("name, content, expected", [
         ("state.bin", container(b"UNICPST1\n", {"dim": 4}), "model header lacks blocks"),
         ("sliced_weights.bin", container(b"UNICPSW1\n", {"delta": 0.175}), "header lacks units"),
@@ -1074,13 +1089,12 @@ class TestCompare:
         assert run_cli("compare", str(a / "baseline_state.bin"),
                        str(b / "baseline_state.bin")) == 2
 
-    def test_state_near_the_float_range_exits_4(self, tmp_path, capsys):
+    def test_state_near_the_float_range_exits_4(self, tmp_path, capsys, tiny_cfg):
         # The SSIM constants square the state's value range, which overflows.
-        values = np.zeros(2 * 16 * 16)
-        values[0] = 1e200
+        state = np.zeros((2, 16, 16))
+        state[0, 0, 0] = 1e200
         path = tmp_path / "state.bin"
-        path.write_bytes(container(b"UNICPST1\n", STATE_HEADER)
-                         + values.astype("<f8").tobytes())
+        save_state(path, state, tiny_cfg)
         assert run_cli("compare", str(path), str(path)) == 4
         assert capsys.readouterr().err == "error: ssim overflows float64 for these states\n"
 
@@ -1091,10 +1105,9 @@ class TestCompare:
         assert run_cli("baseline", "--out", str(tmp_path), *flags) == 0
         assert run_cli("run", "--mode", "online", "--out", str(tmp_path), *flags) == 0
         path = tmp_path / "baseline_state.bin"
-        data = bytearray(path.read_bytes())
-        first = len(data) - 8 * 2 * 4 * 8
-        data[first:first + 8] = np.array([1e300]).astype("<f8").tobytes()
-        path.write_bytes(bytes(data))
+        state, cfg = load_state(path)
+        state[0, 0, 0] = 1e300
+        save_state(path, state, cfg)
         capsys.readouterr()
         assert run_cli("compare", str(path), str(tmp_path / "run_state.bin"),
                        "--out", str(tmp_path)) == 4
@@ -1103,18 +1116,18 @@ class TestCompare:
         assert captured.out == "" and not (tmp_path / "quality_report.txt").exists()
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
-    def test_non_finite_state_exits_2(self, tmp_path, capsys, bad):
-        values = np.zeros(2 * 16 * 16)
-        values[0] = bad
+    def test_non_finite_state_exits_2(self, tmp_path, capsys, tiny_cfg, bad):
+        state = np.zeros((2, 16, 16))
+        state[0, 0, 0] = bad
         path = tmp_path / "state.bin"
-        path.write_bytes(container(b"UNICPST1\n", STATE_HEADER) + values.astype("<f8").tobytes())
+        save_state(path, state, tiny_cfg)
         assert run_cli("compare", str(path), str(path)) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {path}: payload holds non-finite values\n"
         assert captured.out == ""
         # The same state made finite, compared with itself, reaches the 99 dB cap.
-        values[0] = 1.0
-        path.write_bytes(container(b"UNICPST1\n", STATE_HEADER) + values.astype("<f8").tobytes())
+        state[0, 0, 0] = 1.0
+        save_state(path, state, tiny_cfg)
         assert run_cli("compare", str(path), str(path)) == 0
         assert report_parse(capsys.readouterr().out).psnr_db == 99.0
 

@@ -3,10 +3,11 @@
 Each case truncates, flips a byte of, deletes a span of or duplicates a span
 of one input of one command: the sliced weights (read by an online run and
 by a replay), the cache map, a state file or the calibration captures. Five
-readers, four mutations and 20 cases each make 400 mutated runs. A mutated
-file may still be a valid one (a flipped payload digit), so exit 0 is
-allowed; anything else must be a documented exit code, and no exception may
-escape `main`.
+readers, four mutations and 20 cases each make 400 mutated runs. Every
+binary file carries the crc32 of its payload, so each mutation of one exits
+2. A mutated cache map may still be a valid one, so exit 0 is allowed there;
+anything else must be a documented exit code, and no exception may escape
+`main`.
 """
 
 import random
@@ -73,4 +74,5 @@ def test_mutated_input_exits_with_a_documented_code(pristine, tmp_path, capsys, 
         shutil.copytree(pristine, d)
         (d / mutated).write_bytes(mutate(data, how, rng))
         _, argv = reader(name, d)
-        assert main(argv) in (0, 2, 3, 4), (case, capsys.readouterr().err)
+        allowed = (0, 2, 3, 4) if name == "cache_map.txt" else (2,)
+        assert main(argv) in allowed, (case, capsys.readouterr().err)
