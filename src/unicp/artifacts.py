@@ -1,6 +1,7 @@
-"""Every artifact format, and every check that binds an artifact to a run's spec.
+"""The artifact formats, and every check that binds an artifact to a run's spec.
 
-Only `cli` imports this module; no other module touches the filesystem.
+`metrics` renders the trace CSV and quality report, `cli` the harness
+report. Only `cli` imports this module, and only the two open files.
 """
 
 from __future__ import annotations

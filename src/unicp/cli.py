@@ -20,6 +20,7 @@ import argparse
 import ctypes
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,6 +56,8 @@ from .model import SPEC_KEYS, ModelConfig, NumericError, init_model
 from .runner import CellExecutor, denoise_run
 
 PRESETS = {"E1": 0.025, "E2": 0.05, "E3": 0.075, "E4": 0.125, "E5": 0.175}
+# The error threshold when neither --delta nor --preset is given.
+DELTA = 0.05
 
 # Desk-scale defaults: a full sweep (baseline + calibration + five runs)
 # stays under two minutes on one CPU core.
@@ -65,7 +68,6 @@ DEFAULTS = {
     "frames": 8,
     "steps": 30,
     "seed": 42,
-    "delta": 0.05,
     "window": 4,
     "ratio_lo": 0.1,
     "ratio_hi": 0.4,
@@ -108,22 +110,15 @@ class RunSpec:
 
 
 def build_spec(args) -> RunSpec:
-    """The run spec: DEFAULTS, then the preset's delta, then every flag given."""
-    values = dict(DEFAULTS)
-    if args.preset:
-        values["delta"] = PRESETS[args.preset]
-    for key in DEFAULTS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            values[key] = flag_value
-    if not 0.0 <= values["ratio_lo"] <= values["ratio_hi"] < 1.0:
+    """The run spec of the parsed flags: an explicit --delta beats --preset."""
+    if not 0.0 <= args.ratio_lo <= args.ratio_hi < 1.0:
         raise ValueError(
-            f"ratio bounds must satisfy 0 <= lo <= hi < 1, got [{values['ratio_lo']}, {values['ratio_hi']}]")
-    model = ModelConfig(**{name: values[key] for key, name in SPEC_KEYS.items()})
-    scheduler = SchedulerConfig(delta=values["delta"], search_window=values["window"])
-    return RunSpec(model=model, scheduler=scheduler,
-                   ratio_lo=values["ratio_lo"], ratio_hi=values["ratio_hi"],
-                   mode=values["mode"], preset=args.preset)
+            f"ratio bounds must satisfy 0 <= lo <= hi < 1, got [{args.ratio_lo}, {args.ratio_hi}]")
+    delta = args.delta if args.delta is not None else PRESETS.get(args.preset, DELTA)
+    model = ModelConfig(**{name: getattr(args, key) for key, name in SPEC_KEYS.items()})
+    scheduler = SchedulerConfig(delta=delta, search_window=args.window)
+    return RunSpec(model=model, scheduler=scheduler, ratio_lo=args.ratio_lo,
+                   ratio_hi=args.ratio_hi, mode=args.mode, preset=args.preset)
 
 
 def _write_text(path: Path, text: str):
@@ -214,7 +209,8 @@ def cmd_run(args) -> int:
         _write_text(out_dir / CACHE_MAP_FILE, map_text)
     _write_spec(out_dir, "run_spec.json", spec)
 
-    counts = trace.decision_counts()
+    # One count per attention cell, as in the cache map; MLP rows decide nothing.
+    counts = Counter(row.decision for row in trace.rows if row.kind != "mlp")
     print(f"run complete: mode={spec.mode} macs_total={trace.macs_total} "
           f"decisions={json.dumps(counts, sort_keys=True)}")
     full_macs = _full_cell_macs(spec.model)
@@ -275,16 +271,20 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _add_harness_flags(p: argparse.ArgumentParser):
+def _add_common_flags(p: argparse.ArgumentParser):
+    """The flags of baseline, calibrate, run and harness; every spec field
+    defaults from DEFAULTS, so a command reads the fields it has no flag for."""
+    p.set_defaults(**DEFAULTS)
     p.add_argument("--preset", choices=sorted(PRESETS), help="error-threshold preset")
     p.add_argument("--delta", type=float, help="error threshold (overrides preset)")
     p.add_argument("--window", type=int, help="search window K")
     p.add_argument("--seed", type=int)
     p.add_argument("--steps", type=int)
+    p.add_argument("--out", required=True)
 
 
 def _add_spec_flags(p: argparse.ArgumentParser):
-    _add_harness_flags(p)
+    _add_common_flags(p)
     p.add_argument("--ratio-lo", dest="ratio_lo", type=float, help="lower pruned-fraction bound")
     p.add_argument("--ratio-hi", dest="ratio_hi", type=float, help="upper pruned-fraction bound")
     p.add_argument("--blocks", type=int)
@@ -300,25 +300,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baseline", help="full-compute run; writes state and trace")
     _add_spec_flags(p)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("calibrate", help="calibrate pruning dims from the baseline's captures "
                                          "in --out; writes the sliced weights")
     _add_spec_flags(p)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("run", help="dispatched run: online writes the cache map, "
                                    "replay executes it")
     _add_spec_flags(p)
     p.add_argument("--mode", choices=["online", "replay"])
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("harness", help="scheduler rig on the built-in U drift profile")
-    _add_harness_flags(p)
-    p.add_argument("--out", required=True)
+    _add_common_flags(p)
     p.set_defaults(func=cmd_harness)
 
     p = sub.add_parser("compare", help="PSNR/SSIM/rel-L2 between two state files")

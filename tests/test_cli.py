@@ -132,11 +132,16 @@ class TestBaseline:
         (["--dim", "2"], "model_dim must be >= 4"),
         (["--ratio-lo", "0.5", "--ratio-hi", "0.2"],
          "ratio bounds must satisfy 0 <= lo <= hi < 1, got [0.5, 0.2]"),
-    ], ids=["nan-delta", "negative-seed", "tiny-dim", "inverted-ratio-bounds"])
+        (["--window", "0"], "search_window must be >= 1"),
+        (["--blocks", "0"], "all model dimensions must be >= 1"),
+    ], ids=["nan-delta", "negative-seed", "tiny-dim", "inverted-ratio-bounds", "zero-window",
+            "zero-blocks"])
     def test_invalid_spec_flag_exits_2(self, tmp_path, capsys, flags, expected):
         out = tmp_path / "x"
         assert run_cli("baseline", "--out", str(out), *TINY_FLAGS, *flags) == 2
-        assert expected in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert expected in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_full_rows_after_step_0_carry_drift(self, tmp_path):
@@ -675,6 +680,23 @@ class TestRun:
         grid_tally = Counter(l for row in cmap.grid.values() for l in row)
         assert trace_tally == grid_tally
 
+    def test_printed_decisions_count_the_map_cells(self, tmp_path, capsys):
+        from collections import Counter
+        out = tmp_path / "o"
+        spec = ["--out", str(out), *TINY_FLAGS, "--preset", "E5"]
+        assert calibrate(*spec) == 0
+        letter_for = {"full": "F", "reuse_output": "O", "reuse_map": "M", "pruned": "P"}
+        for mode in ("online", "replay"):
+            capsys.readouterr()
+            assert run_cli("run", *spec, "--mode", mode) == 0
+            printed = re.search(r"decisions=(\{.*?\})", capsys.readouterr().out).group(1)
+            counts = json.loads(printed)
+            # One count per attention cell: 2 kinds x 2 blocks x 8 steps.
+            assert sum(counts.values()) == 2 * 2 * 8, mode
+            cmap = cache_map_parse((out / "run_cache_map.txt").read_text())
+            grid_tally = Counter(letter for row in cmap.grid.values() for letter in row)
+            assert {letter_for[d]: n for d, n in counts.items()} == grid_tally, mode
+
 
 TINY_UNITS = [(block, kind) for block in range(2) for kind in ("spatial", "temporal")]
 
@@ -761,6 +783,16 @@ class TestExitCodes:
         monkeypatch.setattr(cli_module, "denoise_run", explode)
         assert run_cli("baseline", "--out", str(tmp_path / "o"), *TINY_FLAGS) == 4
 
+    def test_non_finite_latent_exits_4_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # An infinite step size sends the latent to inf at step 0.
+        monkeypatch.setattr("unicp.runner.eta_schedule", lambda t, num_steps: float("inf"))
+        out = tmp_path / "o"
+        assert run_cli("baseline", "--out", str(out), *TINY_FLAGS) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "error: non-finite latent values at step 0\n"
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
+
     def test_spec_too_large_to_allocate_exits_2(self, tmp_path, capsys):
         # numpy refuses the 10^7 x 10^7 weight matrix, or the 5.68 PiB
         # latent of 10^14 tokens, at once, allocating nothing, and the
@@ -783,7 +815,7 @@ class TestExitCodes:
         ["harness", "--out", "{busy}", "--steps", "8"],
         ["baseline", "--out", "{busy}", *TINY_FLAGS],
     ], ids=["compare-dir", "baseline-out-file", "run-trace-is-dir",
-            "compare-report-is-dir", "harness-report-is-dir", "baseline-latents-is-dir"])
+            "compare-report-is-dir", "harness-report-is-dir", "baseline-captures-is-dir"])
     def test_path_the_os_refuses_exits_2(self, tmp_path, capsys, monkeypatch, argv):
         from unicp import cli as cli_module
         paths = {"dir": tmp_path / "d", "file": tmp_path / "f",
@@ -901,6 +933,15 @@ class TestExitCodes:
          container(b"UNICPSW1\n", dict(SLICED_RUN_HEADER, units=[SLICED_UNIT, SLICED_UNIT]),
                    values=2 * 2 * 16 * 4),
          "lists block 0 spatial twice"),
+        ("sliced_weights.bin", container(b"UNICPSW1\n", {"units": {"block": 0}}),
+         "sliced_weights.bin: header units is not a list"),
+        ("sliced_weights.bin", container(b"UNICPSW1\n", {"units": [dict(SLICED_UNIT, n=0)]}),
+         "retained dimension n=0 out of range [1, 16]"),
+        ("sliced_weights.bin", container(b"UNICPSW1\n", {"units": [dict(SLICED_UNIT, n=17)]}),
+         "retained dimension n=17 out of range [1, 16]"),
+        ("cache_map.txt", text_doc([*CACHE_MAP_LINES[:4], "0 spatial 4", "0 spatial 4", "end"]),
+         "cache map lists a final_n row twice: '0 spatial 4'"),
+        ("cache_map.txt", text_doc(CACHE_MAP_LINES[:4]), "cache map is missing its end marker"),
     ], ids=["state-missing-keys", "sliced-no-units", "sliced-unit-no-n", "sliced-unit-null-n",
             "sliced-short-payload", "map-truncated", "map-key-lacks-field",
             "map-key-not-json", "map-key-not-object", "map-v1", "map-grid-row-two-fields",
@@ -909,7 +950,9 @@ class TestExitCodes:
             "state-infinite-dim", "state-fractional-dim", "state-bool-blocks", "state-null-seed",
             "state-overflowing-shape",
             "sliced-infinite-n",
-            "sliced-fractional-n", "sliced-foreign-units", "sliced-duplicate-unit"])
+            "sliced-fractional-n", "sliced-foreign-units", "sliced-duplicate-unit",
+            "sliced-units-not-list", "sliced-zero-n", "sliced-n-past-dim",
+            "map-final-n-row-twice", "map-no-end-marker"])
     def test_malformed_artifact_exits_2(self, tmp_path, capsys, name, content, expected):
         path = tmp_path / name
         path.write_bytes(content)
@@ -920,7 +963,9 @@ class TestExitCodes:
         else:
             argv = ["run", "--out", str(tmp_path), *TINY_FLAGS]
         assert run_cli(*argv) == 2
-        assert expected in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert expected in err
+        assert "Traceback" not in err
 
 
 # baseline -> calibrate -> online -> replay -> compare in one --out; the
@@ -959,6 +1004,22 @@ class TestBlasThreadCount:
             assert names == sorted(p.name for p in two.iterdir())
             for name in names:
                 assert read(one / name) == read(two / name), name
+
+
+class TestBenchmarkEntryPoint:
+    def test_commands_run_and_time_their_setup(self, tmp_path):
+        # perfbench/command.py times setup through build_parser and
+        # build_spec, and reports setup_s null when either fails.
+        root = Path(__file__).parent.parent
+        out = str(tmp_path / "o")
+        for phase, argv in (("baseline", ["baseline"]), ("online", ["run", "--mode", "online"])):
+            done = subprocess.run([sys.executable, "perfbench/command.py", "src", phase, "0",
+                                   *argv, *TINY_FLAGS, "--out", out],
+                                  cwd=root, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            result = json.loads(done.stdout.splitlines()[-1])
+            assert result["rc"] == 0, result
+            assert isinstance(result["setup_s"], float) and result["setup_s"] > 0, result
 
 
 class TestAllocatorSetting:
@@ -1010,6 +1071,13 @@ class TestHarnessCommand:
         with pytest.raises(SystemExit) as exc:
             run_cli("harness", "--out", str(out), "--steps", "8", flag, value)
         assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_zero_window_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "h"
+        assert run_cli("harness", "--out", str(out), "--steps", "8", "--window", "0") == 2
+        err = capsys.readouterr().err
+        assert err == "error: search_window must be >= 1\n"
         assert not out.exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
