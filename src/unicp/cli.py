@@ -78,7 +78,6 @@ DEFAULTS = {
 # 64-bit: the mmap threshold caps at 32 MiB, the trim threshold is twice it.
 M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
-M_ARENA_MAX = -8
 MMAP_THRESHOLD_BYTES = 32 << 20
 TRIM_THRESHOLD_BYTES = 64 << 20
 
@@ -328,14 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def keep_freed_heap_pages():
     """Fix glibc's mmap and trim thresholds at the caps its adaptive rule
-    reaches, and keep glibc to one malloc arena.
+    reaches.
 
     Left adaptive, glibc serves an attention map's temporaries by mmap or
     trims them off the heap when freed, and every later call faults the
     pages in again. Fixed, freed pages stay in the heap for the next call.
-    With one arena, calibration's sweep threads reuse those pages too,
-    instead of each faulting in an arena of its own. Does nothing where
-    glibc's mallopt is absent.
+    Does nothing where glibc's mallopt is absent.
     """
     try:
         libc = ctypes.CDLL("libc.so.6")
@@ -348,7 +345,6 @@ def keep_freed_heap_pages():
     mallopt.restype = ctypes.c_int
     mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
     mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
-    mallopt(M_ARENA_MAX, 1)
 
 
 def main(argv=None) -> int:

@@ -8,9 +8,8 @@ inputs, until the unit's sliced output drifts past the error threshold at
 any of them (`sweep_widths`). A unit keeps the last width every step
 accepted, so its sliced output is within the threshold at every
 calibration step. Calibration yields the sliced weights and a record of
-every measurement (`calibration.csv`). The units are independent, so they
-are calibrated on one thread per usable CPU, and their results are kept in
-unit order. The inputs are the ones a baseline run captured
+every measurement (`calibration.csv`). The units are calibrated one after
+another, in unit order. The inputs are the ones a baseline run captured
 (`baseline_captures.bin`), so calibration runs no forward step.
 
 Online dispatch decides live per the cache-window scheduler (caching first,
@@ -24,7 +23,6 @@ by construction.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 from .edcw import DecisionKind, SchedulerConfig, edcw_decide
@@ -211,23 +209,10 @@ def dws_calibrate(model, cfg: ModelConfig, sched: SchedulerConfig, captured: dic
     reads them back; no forward step runs. `ratio_bounds` is the (lo, hi)
     pruned-fraction range `cli.build_spec` has checked.
     """
-    # Imported here so that commands that never calibrate skip its cost.
-    from concurrent.futures import ThreadPoolExecutor
-
     calib_steps = default_calib_steps(cfg.num_steps)
     widths = candidate_widths(cfg.model_dim, *ratio_bounds)
     units = [(b, kind) for b in range(len(model)) for kind in ATTENTION_KINDS]
-
-    def calibrate(unit):
-        return _calibrate_unit(model, cfg, sched, captured, unit, widths, calib_steps)
-
-    # Units are independent and numpy's kernels release the GIL, so each
-    # usable CPU sweeps one unit at a time. map yields in unit order,
-    # whatever order the units finish in. macOS and Windows have no
-    # sched_getaffinity.
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    with ThreadPoolExecutor(min(len(units), cpus)) as pool:
-        results = list(pool.map(calibrate, units))
+    results = [_calibrate_unit(model, cfg, sched, captured, unit, widths, calib_steps)
+               for unit in units]
     return CalibrationResult(sliced={unit: sw for unit, (sw, _) in zip(units, results)},
                              records=[r for _, unit_records in results for r in unit_records])

@@ -85,12 +85,6 @@ class RunTrace:
     def macs_total(self) -> int:
         return sum(r.macs for r in self.rows)
 
-    def decision_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for r in self.rows:
-            counts[r.decision] = counts.get(r.decision, 0) + 1
-        return counts
-
 
 def _fmt_opt(value) -> str:
     if value is None:

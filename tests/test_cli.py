@@ -230,26 +230,6 @@ class TestCalibrate:
                                 f"run `baseline --out {out}` first\n")
         assert captured.out == "" and list(out.iterdir()) == []
 
-    def test_without_sched_getaffinity_writes_the_one_cpu_bytes(self, tmp_path, monkeypatch):
-        import unicp.dws
-        one, fallback = tmp_path / "one", tmp_path / "fallback"
-        with monkeypatch.context() as mp:
-            mp.setattr(unicp.dws.os, "sched_getaffinity", lambda pid: {0})
-            assert calibrate("--out", str(one), *TINY_FLAGS, "--preset", "E5") == 0
-        # As on macOS and Windows: the pool is sized by os.cpu_count instead.
-        monkeypatch.delattr(unicp.dws.os, "sched_getaffinity")
-        counted = []
-
-        def cpu_count():
-            counted.append(2)
-            return 2
-
-        monkeypatch.setattr(unicp.dws.os, "cpu_count", cpu_count)
-        assert calibrate("--out", str(fallback), *TINY_FLAGS, "--preset", "E5") == 0
-        assert counted
-        for name in ("sliced_weights.bin", "calibration.csv", "calibrate_spec.json"):
-            assert read(one / name) == read(fallback / name)
-
     @pytest.mark.parametrize("field, value", [("seed", 8), ("steps", 10), ("frames", 4)])
     def test_captures_of_another_model_exit_2(self, tmp_path, capsys, monkeypatch, field,
                                               value):
@@ -1034,8 +1014,7 @@ class TestAllocatorSetting:
 
         monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
         cli_module.keep_freed_heap_pages()
-        # The two thresholds, then one malloc arena (M_ARENA_MAX is -8).
-        assert sorted(calls) == [(-8, 1), (-3, 32 << 20), (-1, 64 << 20)]
+        assert sorted(calls) == [(-3, 32 << 20), (-1, 64 << 20)]
 
     def test_missing_libc_still_runs(self, tmp_path, monkeypatch):
         import ctypes

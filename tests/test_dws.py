@@ -123,42 +123,21 @@ class TestCalibrate:
             assert got.wq_sliced.tobytes() == sw.wq_sliced.tobytes()
             assert got.wk_sliced.tobytes() == sw.wk_sliced.tobytes()
 
-    def test_unit_finishing_last_changes_no_output(self, tiny_cfg, tiny_model, tiny_captures,
-                                                   monkeypatch):
+    def test_units_run_on_the_calling_thread(self, tiny_cfg, tiny_model, tiny_captures,
+                                             monkeypatch):
         import threading
         import unicp.dws
-        sched = SchedulerConfig(delta=0.075, search_window=4)
-        monkeypatch.setattr(unicp.dws.os, "sched_getaffinity", lambda pid: {0})
-        one_cpu = dws_calibrate(tiny_model, tiny_cfg, sched, tiny_captures)
+        from unicp.pcas import compute_basis
+        threads = []
 
-        # On two workers, unit (0, spatial) starts first but waits until every
-        # other unit has finished.
-        calibrate_unit = unicp.dws._calibrate_unit
-        last = (0, "spatial")
-        others_done = threading.Semaphore(0)
-        finished = []
+        def recording_basis(x_stacks):
+            threads.append(threading.get_ident())
+            return compute_basis(x_stacks)
 
-        def last_to_finish(model, cfg, sched, captured, unit, *rest):
-            if unit == last:
-                for _ in range(len(one_cpu.sliced) - 1):
-                    assert others_done.acquire(timeout=60)
-            result = calibrate_unit(model, cfg, sched, captured, unit, *rest)
-            finished.append(unit)
-            if unit != last:
-                others_done.release()
-            return result
-
-        monkeypatch.setattr(unicp.dws, "_calibrate_unit", last_to_finish)
-        monkeypatch.setattr(unicp.dws.os, "sched_getaffinity", lambda pid: {0, 1})
-        pooled = dws_calibrate(tiny_model, tiny_cfg, sched, tiny_captures)
-        assert finished[-1] == last and len(finished) == len(one_cpu.sliced)
-        assert pooled.records == one_cpu.records
-        assert list(pooled.sliced) == list(one_cpu.sliced)
-        for unit, sw in one_cpu.sliced.items():
-            got = pooled.sliced[unit]
-            assert got.n == sw.n
-            assert got.wq_sliced.tobytes() == sw.wq_sliced.tobytes()
-            assert got.wk_sliced.tobytes() == sw.wk_sliced.tobytes()
+        monkeypatch.setattr(unicp.dws, "compute_basis", recording_basis)
+        calib = dws_calibrate(tiny_model, tiny_cfg, SchedulerConfig(delta=0.075, search_window=4),
+                              tiny_captures)
+        assert threads == [threading.get_ident()] * len(calib.sliced)
 
     def test_error_in_one_units_sweep_is_raised_unchanged(self, tiny_cfg, tiny_model,
                                                           tiny_captures, monkeypatch):
@@ -176,7 +155,6 @@ class TestCalibrate:
             return slice_weights(w, rotation, n)
 
         monkeypatch.setattr(unicp.dws, "slice_weights", slice_or_fail)
-        monkeypatch.setattr(unicp.dws.os, "sched_getaffinity", lambda pid: {0, 1})
         with pytest.raises(SweepError, match="block 1 temporal"):
             dws_calibrate(tiny_model, tiny_cfg, SchedulerConfig(delta=0.075, search_window=4),
                           tiny_captures)
